@@ -20,7 +20,6 @@ S_n - K'(c_lo), with S_n = sum_{m>=1} (V_{n+m} - V_n) nu_m, stays positive.
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,10 +55,10 @@ def bellman_operator(
     state: MarketState,
     params: ModelParams,
     tail: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One application of the best-response operator.
 
-    Returns (updated values, jump expectation Y) where
+    Returns (updated values, jump expectation Y, maximizing efforts) where
     Y_n = sum_{m>=0} V_{n+m} nu_m uses the tail continuation past the grid.
     Ties in the inner maximization resolve to the larger effort.
     """
@@ -72,12 +71,14 @@ def bellman_operator(
 
     y = np.correlate(_padded(values, tail), w, mode="valid")
     best = np.full(params.n_max + 1, -np.inf)
+    arg = np.full(params.n_max + 1, params.c_lo)
     for c in cost.candidate_efforts(params.c_lo, params.c_hi):
         f = (params.eta_prime * u - cost.cost(float(c)) + c * y) / (
             c * c_bar + params.r + params.eta_prime
         )
+        arg = np.where(f >= best, float(c), arg)
         np.maximum(f, best, out=best)
-    return best, y
+    return best, y, arg
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def solve_value(
     deltas: list[float] = []
     y = np.zeros(params.n_max + 1)
     for it in range(1, 100_000):
-        new, y = bellman_operator(values, state, params, tail)
+        new, y, _ = bellman_operator(values, state, params, tail)
         delta = float(np.max(np.abs(new - values)))
         deltas.append(delta)
         values = new
@@ -174,7 +175,7 @@ def solve_value(
         if hi > params.n_max:
             logger.warning("switching sequence never crosses zero on the grid")
     else:
-        policy = _argmax_policy(values, state, params, tail)
+        policy = Policy(bellman_operator(values, state, params, tail)[2])
         trig = None
         interval = None
 
@@ -194,33 +195,25 @@ def solve_value(
     )
 
 
-def _argmax_policy(
-    values: np.ndarray,
-    state: MarketState,
-    params: ModelParams,
-    tail: np.ndarray,
-) -> Policy:
-    """Optimal efforts by direct argmax (general convex cost), ties to larger effort."""
-    w = state.policy.efforts * state.mu.weights
-    c_bar = float(w.sum())
-    u = exit_utility(params, np.arange(params.n_max + 1))
-    cost = params.effective_cost()
-    y = np.correlate(_padded(values, tail), w, mode="valid")
-    best = np.full(params.n_max + 1, -np.inf)
-    arg = np.full(params.n_max + 1, params.c_lo)
-    for c in cost.candidate_efforts(params.c_lo, params.c_hi):
-        f = (params.eta_prime * u - cost.cost(float(c)) + c * y) / (
-            c * c_bar + params.r + params.eta_prime
-        )
-        take = f >= best
-        arg = np.where(take, float(c), arg)
-        best = np.maximum(f, best)
-    return Policy(arg)
-
-
 # ---------------------------------------------------------------------------
 # Upper bound on optimal triggers
 # ---------------------------------------------------------------------------
+
+def _payoff_bound(params: ModelParams, scale: float) -> int:
+    """Largest precision n >= 1 with scale * (u_bar - u(n)) >= K'(c_lo), else 0.
+
+    ``scale`` bounds the payoff of one meeting per unit payoff gap.
+    Comparisons carry a relative slack of 1e-12 so exact-equality boundaries
+    are kept.  Zero marginal cost gives no finite bound and returns n_max.
+    """
+    kp = params.effective_cost().marginal_right(params.c_lo)
+    if kp <= 0.0:
+        return params.n_max
+    n = np.arange(1, params.n_max + 1)
+    gap = u_bar(params) - exit_utility(params, n)
+    ok = np.flatnonzero(scale * gap >= kp - 1e-12 * max(1.0, kp))
+    return int(n[ok[-1]]) if ok.size else 0
+
 
 def n_bar(params: ModelParams) -> int:
     """Largest precision at which searching can still pay.
@@ -230,36 +223,11 @@ def n_bar(params: ModelParams) -> int:
 
         c_hi * eta' * (r + eta') * (u_bar - u(n)) >= K'(c_lo).
 
-    Returns the largest n satisfying it (0 if none).  Comparisons carry a
-    relative slack of 1e-12 so exact-equality boundaries are kept.
+    Returns the largest n satisfying it (0 if none).
     """
-    kp = params.effective_cost().marginal_right(params.c_lo)
-    if kp <= 0.0:
+    if params.effective_cost().marginal_right(params.c_lo) <= 0.0:
         warnings.warn("marginal cost at c_lo is zero: no finite trigger bound", stacklevel=2)
-        return params.n_max
-    n = np.arange(1, params.n_max + 1)
-    gap = u_bar(params) - exit_utility(params, n)
-    lhs = params.c_hi * params.eta_prime * (params.r + params.eta_prime) * gap
-    ok = np.flatnonzero(lhs >= kp - 1e-12 * max(1.0, kp))
-    return int(n[ok[-1]]) if ok.size else 0
-
-
-def _scan_bound(params: ModelParams) -> int:
-    """Conservative upper end for equilibrium scans.
-
-    Takes the larger of the product-form bound ``n_bar`` and the variant with
-    the discount ratio eta' / (r + eta'); the two coincide at r + eta' = 1 and
-    the maximum is safe for any discounting.
-    """
-    kp = params.effective_cost().marginal_right(params.c_lo)
-    if kp <= 0.0:
-        return params.n_max
-    n = np.arange(1, params.n_max + 1)
-    gap = u_bar(params) - exit_utility(params, n)
-    lhs = params.c_hi * params.eta_prime / (params.r + params.eta_prime) * gap
-    ok = np.flatnonzero(lhs >= kp - 1e-12 * max(1.0, kp))
-    alt = int(n[ok[-1]]) if ok.size else 0
-    return min(max(n_bar(params), alt), params.n_max)
+    return _payoff_bound(params, params.c_hi * params.eta_prime * (params.r + params.eta_prime))
 
 
 # ---------------------------------------------------------------------------

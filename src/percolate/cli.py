@@ -95,6 +95,16 @@ def _manifest(args: argparse.Namespace, params: ModelParams | None) -> dict:
     }
 
 
+def _write_sidecar(manifest: dict, path: Path, started: float) -> None:
+    """Write ``<path>.manifest.json``: the manifest plus the volatile wall time and outputs."""
+    sidecar = dict(manifest)
+    sidecar["wall_time_s"] = time.perf_counter() - started
+    sidecar["outputs"] = [str(path)]
+    Path(str(path) + ".manifest.json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
 def _emit_json(payload: dict, args: argparse.Namespace, started: float) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
@@ -103,12 +113,7 @@ def _emit_json(payload: dict, args: argparse.Namespace, started: float) -> None:
         return
     path = Path(out)
     path.write_text(text + "\n", encoding="utf-8")
-    sidecar = dict(payload["manifest"])
-    sidecar["wall_time_s"] = time.perf_counter() - started
-    sidecar["outputs"] = [str(path)]
-    Path(str(path) + ".manifest.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_sidecar(payload["manifest"], path, started)
 
 
 def _emit_csv(rows: list[list], header: list[str], manifest: dict, out: str, started: float) -> None:
@@ -117,12 +122,7 @@ def _emit_csv(rows: list[list], header: list[str], manifest: dict, out: str, sta
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    sidecar = dict(manifest)
-    sidecar["wall_time_s"] = time.perf_counter() - started
-    sidecar["outputs"] = [str(path)]
-    Path(str(path) + ".manifest.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_sidecar(manifest, path, started)
 
 
 def _floats(arr) -> list[float]:
@@ -251,11 +251,9 @@ def _cmd_intervention(args: argparse.Namespace) -> int:
     cfg = _solver_config(args)
     baseline = find_equilibria(params, cfg)
     if args.kind == "subsidy":
-        treated_params, tax = apply_subsidy(params, args.delta, cfg, selection=args.selection)
-        treated = find_equilibria(treated_params, cfg)
+        treated, tax = apply_subsidy(params, args.delta, cfg, selection=args.selection)
     else:
-        treated_params = apply_education(params, args.signals)
-        treated = find_equilibria(treated_params, cfg)
+        treated = find_equilibria(apply_education(params, args.signals), cfg)
         tax = 0.0
     outcome = welfare_compare(baseline, treated, tax=tax, selection=args.selection)
     support = [int(k) for k in params.pi.support()]
@@ -304,8 +302,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             "max_frequency_gap": linf,
         }
     else:
-        est = estimate_value(policy, params, sim_cfg, entry_precision=args.entry, config=cfg)
         state = solve_stationary(policy, params, cfg)
+        est = estimate_value(policy, params, sim_cfg, entry_precision=args.entry, state=state)
         br_value = solve_value(state, params, cfg).value.values[args.entry]
         result = {
             "entry_precision": args.entry,

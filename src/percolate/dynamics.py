@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure
-from .stationary import MarketState, balance_residual, solve_stationary
+from .stationary import MarketState, balance_residual, is_stable, solve_stationary
 
 logger = logging.getLogger(__name__)
 
@@ -73,18 +73,10 @@ def integrate(
     policy.validate_bounds(params)
     if mu0.weights.size != params.n_max + 1:
         raise ValidationError("initial measure grid does not match n_max")
-    n_max = params.n_max
-    eta = params.eta
-    C = policy.efforts
-    pi = params.pi.weights
 
     def flow(_t, y):
-        nu = C * y[:-1]
-        conv = np.convolve(nu, nu)
-        out = np.empty_like(y)
-        out[:-1] = eta * (pi - y[:-1]) + conv[: n_max + 1] - nu * nu.sum()
-        out[-1] = conv[n_max + 1 :].sum() - eta * y[-1]
-        return out
+        res, overflow = balance_residual(y[:-1], policy, params)
+        return np.append(res, overflow - params.eta * y[-1])
 
     if dt_out is None:
         dt_out = t_end / 50.0
@@ -167,7 +159,7 @@ def mass_loss_check(
 ) -> MassLossReport:
     """Check the escape-to-infinity condition and estimate retained mass."""
     c_tail = policy.tail_effort()
-    stable = params.eta >= c_tail * params.c_hi - 1e-12
+    stable = is_stable(policy, params)
     if state is None:
         state = solve_stationary(policy, params, config)
     if stable or c_tail <= 0.0:

@@ -17,7 +17,7 @@ import numpy as np
 from .best_response import (
     BestResponse,
     MinimalSearchReport,
-    _scan_bound,
+    _payoff_bound,
     minimal_search_test,
     n_bar,
     solve_value,
@@ -121,7 +121,12 @@ def find_equilibria(
             "equilibrium search assumes linear cost (bang-bang optimality); "
             "pass allow_nonlinear=True to scan trigger policies regardless"
         )
-    top = _scan_bound(params)
+    bound = n_bar(params)
+    # The variant with the discount ratio eta' / (r + eta') coincides with
+    # n_bar at r + eta' = 1; the larger of the two is safe for any discounting.
+    top = max(bound, _payoff_bound(
+        params, params.c_hi * params.eta_prime / (params.r + params.eta_prime)
+    ))
     table: dict[int, tuple[int, int]] = {}
     found: list[Equilibrium] = []
     for n in range(top, -1, -1):
@@ -155,7 +160,7 @@ def find_equilibria(
     return EquilibriumReport(
         params=params,
         equilibria=tuple(found),
-        n_bar=n_bar(params),
+        n_bar=bound,
         scan_bound=top,
         correspondence_table=table,
         minimal_search=minimal,

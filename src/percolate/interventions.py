@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,19 +39,19 @@ def apply_subsidy(
     delta: float,
     config: SolverConfig = DEFAULT_CONFIG,
     selection: str = "pareto_best",
-) -> tuple[ModelParams, float]:
+) -> tuple[EquilibriumReport, float]:
     """Add a proportional effort subsidy and price its balanced-budget tax.
 
-    Returns the treated parameters and the lump-sum entry tax
+    Returns the equilibrium report of the treated market (its ``params`` are
+    the treated parameters) and the lump-sum entry tax
     tau = delta * c_bar / eta evaluated at the selected treated equilibrium.
     """
     if delta < 0:
         raise ValidationError("subsidy must be nonnegative")
-    treated = params.with_(subsidy=params.subsidy + delta)
-    report = find_equilibria(treated, config)
+    report = find_equilibria(params.with_(subsidy=params.subsidy + delta), config)
     eq = _select(report, selection)
     tax = delta * eq.state.c_bar / params.eta
-    return treated, tax
+    return report, tax
 
 
 def apply_education(params: ModelParams, signals: int) -> ModelParams:
@@ -200,6 +201,32 @@ def _existence_boundary(
     return Bisection(knob=knob, active=lo, inactive=hi, band=band, evaluations=evals)
 
 
+def _block_market(
+    kappa: float,
+    block: int,
+    rho: float,
+    eta: float,
+    eta_prime: float,
+    r: float,
+    c_hi: float,
+    n_max: int,
+    public_signals: int = 0,
+) -> ModelParams:
+    """Linear-cost market whose entrants hold 0 or ``block`` signals with equal odds."""
+    return ModelParams(
+        eta=eta,
+        eta_prime=eta_prime,
+        r=r,
+        rho=rho,
+        c_lo=0.0,
+        c_hi=c_hi,
+        cost=CostSpec(kind="linear", kappa=kappa),
+        pi=PrecisionMeasure.from_mapping({0: 0.5, block: 0.5}, n_max),
+        n_max=n_max,
+        public_signals=public_signals,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subsidy witness: a small subsidy flips the market into active search
 # ---------------------------------------------------------------------------
@@ -255,21 +282,8 @@ def find_subsidy_witness(
     baseline slope is set just above it, and the subsidy bridges the gap.
     The treated welfare check is net of the balanced-budget entry tax.
     """
-    pi_map = {0: 0.5, block: 0.5}
-
-    def make(kappa: float) -> ModelParams:
-        return ModelParams(
-            eta=eta,
-            eta_prime=eta_prime,
-            r=r,
-            rho=rho,
-            c_lo=0.0,
-            c_hi=c_hi,
-            cost=CostSpec(kind="linear", kappa=kappa),
-            pi=PrecisionMeasure.from_mapping(pi_map, n_max),
-            n_max=n_max,
-        )
-
+    make = partial(_block_market, block=block, rho=rho, eta=eta, eta_prime=eta_prime,
+                   r=r, c_hi=c_hi, n_max=n_max)
     start = -_condition_margin(make(0.0), block)  # one-jump gain scale
     if start <= 0:
         raise SolverError("entry block carries no search gain; pick a larger block")
@@ -291,8 +305,7 @@ def find_subsidy_witness(
     last_error = "no subsidy level tried"
     for fraction in (0.3, 0.45, 0.6, 0.75, 0.9):
         delta = fraction * kappa_base
-        treated_params, tax = apply_subsidy(params_base, delta, config)
-        treated = find_equilibria(treated_params, config)
+        treated, tax = apply_subsidy(params_base, delta, config)
         if not treated.has_active():
             last_error = f"delta={delta:.6g} failed to activate the market"
             continue
@@ -364,32 +377,16 @@ def find_education_witness(
     """
     last_error: str = "rho grid exhausted"
     for rho in rho_grid:
-        pi_map = {0: 0.5, block: 0.5}
-
-        def make(kappa: float, signals: int = 0) -> ModelParams:
-            return ModelParams(
-                eta=eta,
-                eta_prime=eta_prime,
-                r=r,
-                rho=rho,
-                c_lo=0.0,
-                c_hi=c_hi,
-                cost=CostSpec(kind="linear", kappa=kappa),
-                pi=PrecisionMeasure.from_mapping(pi_map, n_max),
-                n_max=n_max,
-                public_signals=signals,
-            )
-
+        make = partial(_block_market, block=block, rho=rho, eta=eta, eta_prime=eta_prime,
+                       r=r, c_hi=c_hi, n_max=n_max)
         start = -_condition_margin(make(0.0), block)
         if start <= 0:
             last_error = f"no search gain at rho={rho}"
             continue
         try:
-            b0 = _existence_boundary(
-                lambda k: make(k, 0), start / 8.0, start, band, config, knob="kappa"
-            )
+            b0 = _existence_boundary(make, start / 8.0, start, band, config, knob="kappa")
             b1 = _existence_boundary(
-                lambda k: make(k, 1), start / 16.0, start, band, config, knob="kappa"
+                partial(make, public_signals=1), start / 16.0, start, band, config, knob="kappa"
             )
         except SolverError as exc:
             last_error = f"rho={rho}: {exc}"
@@ -401,8 +398,8 @@ def find_education_witness(
         # keeps as much search surplus as possible while one public signal
         # still collapses it.
         kappa = min(math.sqrt(b1.inactive * b0.active), b1.inactive * 1.05)
-        baseline = find_equilibria(make(kappa, 0), config)
-        treated = find_equilibria(make(kappa, 1), config)
+        baseline = find_equilibria(make(kappa), config)
+        treated = find_equilibria(make(kappa, public_signals=1), config)
         if not baseline.has_active() or treated.has_active():
             last_error = f"rho={rho}: midpoint slope did not separate the markets"
             continue
@@ -411,7 +408,7 @@ def find_education_witness(
         entry_delta = float(np.dot(pi_w, outcome.welfare_delta))
         if entry_delta < -1e-10:
             return EducationWitness(
-                params=make(kappa, 0),
+                params=make(kappa),
                 signals=1,
                 rho=rho,
                 boundary_untreated=b0,
@@ -423,29 +420,3 @@ def find_education_witness(
             )
         last_error = f"rho={rho}: entry utility did not fall ({entry_delta:.3e})"
     raise SolverError(f"no education witness found: {last_error}")
-
-
-# ---------------------------------------------------------------------------
-# Monotone comparative statics used by the invariant tests
-# ---------------------------------------------------------------------------
-
-def subsidy_trigger_path(
-    params: ModelParams,
-    deltas: "list[float]",
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> list[int]:
-    """Pareto-best treated triggers along a subsidy grid (should be nondecreasing)."""
-    out = []
-    for d in deltas:
-        report = find_equilibria(params.with_(subsidy=params.subsidy + d), config)
-        out.append(report.best().trigger)
-    return out
-
-
-def education_path(
-    params: ModelParams,
-    grants: "list[int]",
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> list[EquilibriumReport]:
-    """Equilibrium reports along a public-signal grid (triggers should fall)."""
-    return [find_equilibria(apply_education(params, m), config) for m in grants]

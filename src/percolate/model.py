@@ -116,12 +116,14 @@ class CostSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "linear":
-            if self.kappa < 0:
-                raise ValidationError(f"linear cost slope must be nonnegative, got {self.kappa}")
+            if not (math.isfinite(self.kappa) and self.kappa >= 0):
+                raise ValidationError(f"linear cost slope must be finite and >= 0, got {self.kappa}")
         elif self.kind == "tabulated":
             pts = self.points
             if len(pts) < 2:
                 raise ValidationError("tabulated cost needs at least two knots")
+            if not all(math.isfinite(v) for p in pts for v in p):
+                raise ValidationError("tabulated cost knots must be finite")
             cs = [p[0] for p in pts]
             ks = [p[1] for p in pts]
             if any(b <= a for a, b in zip(cs, cs[1:])):
@@ -411,6 +413,9 @@ class ModelParams:
     u_table: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("eta", "eta_prime", "r", "rho", "c_lo", "c_hi", "subsidy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0 or self.eta_prime <= 0 or self.r <= 0:
             raise ValidationError("eta, eta_prime and r must be positive")
         if not 0.0 <= self.rho < 1.0:
@@ -430,8 +435,8 @@ class ModelParams:
         pi = self.pi
         if pi.weights.size != self.n_max + 1:
             raise ValidationError("entry measure grid does not match n_max")
-        if np.any(pi.weights < 0):
-            raise ValidationError("entry weights must be nonnegative")
+        if not np.all(np.isfinite(pi.weights)) or np.any(pi.weights < 0):
+            raise ValidationError("entry weights must be finite and nonnegative")
         if abs(pi.total_mass() - 1.0) > 1e-9:
             raise ValidationError(f"entry measure must have mass 1, got {pi.total_mass():.12f}")
         if pi.tail_mass != 0.0:
@@ -440,6 +445,8 @@ class ModelParams:
             t = tuple(float(v) for v in self.u_table)
             if len(t) < 2:
                 raise ValidationError("u_table needs at least two entries")
+            if not all(math.isfinite(v) for v in t):
+                raise ValidationError("u_table entries must be finite")
             d = np.diff(t)
             if np.any(d < -1e-12):
                 raise ValidationError("u_table must be nondecreasing")

@@ -49,18 +49,6 @@ class MarketState:
         return effort_weighted(self.mu, self.policy)
 
 
-@dataclass(frozen=True)
-class ZSequence:
-    """Damping factors of the effort-weighted recursion, in entry-rate units.
-
-    z[k] = sqrt(eta) * C_k / (eta + C_k * c_bar) for k >= 1 (z[0] unused).
-    The sqrt(eta) factor expresses the sequence in time units where the
-    replacement intensity is 1; only then does the bound z < 1 hold.
-    """
-
-    z: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Candidate measure for a trial average effort
 # ---------------------------------------------------------------------------
@@ -69,7 +57,6 @@ def candidate_measure(
     c_bar: float,
     policy: Policy,
     params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> PrecisionMeasure:
     """Solve the per-precision balance given a trial average effort ``c_bar``.
 
@@ -147,6 +134,11 @@ def balance_residual(
     return res, overflow
 
 
+def is_stable(policy: Policy, params: ModelParams) -> bool:
+    """Sufficient condition eta >= C_tail * c_hi under which no mass escapes to infinity."""
+    return params.eta >= policy.tail_effort() * params.c_hi - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Root finding on the self-consistency gap
 # ---------------------------------------------------------------------------
@@ -215,7 +207,7 @@ def solve_stationary(
         # denominator) means the candidate effort mass blows past x, so the
         # gap is effectively -inf and the root must lie above x.
         try:
-            return x - average_effort(candidate_measure(x, policy, params, config), policy)
+            return x - average_effort(candidate_measure(x, policy, params), policy)
         except SolverError:
             return -math.inf
 
@@ -240,7 +232,7 @@ def solve_stationary(
         hi *= 2.0
 
     root = _bracketed_root(gap, lo, hi, config.root_tol)
-    mu_grid = candidate_measure(root, policy, params, config)
+    mu_grid = candidate_measure(root, policy, params)
     res, overflow = balance_residual(mu_grid.weights, policy, params)
     sup_res = float(np.max(np.abs(res)))
     if sup_res > config.residual_tol:
@@ -251,9 +243,8 @@ def solve_stationary(
     state = MarketState(mu=mu, policy=policy, c_bar=root)
 
     mass = mu.total_mass()
-    stable = params.eta >= policy.tail_effort() * params.c_hi - 1e-12
     if abs(mass - 1.0) > config.mass_tol:
-        if stable:
+        if is_stable(policy, params):
             raise SolverError(
                 f"stationary mass {mass:.10f} deviates from 1 in the stable regime"
             )
@@ -268,12 +259,17 @@ def solve_stationary(
 # Damping factors and the generating-function cross-check
 # ---------------------------------------------------------------------------
 
-def z_sequence(state: MarketState, params: ModelParams) -> ZSequence:
-    """Damping factors z_k = sqrt(eta) C_k / (eta + C_k c_bar), k >= 1."""
+def z_sequence(state: MarketState, params: ModelParams) -> np.ndarray:
+    """Damping factors z_k = sqrt(eta) C_k / (eta + C_k c_bar) of the effort-weighted recursion.
+
+    Defined for k >= 1 (z[0] is 0 and unused).  The sqrt(eta) factor expresses
+    the sequence in entry-rate units, where the replacement intensity is 1;
+    only then does the bound z < 1 hold.
+    """
     C = state.policy.efforts
     z = np.zeros(params.n_max + 1)
     z[1:] = math.sqrt(params.eta) * C[1:] / (params.eta + C[1:] * state.c_bar)
-    return ZSequence(z=z)
+    return z
 
 
 @dataclass(frozen=True)
@@ -314,7 +310,7 @@ def mgf_check(
         raise ValidationError("closed form degenerates with zero tail effort; use the direct series")
 
     s = math.sqrt(params.eta)
-    z = z_sequence(state, params).z
+    z = z_sequence(state, params)
     zN = z[n_flat]
     nu = C * state.mu.weights
     nu_t = nu / s
@@ -386,24 +382,3 @@ def fosd_compare(a: PrecisionMeasure, b: PrecisionMeasure, tol: float = 1e-12) -
         max_gap=float(np.max(np.abs(diff))),
         tol=tol,
     )
-
-
-def average_effort_monotonicity_check(
-    policies: "list[Policy]",
-    params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> list[float]:
-    """Average efforts of pointwise-ordered policies, asserted nondecreasing.
-
-    Policies must be sorted so each dominates its predecessor pointwise; the
-    induced average efforts are then nondecreasing, and strictly increasing
-    when the effort at precision 1 strictly rises while entry puts mass there.
-    """
-    for prev, cur in zip(policies, policies[1:]):
-        if np.any(cur.efforts < prev.efforts - 1e-12):
-            raise ValidationError("policies are not pointwise ordered")
-    c_bars = [solve_stationary(p, params, config).c_bar for p in policies]
-    for lo, hi in zip(c_bars, c_bars[1:]):
-        if hi < lo - 1e-12:
-            raise SolverError(f"average effort not monotone: {hi:.12g} < {lo:.12g}")
-    return c_bars

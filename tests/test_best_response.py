@@ -82,10 +82,10 @@ def test_bellman_operator_preserves_monotonicity_and_order():
     p, st, _ = _solved(trigger=4)
     rng = np.random.default_rng(3)
     v = np.sort(rng.uniform(-1.0, 0.0, p.n_max + 1))
-    tv, _ = bellman_operator(v, st, p)
+    tv, _, _ = bellman_operator(v, st, p)
     assert np.all(np.diff(tv) >= -1e-12)
     w = v + rng.uniform(0.0, 0.5)
-    tw, _ = bellman_operator(w, st, p)
+    tw, _, _ = bellman_operator(w, st, p)
     assert np.all(tw >= tv - 1e-12)
 
 

@@ -54,6 +54,17 @@ def test_trigger_bound_and_scan_bound_reported():
     assert all(0 <= t <= rep.scan_bound for t in rep.triggers())
 
 
+def test_scan_bound_exceeds_n_bar_when_discounting_is_fast():
+    # r + eta' = 0.6 < 1, so the quotient scale eta'/(r + eta') = 5/6 beats the
+    # product scale eta'(r + eta') = 0.3.  With u(j) = -3/(j+3):
+    # 0.9/(j+3) >= 0.04 up to j = 19; 2.5/(j+3) >= 0.04 up to j = 59.
+    rep = find_equilibria(_params(eta_prime=0.5, cost={"type": "linear", "kappa": 0.04}))
+    assert rep.n_bar == 19
+    assert rep.scan_bound == 59
+    assert rep.scan_bound > rep.n_bar
+    assert sorted(rep.correspondence_table) == list(range(0, 60))
+
+
 def test_correspondence_is_monotone_in_market_trigger(report_002):
     table = report_002.correspondence_table
     ns = sorted(table)

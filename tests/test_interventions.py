@@ -13,12 +13,23 @@ from percolate import (
     load_params,
     welfare_compare,
 )
-from percolate.interventions import education_path, subsidy_trigger_path
 from conftest import make_scenario
 
 
 def _params(**over):
     return load_params(make_scenario(**over))
+
+
+def subsidy_trigger_path(params, deltas: "list[float]") -> list[int]:
+    """Pareto-best treated triggers along a subsidy grid (should be nondecreasing)."""
+    return [
+        find_equilibria(params.with_(subsidy=params.subsidy + d)).best().trigger for d in deltas
+    ]
+
+
+def education_path(params, grants: "list[int]") -> list:
+    """Equilibrium reports along a public-signal grid (triggers should fall)."""
+    return [find_equilibria(apply_education(params, m)) for m in grants]
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +40,8 @@ def _params(**over):
 def test_subsidy_budget_identity():
     p = _params(cost={"type": "linear", "kappa": 0.05})
     delta = 0.01
-    treated, tax = apply_subsidy(p, delta)
+    treated_report, tax = apply_subsidy(p, delta)
+    treated = treated_report.params
     assert treated.subsidy == pytest.approx(delta)
     rep = find_equilibria(treated)
     assert tax == pytest.approx(delta * rep.best().state.c_bar / p.eta, abs=1e-12)

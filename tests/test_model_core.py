@@ -283,6 +283,29 @@ def test_load_params_rejects_bad_inputs():
         load_params({**make_scenario(), "bogus": 1})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"eta": NAN},
+        {"eta_prime": NAN},
+        {"r": INF},
+        {"c_hi": INF},
+        {"subsidy": NAN},
+        {"cost": {"type": "linear", "kappa": NAN}},
+        {"cost": {"type": "tabulated", "points": [[0.0, 0.0], [0.5, NAN], [1.0, 1.0]]}},
+        {"pi": [0.5, NAN, 0.5]},
+    ],
+    ids=["eta-nan", "eta_prime-nan", "r-inf", "c_hi-inf", "subsidy-nan", "kappa-nan",
+         "cost-point-nan", "pi-nan"],
+)
+def test_load_params_rejects_non_finite(override):
+    with pytest.raises(ValidationError, match="finite"):
+        load_params(make_scenario(**override))
+
+
 def test_digest_is_stable_and_discriminating():
     a = load_params(make_scenario())
     b = load_params(make_scenario())

@@ -20,7 +20,6 @@ from percolate import (
 )
 from percolate.stationary import (
     average_effort,
-    average_effort_monotonicity_check,
     balance_residual,
     candidate_measure,
 )
@@ -37,6 +36,23 @@ ORACLE_D_NU2_DC1 = -0.005769974220637408
 
 def _params(**over):
     return load_params(make_scenario(**over))
+
+
+def average_effort_monotonicity_check(policies: "list[Policy]", params) -> list[float]:
+    """Average efforts of pointwise-ordered policies, asserted nondecreasing.
+
+    Policies must be sorted so each dominates its predecessor pointwise; the
+    induced average efforts are then nondecreasing, and strictly increasing
+    when the effort at precision 1 strictly rises while entry puts mass there.
+    """
+    for prev, cur in zip(policies, policies[1:]):
+        if np.any(cur.efforts < prev.efforts - 1e-12):
+            raise ValidationError("policies are not pointwise ordered")
+    c_bars = [solve_stationary(p, params).c_bar for p in policies]
+    for lo, hi in zip(c_bars, c_bars[1:]):
+        if hi < lo - 1e-12:
+            raise SolverError(f"average effort not monotone: {hi:.12g} < {lo:.12g}")
+    return c_bars
 
 
 def _three_bin_params(**over):
@@ -275,7 +291,7 @@ def test_damping_factors_below_one():
         p = _params(eta=eta, c_lo=0.1)
         for n in (2, 4):
             st = solve_stationary(Policy.trigger_policy(n, p), p)
-            z = z_sequence(st, p).z
+            z = z_sequence(st, p)
             assert np.all(z[1:] < 1.0 - 1e-9)
             assert np.all(z[1:] > 0.0)
 
