@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -190,9 +191,10 @@ class CostSpec:
     def from_dict(d: dict) -> "CostSpec":
         kind = d.get("type", "linear")
         if kind == "linear":
-            return CostSpec(kind="linear", kappa=float(d["kappa"]))
+            return CostSpec(kind="linear", kappa=_real(d["kappa"], "kappa"))
         if kind == "tabulated":
-            return CostSpec(kind="tabulated", points=tuple((float(c), float(k)) for c, k in d["points"]))
+            points = tuple((_real(c, "cost knot"), _real(k, "cost knot")) for c, k in d["points"])
+            return CostSpec(kind="tabulated", points=points)
         raise ValidationError(f"unknown cost type {kind!r}")
 
 
@@ -531,15 +533,36 @@ _SCENARIO_FIELDS = {
 }
 
 
+def _real(value, name: str) -> float:
+    """A scenario number; strings, booleans and null are rejected (finiteness is checked later)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A scenario count: a finite number with no fractional part."""
+    if not math.isfinite(_real(value, name)) or value != int(value):
+        raise ValidationError(f"{name} must be a finite integer, got {value!r}")
+    return int(value)
+
+
 def _parse_pi(raw, n_max: int) -> PrecisionMeasure:
     if isinstance(raw, dict):
-        return PrecisionMeasure.from_mapping({int(k): float(v) for k, v in raw.items()}, n_max)
+        mapping = {}
+        for k, v in raw.items():
+            try:
+                n = int(k)
+            except ValueError as exc:
+                raise ValidationError(f"pi precision {k!r} is not an integer") from exc
+            mapping[n] = _real(v, f"pi[{k!r}]")
+        return PrecisionMeasure.from_mapping(mapping, n_max)
     if isinstance(raw, (list, tuple)):
         w = np.zeros(n_max + 1)
         if len(raw) > n_max:
             raise ValidationError(f"entry list of length {len(raw)} exceeds n_max={n_max}")
         for i, v in enumerate(raw, start=1):
-            w[i] = float(v)
+            w[i] = _real(v, f"pi[{i - 1}]")
         return PrecisionMeasure(w)
     raise ValidationError("pi must be a list (precisions 1..len) or a mapping {precision: weight}")
 
@@ -566,21 +589,21 @@ def load_params(source: dict | str | Path, n_max_override: int | None = None) ->
     unknown = set(raw) - _SCENARIO_FIELDS
     if unknown:
         raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
-    n_max = int(raw.get("n_max", 256))
+    n_max = _integer(raw.get("n_max", 256), "n_max")
     if n_max_override is not None:
         n_max = int(n_max_override)
     cost = CostSpec.from_dict(raw["cost"]) if "cost" in raw else CostSpec()
     pi = _parse_pi(raw["pi"], n_max) if "pi" in raw else PrecisionMeasure.point_mass(1, n_max)
     return ModelParams(
-        eta=float(raw.get("eta", 1.0)),
-        eta_prime=float(raw.get("eta_prime", 1.0)),
-        r=float(raw.get("r", 0.1)),
-        rho=float(raw.get("rho", 0.5)),
-        c_lo=float(raw.get("c_lo", 0.0)),
-        c_hi=float(raw.get("c_hi", 1.0)),
+        eta=_real(raw.get("eta", 1.0), "eta"),
+        eta_prime=_real(raw.get("eta_prime", 1.0), "eta_prime"),
+        r=_real(raw.get("r", 0.1), "r"),
+        rho=_real(raw.get("rho", 0.5), "rho"),
+        c_lo=_real(raw.get("c_lo", 0.0), "c_lo"),
+        c_hi=_real(raw.get("c_hi", 1.0), "c_hi"),
         cost=cost,
         pi=pi,
         n_max=n_max,
-        public_signals=int(raw.get("public_signals", 0)),
-        subsidy=float(raw.get("subsidy", 0.0)),
+        public_signals=_integer(raw.get("public_signals", 0), "public_signals"),
+        subsidy=_real(raw.get("subsidy", 0.0), "subsidy"),
     )

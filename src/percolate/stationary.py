@@ -19,8 +19,11 @@ with the convolution restricted to 1..n-1.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,11 +189,30 @@ def _bracketed_root(g, lo: float, hi: float, tol: float, max_iter: int = 200) ->
     return x
 
 
+# A descending scan visits its triggers in the same order every time, so an
+# LRU smaller than one scan's markets would never hit; 1024 covers every
+# trigger of a scan up to n_max = 1023.
+_MEMO_SIZE = 1024
+_memo: OrderedDict[bytes, tuple[PrecisionMeasure, float]] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _market_key(policy: Policy, params: ModelParams, config: SolverConfig) -> bytes:
+    """Digest of everything the stationary solve reads from its inputs."""
+    scalars = (
+        float(params.eta), float(params.c_hi), int(params.n_max),
+        config.root_tol, config.residual_tol, config.mass_tol, config.max_bracket_growth,
+    )
+    h = hashlib.blake2b(repr(scalars).encode(), digest_size=16)
+    h.update(params.pi.weights.tobytes())
+    h.update(policy.efforts.tobytes())
+    return h.digest()
+
+
 def solve_stationary(
     policy: Policy,
     params: ModelParams,
     config: SolverConfig = DEFAULT_CONFIG,
-    bracket: tuple[float, float] | None = None,
 ) -> MarketState:
     """Stationary market state under ``policy``.
 
@@ -199,8 +221,37 @@ def solve_stationary(
     strictly increasing because every candidate weight is decreasing in the
     trial effort.  The solved state is validated against the balance residual
     and, in the stable regime eta >= C_tail * c_hi, against mass conservation.
+
+    Solves are memoized per process (least recently used, ``_MEMO_SIZE``
+    markets) on what the solve reads: eta, c_hi, n_max, the entry weights, the
+    efforts and the config's root_tol, residual_tol, mass_tol and
+    max_bracket_growth.  Cost, r, eta', rho, c_lo, public signals, subsidy and
+    u_table enter only the best response, so markets differing only in them
+    share one solve.  The policy bounds are checked on every call, a hit
+    returns the caller's own ``policy`` with the stored measure and average
+    effort, and a failed solve is not stored.  The unstable-regime warning
+    (mass < 1) is therefore logged once per market per process.
     """
     policy.validate_bounds(params)
+    key = _market_key(policy, params, config)
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is not None:
+            _memo.move_to_end(key)
+    if hit is None:
+        hit = _solve(policy, params, config)
+        with _memo_lock:
+            _memo[key] = hit
+            if len(_memo) > _MEMO_SIZE:
+                _memo.popitem(last=False)
+    mu, c_bar = hit
+    return MarketState(mu=mu, policy=policy, c_bar=c_bar)
+
+
+def _solve(
+    policy: Policy, params: ModelParams, config: SolverConfig
+) -> tuple[PrecisionMeasure, float]:
+    """Uncached stationary solve: (measure with tail mass, average effort)."""
 
     def gap(x: float) -> float:
         # An infeasible trial (no real zero-bin root, or an exploding bin
@@ -211,13 +262,8 @@ def solve_stationary(
         except SolverError:
             return -math.inf
 
-    floor = _feasibility_floor(policy, params)
-    if bracket is not None:
-        lo, hi = bracket
-        lo = max(lo, floor)
-    else:
-        lo = floor
-        hi = max(params.c_hi, floor * 1.5 + 1e-6)
+    lo = _feasibility_floor(policy, params)
+    hi = max(params.c_hi, lo * 1.5 + 1e-6)
     g_lo = gap(lo)
     if g_lo > config.root_tol:
         raise SolverError(
@@ -240,7 +286,6 @@ def solve_stationary(
 
     tail_mass = overflow / params.eta
     mu = PrecisionMeasure(mu_grid.weights, tail_mass)
-    state = MarketState(mu=mu, policy=policy, c_bar=root)
 
     mass = mu.total_mass()
     if abs(mass - 1.0) > config.mass_tol:
@@ -252,7 +297,7 @@ def solve_stationary(
             "stationary mass %.6f < 1: replacement intensity below the escape threshold",
             mass,
         )
-    return state
+    return mu, root
 
 
 # ---------------------------------------------------------------------------

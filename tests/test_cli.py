@@ -298,6 +298,14 @@ def test_non_finite_config_exits_2(tmp_path):
     assert cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"]) == 2
 
 
+def test_non_numeric_config_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_scenario(eta="abc")))
+    assert cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"]) == 2
+    bad.write_text(json.dumps(make_scenario(n_max=2.7)))
+    assert cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"]) == 2
+
+
 def test_missing_files_exit_2(scenario_file, tmp_path):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["solve-stationary", "--config", missing, "--policy", "trigger:1"]) == 2

@@ -306,6 +306,37 @@ def test_load_params_rejects_non_finite(override):
         load_params(make_scenario(**override))
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"eta": "abc"},
+        {"eta": True},
+        {"eta": None},
+        {"n_max": "x"},
+        {"n_max": 2.7},
+        {"n_max": NAN},
+        {"n_max": INF},
+        {"public_signals": 1.5},
+        {"public_signals": True},
+        {"cost": {"type": "linear", "kappa": "0.1"}},
+        {"pi": [0.5, "0.5"]},
+        {"pi": {"one": 1.0}},
+    ],
+    ids=["eta-string", "eta-bool", "eta-null", "n_max-string", "n_max-fraction", "n_max-nan",
+         "n_max-inf", "public_signals-fraction", "public_signals-bool", "kappa-string",
+         "pi-string-weight", "pi-string-precision"],
+)
+def test_load_params_rejects_non_numeric_and_non_integral(override):
+    with pytest.raises(ValidationError):
+        load_params(make_scenario(**override))
+
+
+def test_load_params_accepts_integral_floats_for_counts():
+    p = load_params(make_scenario(n_max=32.0, public_signals=2.0))
+    assert p.n_max == 32 and type(p.n_max) is int
+    assert p.public_signals == 2 and type(p.public_signals) is int
+
+
 def test_digest_is_stable_and_discriminating():
     a = load_params(make_scenario())
     b = load_params(make_scenario())

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+
+from percolate import stationary
 
 from percolate import (
     MarketState,
@@ -346,3 +350,136 @@ def test_infeasible_floor_raises():
     p = _params(eta=0.02, pi={"0": 0.98, "1": 0.02}, c_lo=0.0, c_hi=1.0, n_max=32)
     with pytest.raises(SolverError):
         solve_stationary(Policy.trigger_policy(1, p), p)
+
+
+# ---------------------------------------------------------------------------
+# Per-process memo of stationary solves
+# ---------------------------------------------------------------------------
+
+# A market no other test solves, so a cold solve here is really cold.
+MEMO_MARKET = {"eta": 0.73, "c_lo": 0.1, "n_max": 40}
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo private to the test; the shared one is restored afterwards."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(stationary, "_memo", fresh)
+    return fresh
+
+
+@pytest.fixture
+def gap_evals(monkeypatch):
+    """Trial efforts passed to candidate_measure, in call order."""
+    calls = []
+    real = stationary.candidate_measure
+
+    def counted(c_bar, policy, params):
+        calls.append(c_bar)
+        return real(c_bar, policy, params)
+
+    monkeypatch.setattr(stationary, "candidate_measure", counted)
+    return calls
+
+
+def _memo_solve(trigger=3, **over):
+    p = _params(**{**MEMO_MARKET, **over})
+    return solve_stationary(Policy.trigger_policy(trigger, p), p)
+
+
+def test_memo_shares_markets_that_differ_only_in_preferences(memo, gap_evals):
+    base = _memo_solve()
+    cold = len(gap_evals)
+    assert cold > 0
+    for over in (
+        {"cost": {"type": "linear", "kappa": 0.3}},
+        {"r": 0.25},
+        {"eta_prime": 2.0},
+        {"rho": 0.8},
+        {"subsidy": 0.05},
+        {"public_signals": 2},
+    ):
+        state = _memo_solve(**over)
+        assert state.mu is base.mu and state.c_bar == base.c_bar, over
+    assert len(gap_evals) == cold
+    assert len(memo) == 1
+
+
+@pytest.mark.parametrize(
+    "over, effort_at",
+    [
+        ({"eta": 0.74}, None),
+        ({"pi": [0.5, 0.5]}, None),
+        ({"c_hi": 1.2}, None),
+        ({"n_max": 41}, None),
+        ({}, 7),
+    ],
+    ids=["eta", "pi", "c_hi", "n_max", "one-effort"],
+)
+def test_memo_solves_again_when_the_market_changes(memo, gap_evals, over, effort_at):
+    _memo_solve()
+    cold = len(gap_evals)
+    p = _params(**{**MEMO_MARKET, **over})
+    efforts = Policy.trigger_policy(3, p).efforts.copy()
+    if effort_at is not None:
+        efforts[effort_at] = 0.5
+    solve_stationary(Policy(efforts), p)
+    assert len(gap_evals) > cold
+    assert len(memo) == 2
+
+
+def test_memo_hit_is_bit_identical_to_a_cold_solve(memo):
+    _memo_solve()
+    warm = _memo_solve(cost={"type": "linear", "kappa": 0.3})
+    memo.clear()
+    cold = _memo_solve(cost={"type": "linear", "kappa": 0.3})
+    assert warm.mu is not cold.mu
+    assert warm.mu.weights.tobytes() == cold.mu.weights.tobytes()
+    assert warm.mu.tail_mass == cold.mu.tail_mass
+    assert warm.c_bar == cold.c_bar
+
+
+def test_memo_hit_returns_the_callers_policy(memo):
+    p = _params(**MEMO_MARKET)
+    first = solve_stationary(Policy.trigger_policy(3, p), p)
+    listed = Policy(first.policy.efforts.copy())
+    second = solve_stationary(listed, p)
+    assert second.mu is first.mu
+    assert second.policy is listed and second.policy.trigger is None
+    assert first.policy.trigger == 3
+
+
+def test_memo_hit_still_validates_effort_bounds(memo):
+    p = _params(**MEMO_MARKET)
+    pol = Policy.trigger_policy(3, p)
+    solve_stationary(pol, p)
+    # c_lo is not part of the key: the same efforts now fall below the floor.
+    with pytest.raises(ValidationError):
+        solve_stationary(pol, p.with_(c_lo=0.2))
+
+
+def test_memo_does_not_store_failures(memo, gap_evals):
+    p = _params(eta=0.021, pi={"0": 0.98, "1": 0.02}, c_lo=0.0, c_hi=1.0, n_max=32)
+    pol = Policy.trigger_policy(1, p)
+    with pytest.raises(SolverError):
+        solve_stationary(pol, p)
+    first = len(gap_evals)
+    assert first > 0
+    with pytest.raises(SolverError):
+        solve_stationary(pol, p)
+    assert len(gap_evals) == 2 * first
+    assert len(memo) == 0
+
+
+def test_memo_evicts_the_least_recently_used_market(memo, gap_evals, monkeypatch):
+    monkeypatch.setattr(stationary, "_MEMO_SIZE", 2)
+    _memo_solve(trigger=1)
+    _memo_solve(trigger=2)
+    _memo_solve(trigger=1)  # hit: trigger 2 is now the oldest
+    _memo_solve(trigger=3)  # evicts trigger 2
+    assert len(memo) == 2
+    before = len(gap_evals)
+    _memo_solve(trigger=1)
+    assert len(gap_evals) == before
+    _memo_solve(trigger=2)
+    assert len(gap_evals) > before
