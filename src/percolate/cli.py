@@ -160,8 +160,8 @@ def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
     policy = _build_policy(args.policy, params)
     if args.init == "pi":
         mu0 = params.pi
-    elif args.init.startswith("point:"):
-        mu0 = PrecisionMeasure.point_mass(int(args.init.split(":", 1)[1]), params.n_max)
+    elif args.init.startswith("point:") and args.init[6:].isdecimal():
+        mu0 = PrecisionMeasure.point_mass(int(args.init[6:]), params.n_max)
     else:
         raise ValidationError(f"unknown initial condition {args.init!r} (use pi or point:N)")
     traj = integrate(mu0, policy, params, t_end=args.t_end, dt_out=args.dt_out, config=cfg)
@@ -364,16 +364,16 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _sweep_worker(job: tuple) -> list:
-    base, overrides, task, policy_spec = job
+    base, overrides, task, policy_spec, n_max, cfg = job
     scenario = dict(base)
     scenario.update(overrides)
-    params = load_params(scenario)
+    params = load_params(scenario, n_max_override=n_max)
     if task == "solve-stationary":
         policy = _build_policy(policy_spec, params)
-        state = solve_stationary(policy, params)
+        state = solve_stationary(policy, params, cfg)
         metrics = [state.c_bar, state.mu.grid_mass(), state.mu.tail_mass]
     elif task == "solve-equilibrium":
-        report = find_equilibria(params)
+        report = find_equilibria(params, cfg)
         triggers = report.triggers()
         metrics = [len(triggers), triggers[-1] if triggers else -1, report.n_bar]
     else:
@@ -411,7 +411,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     combos: list[dict] = [{}]
     for k in keys:
         combos = [dict(c, **{k: v}) for c in combos for v in grid[k]]
-    jobs = [(base, combo, args.task, args.policy) for combo in combos]
+    cfg = _solver_config(args)
+    jobs = [(base, combo, args.task, args.policy, args.n_max, cfg) for combo in combos]
 
     workers = int(os.environ.get("PERCOLATE_THREADS", "0")) or min(4, os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
@@ -423,7 +424,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = [_sweep_worker(j) for j in jobs]
 
     header = keys + _SWEEP_METRIC_HEADERS[args.task]
-    params = load_params(base)
+    params = load_params(base, n_max_override=args.n_max)
     _emit_csv(rows, header, _manifest(args, params), args.out, started)
     return 0
 

@@ -9,14 +9,13 @@ from dataclasses import dataclass, replace
 class SolverConfig:
     """Tolerances shared by the stationary solver, ODE integrator and value iteration.
 
-    root_tol         absolute |g| target for the average-effort fixed point
+    root_tol         |g| acceptance bound for the average-effort fixed point
     residual_tol     sup-norm target for the stationary balance residual
     mass_tol         allowed deviation of total mass from 1
     value_tol        true-error target for value iteration (contraction-scaled stop)
     indifference_tol half-width of the band around zero treated as exact indifference
                      when reading the switching sequence
     ode_atol/ode_rtol  absolute/relative tolerances for measure-flow integration
-    max_bracket_growth how many doublings of the root bracket to attempt
     """
 
     root_tol: float = 1e-12
@@ -26,7 +25,6 @@ class SolverConfig:
     indifference_tol: float = 1e-9
     ode_atol: float = 1e-10
     ode_rtol: float = 1e-8
-    max_bracket_growth: int = 3
 
     def with_(self, **kwargs) -> "SolverConfig":
         return replace(self, **kwargs)

@@ -189,11 +189,16 @@ class CostSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "CostSpec":
+        if not isinstance(d, dict):
+            raise ValidationError(f"cost must be an object, got {d!r}")
         kind = d.get("type", "linear")
         if kind == "linear":
-            return CostSpec(kind="linear", kappa=_real(d["kappa"], "kappa"))
+            return CostSpec(kind="linear", kappa=_real(d.get("kappa"), "kappa"))
         if kind == "tabulated":
-            points = tuple((_real(c, "cost knot"), _real(k, "cost knot")) for c, k in d["points"])
+            raw, seq = d.get("points"), (list, tuple)
+            if not isinstance(raw, seq) or not all(isinstance(p, seq) and len(p) == 2 for p in raw):
+                raise ValidationError("tabulated cost points must be a list of [effort, cost] pairs")
+            points = tuple((_real(c, "cost knot"), _real(k, "cost knot")) for c, k in raw)
             return CostSpec(kind="tabulated", points=points)
         raise ValidationError(f"unknown cost type {kind!r}")
 
@@ -337,7 +342,7 @@ class Policy:
     def from_list(values: Sequence[float], params: "ModelParams") -> "Policy":
         """Expand efforts given for precisions 1..len(values); the tail repeats
         the last value and precision 0 copies precision 1."""
-        vals = [float(v) for v in values]
+        vals = [_real(v, f"effort {i}") for i, v in enumerate(values, start=1)]
         if not vals:
             raise ValidationError("effort list must be nonempty")
         for v in vals:
@@ -592,6 +597,8 @@ def load_params(source: dict | str | Path, n_max_override: int | None = None) ->
     n_max = _integer(raw.get("n_max", 256), "n_max")
     if n_max_override is not None:
         n_max = int(n_max_override)
+    if n_max < 2:  # before any grid array is built
+        raise ValidationError(f"n_max must be at least 2, got {n_max}")
     cost = CostSpec.from_dict(raw["cost"]) if "cost" in raw else CostSpec()
     pi = _parse_pi(raw["pi"], n_max) if "pi" in raw else PrecisionMeasure.point_mass(1, n_max)
     return ModelParams(

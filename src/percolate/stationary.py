@@ -8,7 +8,7 @@ where ``*`` is discrete self-convolution over precisions (two searchers of
 precisions l and n-l meet and both land at n) and ``nu(N)`` is the total
 effort mass.  Solving proceeds in two nested steps: given a trial average
 effort, the weights follow from a per-precision recursion; the trial is then
-fixed by a one-dimensional root find on the self-consistency gap.
+fixed by Brent's method on the self-consistency gap.
 
 Mass entering at precision 0 is supported: the convolution includes the
 l = 0 and l = n terms, which moves the zero-precision balance from a linear
@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import SolverError, ValidationError
@@ -72,7 +73,8 @@ def candidate_measure(
     where the 2 nu_0 correction accounts for meetings with zero-precision
     searchers keeping the mover at its own precision plus the l=0/l=k
     convolution terms.  Raises SolverError if the trial effort is infeasible
-    for the zero-precision quadratic or a denominator degenerates.
+    for the zero-precision quadratic, a denominator degenerates or a weight
+    diverges (overflows to a non-finite value).
     """
     if c_bar < 0:
         raise ValidationError(f"average effort must be nonnegative, got {c_bar}")
@@ -102,15 +104,20 @@ def candidate_measure(
     nu[0] = c0 * mu[0]
 
     shift = c_bar - 2.0 * nu[0]
-    for k in range(1, n_max + 1):
-        den = eta + C[k] * shift
-        if den <= 1e-14:
-            raise SolverError(
-                f"degenerate balance denominator at precision {k} for trial effort {c_bar:.6g}"
-            )
-        interior = float(np.dot(nu[1:k], nu[k - 1:0:-1])) if k >= 2 else 0.0
-        mu[k] = (eta * pi[k] + interior) / den
-        nu[k] = C[k] * mu[k]
+    # Stop at the first non-finite weight, before inf meets a zero effort as NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_max + 1):
+            den = eta + C[k] * shift
+            if den <= 1e-14:
+                raise SolverError(
+                    f"degenerate balance denominator at precision {k} for trial effort {c_bar:.6g}"
+                )
+            interior = float(np.dot(nu[1:k], nu[k - 1:0:-1])) if k >= 2 else 0.0
+            m = (eta * pi[k] + interior) / den
+            if not math.isfinite(m):
+                raise SolverError(f"candidate measure diverges at precision {k} (trial {c_bar:.6g})")
+            mu[k] = m
+            nu[k] = C[k] * m
 
     return PrecisionMeasure(mu)
 
@@ -146,6 +153,12 @@ def is_stable(policy: Policy, params: ModelParams) -> bool:
 # Root finding on the self-consistency gap
 # ---------------------------------------------------------------------------
 
+# The smallest tolerances brentq accepts: since g' >= 1, stopping at an
+# x-tolerance of root_tol can still leave |g| above root_tol.
+_XTOL = math.ulp(0.0)
+_RTOL = 4.0 * np.finfo(float).eps
+
+
 def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
     """Smallest trial average effort with a real zero-precision quadratic root."""
     c0 = policy.efforts[0]
@@ -153,40 +166,6 @@ def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
     if c0 <= 0.0 or p0 <= 0.0:
         return 0.0
     return max(0.0, (2.0 * c0 * math.sqrt(params.eta * p0) - params.eta) / c0)
-
-
-def _bracketed_root(g, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
-    """Root of increasing g on [lo, hi] by bisection with secant acceleration."""
-    fa, fb = g(lo), g(hi)
-    if abs(fa) <= tol:
-        return lo
-    if abs(fb) <= tol:
-        return hi
-    if fa > 0.0 or fb < 0.0:
-        raise SolverError(
-            f"root bracket invalid: g({lo:.6g})={fa:.3e}, g({hi:.6g})={fb:.3e}"
-        )
-    a, b = lo, hi
-    for _ in range(max_iter):
-        width = b - a
-        x = 0.5 * (a + b)
-        if math.isfinite(fa) and math.isfinite(fb) and fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            if a + 0.01 * width < secant < b - 0.01 * width:
-                x = secant
-        fx = g(x)
-        if abs(fx) <= tol:
-            return x
-        if fx < 0.0:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        if b - a < 1e-16 * max(1.0, abs(b)):
-            break
-    x = a if abs(fa) <= abs(fb) else b
-    if abs(g(x)) > tol:
-        raise SolverError(f"root refinement stalled at {x:.12g} with |g| = {abs(g(x)):.3e}")
-    return x
 
 
 # A descending scan visits its triggers in the same order every time, so an
@@ -201,7 +180,7 @@ def _market_key(policy: Policy, params: ModelParams, config: SolverConfig) -> by
     """Digest of everything the stationary solve reads from its inputs."""
     scalars = (
         float(params.eta), float(params.c_hi), int(params.n_max),
-        config.root_tol, config.residual_tol, config.mass_tol, config.max_bracket_growth,
+        config.root_tol, config.residual_tol, config.mass_tol,
     )
     h = hashlib.blake2b(repr(scalars).encode(), digest_size=16)
     h.update(params.pi.weights.tobytes())
@@ -219,18 +198,22 @@ def solve_stationary(
     Finds the average effort as the root of g(x) = x - nu(N)(x), where nu(N)(x)
     is the total effort mass of the candidate measure at trial effort x; g is
     strictly increasing because every candidate weight is decreasing in the
-    trial effort.  The solved state is validated against the balance residual
-    and, in the stable regime eta >= C_tail * c_hi, against mass conservation.
+    trial effort.  Brent's method solves it to machine precision on [floor,
+    max(c_hi, floor)], the floor being the smallest trial with a real
+    zero-precision balance, and the root must meet |g| <= root_tol; a trial
+    whose weights diverge counts as g = -inf.  The solved state is validated
+    against the balance residual and, in the stable regime eta >= C_tail *
+    c_hi, against mass conservation.
 
     Solves are memoized per process (least recently used, ``_MEMO_SIZE``
     markets) on what the solve reads: eta, c_hi, n_max, the entry weights, the
-    efforts and the config's root_tol, residual_tol, mass_tol and
-    max_bracket_growth.  Cost, r, eta', rho, c_lo, public signals, subsidy and
-    u_table enter only the best response, so markets differing only in them
-    share one solve.  The policy bounds are checked on every call, a hit
-    returns the caller's own ``policy`` with the stored measure and average
-    effort, and a failed solve is not stored.  The unstable-regime warning
-    (mass < 1) is therefore logged once per market per process.
+    efforts and the config's root_tol, residual_tol and mass_tol.  Cost, r,
+    eta', rho, c_lo, public signals, subsidy and u_table enter only the best
+    response, so markets differing only in them share one solve.  The policy
+    bounds are checked on every call, a hit returns the caller's own
+    ``policy`` with the stored measure and average effort, and a failed solve
+    is not stored.  The unstable-regime warning (mass < 1) is therefore logged
+    once per market per process.
     """
     policy.validate_bounds(params)
     key = _market_key(policy, params, config)
@@ -254,31 +237,37 @@ def _solve(
     """Uncached stationary solve: (measure with tail mass, average effort)."""
 
     def gap(x: float) -> float:
-        # An infeasible trial (no real zero-bin root, or an exploding bin
-        # denominator) means the candidate effort mass blows past x, so the
-        # gap is effectively -inf and the root must lie above x.
+        # An infeasible trial (no real zero-bin root, an exploding bin
+        # denominator or diverging weights) means the candidate effort mass
+        # blows past x, so the gap is effectively -inf and the root lies above.
         try:
             return x - average_effort(candidate_measure(x, policy, params), policy)
         except SolverError:
             return -math.inf
 
     lo = _feasibility_floor(policy, params)
-    hi = max(params.c_hi, lo * 1.5 + 1e-6)
-    g_lo = gap(lo)
-    if g_lo > config.root_tol:
+    # Any root is a grid effort mass, at most c_hi times a grid mass <= 1, so g(c_hi) >= 0.
+    hi = max(params.c_hi, lo)
+    ends = {lo: gap(lo)}
+    if ends[lo] > config.root_tol:
         raise SolverError(
             f"no stationary average effort: the self-consistency gap is already positive "
-            f"({g_lo:.3e}) at the feasibility floor {lo:.6g}"
+            f"({ends[lo]:.3e}) at the feasibility floor {lo:.6g}"
         )
-    grow = 0
-    while gap(hi) < 0.0:
-        grow += 1
-        if grow > config.max_bracket_growth:
-            raise SolverError(f"could not bracket the average effort above {hi:.6g}")
-        hi *= 2.0
+    root = lo
+    if ends[lo] < -config.root_tol:
+        ends[hi] = gap(hi)
+        root = hi
+        if ends[hi] > config.root_tol:
+            # brentq evaluates both ends again; they are already known.
+            root = brentq(lambda x: ends[x] if x in ends else gap(x), lo, hi,
+                          xtol=_XTOL, rtol=_RTOL, disp=False)
 
-    root = _bracketed_root(gap, lo, hi, config.root_tol)
+    # Also rejects a bracket with no sign change, whose root is then hi.
     mu_grid = candidate_measure(root, policy, params)
+    g_root = root - average_effort(mu_grid, policy)
+    if abs(g_root) > config.root_tol:
+        raise SolverError(f"no stationary average effort: |g({root:.12g})| = {abs(g_root):.3e}")
     res, overflow = balance_residual(mu_grid.weights, policy, params)
     sup_res = float(np.max(np.abs(res)))
     if sup_res > config.residual_tol:

@@ -267,6 +267,34 @@ def test_sweep_accepts_inline_grid(scenario_file, tmp_path, monkeypatch):
     assert [r["eta"] for r in rows] == ["0.5", "1.0"]
 
 
+def test_sweep_honours_n_max_and_tol(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERCOLATE_THREADS", "1")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(make_scenario(c_lo=0.1)))
+    flags = ["--config", str(scenario), "--policy", "trigger:3", "--n-max", "16", "--tol", "1e-11"]
+    tols = []
+    real = cli.solve_stationary
+
+    def recording(policy, params, config):
+        tols.append(config.root_tol)
+        return real(policy, params, config)
+
+    monkeypatch.setattr(cli, "solve_stationary", recording)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--grid", '{"eta": [1.0]}', "--out", str(out)] + flags) == 0
+    state = tmp_path / "state.json"
+    assert cli.main(["solve-stationary", "--out", str(state)] + flags) == 0
+    assert tols == [1e-11, 1e-11]
+    with open(out) as fh:
+        (row,) = list(csv.DictReader(fh))
+    doc = _load(state)
+    assert len(doc["result"]["weights"]) == 17
+    for key in ("c_bar", "grid_mass", "tail_mass"):
+        assert float(row[key]) == doc["result"][key], key
+    sidecar = _load(str(out) + ".manifest.json")
+    assert sidecar["config_sha256"] == doc["manifest"]["config_sha256"]
+
+
 def test_sweep_requires_out(scenario_file, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"eta": [0.5]}))
@@ -304,6 +332,8 @@ def test_non_numeric_config_exits_2(tmp_path):
     assert cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"]) == 2
     bad.write_text(json.dumps(make_scenario(n_max=2.7)))
     assert cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"]) == 2
+    bad.write_text(json.dumps(make_scenario(cost="linear")))
+    assert cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"]) == 2
 
 
 def test_missing_files_exit_2(scenario_file, tmp_path):
@@ -317,9 +347,26 @@ def test_missing_files_exit_2(scenario_file, tmp_path):
     assert cli.main(["solve-stationary", "--config", str(garbled), "--policy", "trigger:1"]) == 2
 
 
-def test_bad_policy_spec_exits_2(scenario_file):
+def test_bad_policy_spec_exits_2(scenario_file, tmp_path):
     rc = cli.main(["solve-stationary", "--config", scenario_file, "--policy", "trigger:bogus"])
     assert rc == 2
+    plist = tmp_path / "efforts.json"
+    plist.write_text(json.dumps(["a", 1]))
+    rc = cli.main(["solve-stationary", "--config", scenario_file, "--policy", f"list:{plist}"])
+    assert rc == 2
+
+
+def test_bad_initial_condition_and_grid_size_exit_2(scenario_file):
+    assert cli.main([
+        "simulate-dynamics", "--config", scenario_file, "--policy", "trigger:1",
+        "--t-end", "1", "--init", "point:abc",
+    ]) == 2
+    # The scenario's pi is a list, which would be laid out on the grid first.
+    for n_max in ("-5", "1"):
+        assert cli.main([
+            "solve-stationary", "--config", scenario_file, "--policy", "trigger:1",
+            "--n-max", n_max,
+        ]) == 2
 
 
 def test_solver_failure_exits_3(scenario_file, monkeypatch):

@@ -321,10 +321,15 @@ def test_load_params_rejects_non_finite(override):
         {"cost": {"type": "linear", "kappa": "0.1"}},
         {"pi": [0.5, "0.5"]},
         {"pi": {"one": 1.0}},
+        {"cost": "linear"},
+        {"cost": {"type": "linear"}},
+        {"cost": {"type": "tabulated"}},
+        {"cost": {"type": "tabulated", "points": [[0.0, 0.0], [1]]}},
     ],
     ids=["eta-string", "eta-bool", "eta-null", "n_max-string", "n_max-fraction", "n_max-nan",
          "n_max-inf", "public_signals-fraction", "public_signals-bool", "kappa-string",
-         "pi-string-weight", "pi-string-precision"],
+         "pi-string-weight", "pi-string-precision", "cost-string", "kappa-missing",
+         "points-missing", "cost-knot-not-pair"],
 )
 def test_load_params_rejects_non_numeric_and_non_integral(override):
     with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -350,6 +351,24 @@ def test_infeasible_floor_raises():
     p = _params(eta=0.02, pi={"0": 0.98, "1": 0.02}, c_lo=0.0, c_hi=1.0, n_max=32)
     with pytest.raises(SolverError):
         solve_stationary(Policy.trigger_policy(1, p), p)
+
+
+def test_diverging_trial_raises_without_overflow_warning():
+    # At the feasibility floor of this market the candidate weights grow
+    # geometrically; the recursion stops at the first non-finite weight.
+    p = _params(pi={"0": 0.5, "1": 0.5}, c_lo=0.1)
+    pol = Policy.trigger_policy(3, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="diverges"):
+            candidate_measure(stationary._feasibility_floor(pol, p), pol, p)
+
+
+def test_readme_market_solves_to_machine_precision():
+    p = _params(n_max=256)
+    st = solve_stationary(Policy.trigger_policy(3, p), p)
+    assert abs(st.mu.total_mass() - 1.0) <= 1e-14
+    assert abs(st.c_bar - average_effort(st.mu, st.policy)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
