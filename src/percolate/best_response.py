@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import SolverError
-from .model import ModelParams, Policy, ValueFunction, exit_utility, u_bar
+from .model import ModelParams, Policy, ValueFunction, exit_utility
 from .stationary import MarketState, solve_stationary
 
 logger = logging.getLogger(__name__)
@@ -179,8 +179,9 @@ def solve_value(
         trig = None
         interval = None
 
+    # 0.0 - K rather than -K: a zero cost must give +0.0, not -0.0.
     vf = ValueFunction(values=values, tail_value=float(
-        (params.eta_prime * u_bar(params) - cost.cost(params.c_lo)) / (params.r + params.eta_prime)
+        (0.0 - cost.cost(params.c_lo)) / (params.r + params.eta_prime)
     ))
     return BestResponse(
         value=vf,
@@ -200,7 +201,7 @@ def solve_value(
 # ---------------------------------------------------------------------------
 
 def _payoff_bound(params: ModelParams, scale: float) -> int:
-    """Largest precision n >= 1 with scale * (u_bar - u(n)) >= K'(c_lo), else 0.
+    """Largest precision n >= 1 with -scale * u(n) >= K'(c_lo), else 0.
 
     ``scale`` bounds the payoff of one meeting per unit payoff gap.
     Comparisons carry a relative slack of 1e-12 so exact-equality boundaries
@@ -210,7 +211,7 @@ def _payoff_bound(params: ModelParams, scale: float) -> int:
     if kp <= 0.0:
         return params.n_max
     n = np.arange(1, params.n_max + 1)
-    gap = u_bar(params) - exit_utility(params, n)
+    gap = -exit_utility(params, n)
     ok = np.flatnonzero(scale * gap >= kp - 1e-12 * max(1.0, kp))
     return int(n[ok[-1]]) if ok.size else 0
 
@@ -221,7 +222,9 @@ def n_bar(params: ModelParams) -> int:
     Bounds the one-meeting gain by the full remaining payoff range and the
     meeting rate by c_hi, giving the condition
 
-        c_hi * eta' * (r + eta') * (u_bar - u(n)) >= K'(c_lo).
+        c_hi * eta' * (r + eta') * (0 - u(n)) >= K'(c_lo),
+
+    where 0 is the least upper bound of the exit payoff u.
 
     Returns the largest n satisfying it (0 if none).
     """

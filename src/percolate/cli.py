@@ -36,24 +36,13 @@ from .best_response import minimal_search_test, n_bar, solve_value
 from .equilibrium import find_equilibria, pareto_rank
 from .errors import SolverError, ValidationError
 from .interventions import apply_education, apply_subsidy, welfare_compare
-from .model import ModelParams, Policy, PrecisionMeasure, load_params
+from .model import ModelParams, Policy, PrecisionMeasure, load_params, read_json
 from .simulator import SimConfig, estimate_value, run as run_sim
 from .stationary import fosd_compare, solve_stationary
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _read_json(path: str, what: str):
-    """Load a JSON document from ``path``, mapping file errors to clean input errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
 def _build_policy(spec: str, params: ModelParams) -> Policy:
@@ -67,7 +56,7 @@ def _build_policy(spec: str, params: ModelParams) -> Policy:
     except ValueError as exc:
         raise ValidationError(f"bad policy spec {spec!r}: {exc}") from exc
     if kind == "list":
-        values = _read_json(arg, "policy list")
+        values = read_json(arg, "policy list")
         if not isinstance(values, list):
             raise ValidationError("policy list file must hold a JSON array of efforts")
         return Policy.from_list(values, params)
@@ -378,7 +367,23 @@ def _sweep_worker(job: tuple) -> list:
         metrics = [len(triggers), triggers[-1] if triggers else -1, report.n_bar]
     else:
         raise ValidationError(f"unknown sweep task {task!r}")
-    return [repr(float(overrides[k])) for k in sorted(overrides)] + [repr(float(m)) for m in metrics]
+    cells = [_grid_cell(overrides[k]) for k in sorted(overrides)]
+    return cells + [repr(float(m)) for m in metrics]
+
+
+def _grid_cell(value) -> str:
+    """CSV cell of a grid value: a number as its float repr, anything else as JSON."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(float(value))
+    return json.dumps(value, sort_keys=True)
+
+
+def _sweep_workers() -> int:
+    """Worker count from PERCOLATE_THREADS (unset or 0: up to 4, bounded by the CPUs)."""
+    raw = os.environ.get("PERCOLATE_THREADS", "0")
+    if not raw.strip().isdecimal():
+        raise ValidationError(f"PERCOLATE_THREADS must be a nonnegative integer, got {raw!r}")
+    return int(raw) or min(4, os.cpu_count() or 1)
 
 
 _SWEEP_METRIC_HEADERS = {
@@ -391,7 +396,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.out is None:
         raise ValidationError("sweep writes CSV and requires --out")
-    base = _read_json(args.config, "scenario")
+    workers = _sweep_workers()
+    base = read_json(args.config, "scenario")
     if not isinstance(base, dict):
         raise ValidationError("scenario file must hold a JSON object")
     stripped = args.grid.lstrip()
@@ -401,7 +407,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"inline grid is not valid JSON: {exc}") from exc
     else:
-        grid = _read_json(args.grid, "grid")
+        grid = read_json(args.grid, "grid")
     if not isinstance(grid, dict) or not grid:
         raise ValidationError("grid must map scenario fields to value lists")
     for k, v in grid.items():
@@ -413,8 +419,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         combos = [dict(c, **{k: v}) for c in combos for v in grid[k]]
     cfg = _solver_config(args)
     jobs = [(base, combo, args.task, args.policy, args.n_max, cfg) for combo in combos]
-
-    workers = int(os.environ.get("PERCOLATE_THREADS", "0")) or min(4, os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

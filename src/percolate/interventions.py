@@ -7,10 +7,9 @@ grants M free signals at exit, shifting the exit payoff to u(n + M).
 
 Because equilibria can flip discontinuously, interesting witnesses sit next
 to the boundary where an active (searching) equilibrium appears or vanishes.
-The witness finders below locate that boundary by bisection on a
-one-dimensional knob (the cost slope kappa, or the signal correlation rho)
-and certify the welfare comparison on the entry support; every bisection is
-recorded in the returned report.
+The witness finders below locate that boundary by bisection on the cost
+slope kappa and certify the welfare comparison on the entry support; every
+bisection is recorded in the returned report.
 """
 
 from __future__ import annotations
@@ -139,14 +138,13 @@ def welfare_compare(
 
 @dataclass(frozen=True)
 class Bisection:
-    """Record of a one-dimensional boundary search.
+    """Record of a boundary search over the cost slope kappa.
 
-    ``active`` is the largest knob value observed with an active equilibrium,
+    ``active`` is the largest kappa observed with an active equilibrium,
     ``inactive`` the smallest without one (the predicate is nonincreasing in
-    the knob); their gap is at most ``band`` in relative terms.
+    kappa); their gap is at most ``band`` in relative terms.
     """
 
-    knob: str
     active: float
     inactive: float
     band: float
@@ -159,9 +157,8 @@ def _existence_boundary(
     hi: float,
     band: float,
     config: SolverConfig,
-    knob: str = "kappa",
 ) -> Bisection:
-    """Bisect the knob between an active and an inactive market."""
+    """Bisect kappa between an active and an inactive market."""
     evals = 0
 
     def active(x: float) -> bool:
@@ -183,7 +180,7 @@ def _existence_boundary(
                 foothold = step
                 break
         if foothold is None:
-            raise SolverError(f"no active equilibrium found above {knob}={lo:.6g}")
+            raise SolverError(f"no active equilibrium found above kappa={lo:.6g}")
         lo = foothold
     grow = 0
     while active(hi):
@@ -191,14 +188,14 @@ def _existence_boundary(
         hi *= 2.0
         grow += 1
         if grow > 12:
-            raise SolverError(f"active equilibrium persists up to {knob}={hi:.6g}")
+            raise SolverError(f"active equilibrium persists up to kappa={hi:.6g}")
     while hi - lo > band * hi:
         mid = 0.5 * (lo + hi)
         if active(mid):
             lo = mid
         else:
             hi = mid
-    return Bisection(knob=knob, active=lo, inactive=hi, band=band, evaluations=evals)
+    return Bisection(active=lo, inactive=hi, band=band, evaluations=evals)
 
 
 def _block_market(
@@ -287,7 +284,7 @@ def find_subsidy_witness(
     start = -_condition_margin(make(0.0), block)  # one-jump gain scale
     if start <= 0:
         raise SolverError("entry block carries no search gain; pick a larger block")
-    boundary = _existence_boundary(make, start / 8.0, start, band, config, knob="kappa")
+    boundary = _existence_boundary(make, start / 8.0, start, band, config)
 
     width = max(boundary.inactive - boundary.active, band * boundary.inactive)
     kappa_base = boundary.inactive + 2.0 * width
@@ -384,9 +381,9 @@ def find_education_witness(
             last_error = f"no search gain at rho={rho}"
             continue
         try:
-            b0 = _existence_boundary(make, start / 8.0, start, band, config, knob="kappa")
+            b0 = _existence_boundary(make, start / 8.0, start, band, config)
             b1 = _existence_boundary(
-                partial(make, public_signals=1), start / 16.0, start, band, config, knob="kappa"
+                partial(make, public_signals=1), start / 16.0, start, band, config
             )
         except SolverError as exc:
             last_error = f"rho={rho}: {exc}"

@@ -8,8 +8,7 @@ Conventions used throughout the package:
   may put mass at precision 0 (an agent holding no signal yet).
 * Signals are jointly Gaussian with the latent state: unit variance,
   correlation ``rho`` with the state, pairwise correlation ``rho**2``.
-* The exit payoff is ``u(n) = -cond_variance(n)`` unless a bounded increasing
-  concave table is supplied.
+* The exit payoff is ``u(n) = -cond_variance(n + public_signals)``.
 """
 
 from __future__ import annotations
@@ -389,6 +388,20 @@ class ValueFunction:
 # Model parameters
 # ---------------------------------------------------------------------------
 
+# Largest accepted grid truncation.  Solver work grows with n_max squared,
+# so far larger grids are out of reach anyway; checking up front turns an
+# absurd value into an input error instead of a failed allocation.
+N_MAX_LIMIT = 2**16
+
+
+def _check_n_max(n_max: int) -> None:
+    """Reject a grid truncation outside 2..N_MAX_LIMIT, before any grid array is built."""
+    if n_max < 2:
+        raise ValidationError(f"n_max must be at least 2, got {n_max}")
+    if n_max > N_MAX_LIMIT:
+        raise ValidationError(f"n_max must be at most {N_MAX_LIMIT}, got {n_max}")
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """Primitives of the market.
@@ -403,7 +416,6 @@ class ModelParams:
     n_max           grid truncation
     public_signals  free signals granted at exit (shift of the exit payoff)
     subsidy         proportional effort subsidy (reduces marginal cost)
-    u_table         optional bounded increasing concave exit payoff by precision
     """
 
     eta: float = 1.0
@@ -417,7 +429,6 @@ class ModelParams:
     n_max: int = 256
     public_signals: int = 0
     subsidy: float = 0.0
-    u_table: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("eta", "eta_prime", "r", "rho", "c_lo", "c_hi", "subsidy"):
@@ -431,8 +442,7 @@ class ModelParams:
             raise ValidationError("need 0 <= c_lo <= c_hi")
         if self.c_hi <= 0:
             raise ValidationError("c_hi must be positive")
-        if self.n_max < 2:
-            raise ValidationError("n_max must be at least 2")
+        _check_n_max(self.n_max)
         if self.public_signals < 0:
             raise ValidationError("public_signals must be nonnegative")
         if self.subsidy < 0:
@@ -448,18 +458,6 @@ class ModelParams:
             raise ValidationError(f"entry measure must have mass 1, got {pi.total_mass():.12f}")
         if pi.tail_mass != 0.0:
             raise ValidationError("entry measure cannot carry tail mass")
-        if self.u_table is not None:
-            t = tuple(float(v) for v in self.u_table)
-            if len(t) < 2:
-                raise ValidationError("u_table needs at least two entries")
-            if not all(math.isfinite(v) for v in t):
-                raise ValidationError("u_table entries must be finite")
-            d = np.diff(t)
-            if np.any(d < -1e-12):
-                raise ValidationError("u_table must be nondecreasing")
-            if np.any(np.diff(d) > 1e-12):
-                raise ValidationError("u_table must be concave")
-            object.__setattr__(self, "u_table", t)
         self.effective_cost()  # validates that the subsidy keeps cost admissible
 
     # -- derived quantities --------------------------------------------------
@@ -479,8 +477,6 @@ class ModelParams:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        if self.u_table is not None:
-            raise ValidationError("tabulated exit payoffs are an API-only hook and do not serialize")
         pi = {str(k): float(self.pi.weights[k]) for k in self.pi.support()}
         return {
             "eta": self.eta,
@@ -505,27 +501,11 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 def exit_utility(params: ModelParams, n: int | np.ndarray) -> float | np.ndarray:
-    """Exit payoff at precision n, including any public signals granted at exit.
+    """Exit payoff -cond_variance(n + public_signals) at precision n.
 
-    Default payoff is -cond_variance(n + public_signals); a supplied table is
-    read at the shifted index (clamped to its last entry beyond the table).
+    The payoff increases to its least upper bound 0 as the precision grows.
     """
-    shifted = np.asarray(n) + params.public_signals
-    if params.u_table is None:
-        return -cond_variance(shifted, params.rho)
-    t = np.asarray(params.u_table)
-    idx = np.minimum(shifted, t.size - 1)
-    out = t[idx]
-    if np.isscalar(n):
-        return float(out)
-    return out
-
-
-def u_bar(params: ModelParams) -> float:
-    """Least upper bound of the exit payoff (its limit in the precision)."""
-    if params.u_table is None:
-        return 0.0
-    return float(params.u_table[-1])
+    return -cond_variance(np.asarray(n) + params.public_signals, params.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +552,17 @@ def _parse_pi(raw, n_max: int) -> PrecisionMeasure:
     raise ValidationError("pi must be a list (precisions 1..len) or a mapping {precision: weight}")
 
 
+def read_json(path: str | Path, what: str):
+    """Load a JSON document from ``path``, mapping file errors to clean input errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {str(path)!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file {str(path)!r} is not valid JSON: {exc}") from exc
+
+
 def load_params(source: dict | str | Path, n_max_override: int | None = None) -> ModelParams:
     """Build ModelParams from a scenario dict or a JSON file path.
 
@@ -580,13 +571,7 @@ def load_params(source: dict | str | Path, n_max_override: int | None = None) ->
     precisions 1..len or a mapping from precision (0 allowed) to weight.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read scenario file {source!s}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scenario file {source!s} is not valid JSON: {exc}") from exc
+        raw = read_json(source, "scenario")
         if not isinstance(raw, dict):
             raise ValidationError(f"scenario file {source!s} must hold a JSON object")
     else:
@@ -597,8 +582,7 @@ def load_params(source: dict | str | Path, n_max_override: int | None = None) ->
     n_max = _integer(raw.get("n_max", 256), "n_max")
     if n_max_override is not None:
         n_max = int(n_max_override)
-    if n_max < 2:  # before any grid array is built
-        raise ValidationError(f"n_max must be at least 2, got {n_max}")
+    _check_n_max(n_max)
     cost = CostSpec.from_dict(raw["cost"]) if "cost" in raw else CostSpec()
     pi = _parse_pi(raw["pi"], n_max) if "pi" in raw else PrecisionMeasure.point_mass(1, n_max)
     return ModelParams(

@@ -8,10 +8,10 @@ realization of the latent state:
   (i, j) meets at rate C_i C_j / P); both partners pool their signals;
 * replacement shocks at rate eta per agent redraw the agent from the entry
   distribution (posterior means drawn conditionally on the state);
-* exit shocks at rate eta' per agent record the agent's realized discounted
-  payoff and hand the slot to a copy of a uniformly drawn agent, which keeps
-  the cross-sectional distribution unchanged, mirroring the mean-field flow
-  in which exits hit all precisions proportionally.
+* exit shocks at rate eta' per agent hand the slot to a copy of a uniformly
+  drawn agent, which keeps the cross-sectional distribution unchanged,
+  mirroring the mean-field flow in which exits hit all precisions
+  proportionally.
 
 ``estimate_value`` Monte Carlo-averages the single-agent discounted payoff in
 the mean-field environment (jump intensity c * c_bar, jump law nu / c_bar,
@@ -44,18 +44,14 @@ class SimConfig:
     population      number of live agents P
     horizon         simulated time span
     seed            PRNG seed (identical seeds give identical outputs)
-    record_dt       snapshot spacing (default horizon / 50)
     y_realization   fixed value of the latent state conditioned on
-    collect_values  record discounted payoffs of completed exits
     replications    sample size for estimate_value (default: population)
     """
 
     population: int = 100_000
     horizon: float = 50.0
     seed: int = 0
-    record_dt: float | None = None
     y_realization: float = 0.8
-    collect_values: bool = True
     replications: int | None = None
 
 
@@ -69,8 +65,6 @@ class SimOutput:
     mean_square_sums: np.ndarray  # per-snapshot, per-bin sums of squared posterior means
     final_precisions: np.ndarray
     final_means: np.ndarray
-    exit_entry_precisions: np.ndarray
-    exit_values: np.ndarray
     n_events: int
     n_matches: int
     n_resets: int
@@ -162,12 +156,10 @@ def run(
     cap = 4 * n_max
     eta = params.eta
     eta_prime = params.eta_prime
-    r = params.r
     rho = params.rho
     y = cfg.y_realization
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     draws = _Draws(rng)
-    cost = params.effective_cost()
 
     # Effort classes over the (tail-extended) precision range.
     effort_by_prec = np.empty(cap + 1)
@@ -176,11 +168,9 @@ def run(
     class_values = sorted(set(effort_by_prec.tolist()))
     n_cls = len(class_values)
     cls_of_prec = [class_values.index(effort_by_prec[p]) for p in range(cap + 1)]
-    cost_of_cls = [cost.cost(v) for v in class_values]
 
-    # Pooling coefficients and exit payoffs by precision.
+    # Pooling coefficients by precision.
     gammas = [float(gamma_coeff(p, rho)) for p in range(2 * cap + 1)]
-    u_of_prec = [float(exit_utility(params, p)) for p in range(cap + 1)]
 
     # Entry sampler: precision from pi, posterior mean conditioned on the state.
     pi_w = params.pi.weights
@@ -210,10 +200,6 @@ def run(
     prec: list[int] = [0] * P
     mean: list[float] = [0.0] * P
     agent_cls: list[int] = [0] * P
-    entry_t: list[float] = [0.0] * P
-    acc_cost: list[float] = [0.0] * P
-    seg_t: list[float] = [0.0] * P
-    entry_prec: list[int] = [0] * P
 
     pools: list[list[int]] = [[] for _ in range(n_cls)]
     pos: list[int] = [0] * P
@@ -222,7 +208,6 @@ def run(
         n0, x0 = draw_entry()
         prec[a] = n0
         mean[a] = x0
-        entry_prec[a] = n0
         c = cls_of_prec[n0]
         agent_cls[a] = c
         pos[a] = len(pools[c])
@@ -245,13 +230,6 @@ def run(
         counts[new_c] += 1
         agent_cls[a] = new_c
 
-    def close_segment(a: int, t: float) -> None:
-        k = cost_of_cls[agent_cls[a]]
-        if k != 0.0:
-            te = entry_t[a]
-            acc_cost[a] += k * (math.exp(-r * (seg_t[a] - te)) - math.exp(-r * (t - te))) / r
-        seg_t[a] = t
-
     def pick_searcher() -> int:
         s1 = 0.0
         for c in range(n_cls):
@@ -270,7 +248,7 @@ def run(
         return pools[c][idx]
 
     # Snapshot bookkeeping.
-    dt_rec = cfg.record_dt if cfg.record_dt is not None else cfg.horizon / 50.0
+    dt_rec = cfg.horizon / 50.0
     rec_times = np.arange(0.0, cfg.horizon + dt_rec * 0.5, dt_rec)
     if rec_times[-1] < cfg.horizon:
         rec_times = np.append(rec_times, cfg.horizon)
@@ -286,8 +264,6 @@ def run(
         mean_sums[i] = np.bincount(arr, weights=vals, minlength=n_max + 2)
         mean_square_sums[i] = np.bincount(arr, weights=vals * vals, minlength=n_max + 2)
 
-    exit_vals: list[float] = []
-    exit_entries: list[int] = []
     n_events = n_matches = n_resets = n_exits = n_rejects = n_caps = 0
 
     t = 0.0
@@ -338,10 +314,7 @@ def run(
                 else:
                     xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / gammas[nn]
                 for a in (i, j):
-                    new_c = cls_of_prec[nn]
-                    if new_c != agent_cls[a]:
-                        close_segment(a, t)
-                        move(a, new_c)
+                    move(a, cls_of_prec[nn])
                     prec[a] = nn
                     mean[a] = xx
         elif slot < match_rate + reset_rate:
@@ -352,30 +325,17 @@ def run(
             n0, x0 = draw_entry()
             prec[a] = n0
             mean[a] = x0
-            entry_prec[a] = n0
-            entry_t[a] = t
-            seg_t[a] = t
-            acc_cost[a] = 0.0
             move(a, cls_of_prec[n0])
         else:
             n_exits += 1
             a = int(draws.u() * P)
             if a == P:
                 a = P - 1
-            if cfg.collect_values:
-                close_segment(a, t)
-                payoff = -acc_cost[a] + math.exp(-r * (t - entry_t[a])) * u_of_prec[prec[a]]
-                exit_vals.append(payoff)
-                exit_entries.append(entry_prec[a])
             src = int(draws.u() * P)
             if src == P:
                 src = P - 1
             prec[a] = prec[src]
             mean[a] = mean[src]
-            entry_prec[a] = prec[src]
-            entry_t[a] = t
-            seg_t[a] = t
-            acc_cost[a] = 0.0
             move(a, agent_cls[src])
 
     while rec_idx < rec_times.size:
@@ -389,8 +349,6 @@ def run(
         mean_square_sums=mean_square_sums,
         final_precisions=np.asarray(prec, dtype=np.int64),
         final_means=np.asarray(mean, dtype=float),
-        exit_entry_precisions=np.asarray(exit_entries, dtype=np.int64),
-        exit_values=np.asarray(exit_vals, dtype=float),
         n_events=n_events,
         n_matches=n_matches,
         n_resets=n_resets,

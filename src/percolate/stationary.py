@@ -208,8 +208,8 @@ def solve_stationary(
     Solves are memoized per process (least recently used, ``_MEMO_SIZE``
     markets) on what the solve reads: eta, c_hi, n_max, the entry weights, the
     efforts and the config's root_tol, residual_tol and mass_tol.  Cost, r,
-    eta', rho, c_lo, public signals, subsidy and u_table enter only the best
-    response, so markets differing only in them share one solve.  The policy
+    eta', rho, c_lo, public signals and subsidy enter only the best response,
+    so markets differing only in them share one solve.  The policy
     bounds are checked on every call, a hit returns the caller's own
     ``policy`` with the stored measure and average effort, and a failed solve
     is not stored.  The unstable-regime warning (mass < 1) is therefore logged

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from percolate import load_params
 from percolate.interventions import find_education_witness, find_subsidy_witness
+
+try:
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # only the property tests need hypothesis
+    pass
+else:
+    # Hypothesis caches the constants it mines from the source at collection,
+    # even with no example database; keep that cache out of the working tree.
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "percolate-hypothesis")
 
 
 def make_scenario(**overrides) -> dict:

@@ -10,6 +10,7 @@ import pytest
 
 import percolate.cli as cli
 from percolate.errors import SolverError
+from percolate.model import N_MAX_LIMIT
 from conftest import make_scenario
 
 
@@ -295,6 +296,37 @@ def test_sweep_honours_n_max_and_tol(tmp_path, monkeypatch):
     assert sidecar["config_sha256"] == doc["manifest"]["config_sha256"]
 
 
+def test_sweep_over_a_list_valued_field(scenario_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("PERCOLATE_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    rc = cli.main([
+        "sweep", "--config", scenario_file, "--grid", '{"pi": [[0.5, 0.5], [1.0]]}',
+        "--task", "solve-stationary", "--policy", "trigger:3", "--out", str(out),
+    ])
+    assert rc == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [json.loads(r["pi"]) for r in rows] == [[0.5, 0.5], [1.0]]
+    assert all(float(r["c_bar"]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1"])
+def test_sweep_rejects_bad_thread_count_before_any_pool(scenario_file, tmp_path, monkeypatch, threads):
+    import concurrent.futures
+
+    def no_pool(*a, **k):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("PERCOLATE_THREADS", threads)
+    out = tmp_path / "sweep.csv"
+    rc = cli.main([
+        "sweep", "--config", scenario_file, "--grid", '{"eta": [0.5, 1.0]}', "--out", str(out),
+    ])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_sweep_requires_out(scenario_file, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"eta": [0.5]}))
@@ -361,8 +393,9 @@ def test_bad_initial_condition_and_grid_size_exit_2(scenario_file):
         "simulate-dynamics", "--config", scenario_file, "--policy", "trigger:1",
         "--t-end", "1", "--init", "point:abc",
     ]) == 2
-    # The scenario's pi is a list, which would be laid out on the grid first.
-    for n_max in ("-5", "1"):
+    # The scenario's pi is a list, which would be laid out on the grid first;
+    # 10^11 bins would need hundreds of GiB.
+    for n_max in ("-5", "1", str(N_MAX_LIMIT + 1), "100000000000"):
         assert cli.main([
             "solve-stationary", "--config", scenario_file, "--policy", "trigger:1",
             "--n-max", n_max,
