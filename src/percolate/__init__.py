@@ -11,7 +11,6 @@ finite-population event simulator.
 
 from __future__ import annotations
 
-from .config import SolverConfig, DEFAULT_CONFIG
 from .errors import SolverError, ValidationError
 from .model import (
     CostSpec,
@@ -47,8 +46,6 @@ from .simulator import SimConfig, SimOutput, ValueEstimate, estimate_value, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "SolverError",
     "ValidationError",
     "CostSpec",

@@ -25,12 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import SolverError
 from .model import ModelParams, Policy, ValueFunction, exit_utility
 from .stationary import MarketState, solve_stationary
 
 logger = logging.getLogger(__name__)
+
+# True-error target of value iteration (the stop is scaled by the contraction
+# modulus) and the half-width of the band around zero read as exact
+# indifference in the switching sequence.
+VALUE_TOL = 1e-10
+INDIFFERENCE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +107,16 @@ class BestResponse:
     trigger: int | None
     interval: tuple[int, int] | None
     switching: np.ndarray
-    iterations: int
-    final_sup_change: float
     deltas: tuple[float, ...]
     contraction_q: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.deltas)
+
+    @property
+    def final_sup_change(self) -> float:
+        return self.deltas[-1]
 
 
 def trigger_interval(
@@ -131,22 +142,18 @@ def trigger_interval(
     return lo, hi
 
 
-def solve_value(
-    state: MarketState,
-    params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> BestResponse:
+def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     """Value iteration to the best response against ``state``.
 
     Starts from the stop-searching continuation and iterates the operator
     until the sup-norm change, scaled by the contraction modulus, certifies a
-    true error below ``config.value_tol``.
+    true error below ``VALUE_TOL``.
     """
     tail = _tail_values(params)
     w = state.policy.efforts * state.mu.weights
     c_bar = float(w.sum())
     q = params.c_hi * c_bar / (params.c_hi * c_bar + params.r + params.eta_prime)
-    stop = config.value_tol * (1.0 - q) / q if q > 0.0 else config.value_tol
+    stop = VALUE_TOL * (1.0 - q) / q if q > 0.0 else VALUE_TOL
 
     values = tail[: params.n_max + 1].copy()
     deltas: list[float] = []
@@ -166,9 +173,8 @@ def solve_value(
     switching = s - cost.marginal_right(params.c_lo)
 
     if cost.kind == "linear":
-        tol = config.indifference_tol
-        lo, hi = trigger_interval(switching, 0, tol)
-        efforts = np.where(switching >= -tol, params.c_hi, params.c_lo)
+        lo, hi = trigger_interval(switching, 0, INDIFFERENCE_TOL)
+        efforts = np.where(switching >= -INDIFFERENCE_TOL, params.c_hi, params.c_lo)
         policy = Policy(efforts, trigger=hi if hi <= params.n_max else None)
         trig: int | None = hi
         interval: tuple[int, int] | None = (lo, hi)
@@ -189,8 +195,6 @@ def solve_value(
         trigger=trig,
         interval=interval,
         switching=switching,
-        iterations=len(deltas),
-        final_sup_change=deltas[-1],
         deltas=tuple(deltas),
         contraction_q=q,
     )
@@ -252,10 +256,7 @@ class MinimalSearchReport:
     c_bar: float
 
 
-def minimal_search_test(
-    params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> MinimalSearchReport:
+def minimal_search_test(params: ModelParams) -> MinimalSearchReport:
     """Check whether everyone searching at c_lo is an equilibrium.
 
     Solves the constant-c_lo market, computes its value function by a
@@ -264,7 +265,7 @@ def minimal_search_test(
     precision 1 against the marginal cost.
     """
     c0 = params.c_lo
-    state = solve_stationary(Policy.constant(c0, params), params, config)
+    state = solve_stationary(Policy.constant(c0, params), params)
     w = state.mu.weights  # probability weights: constant effort factors out
     cost = params.effective_cost()
     denom = params.r + params.eta_prime + c0 * c0

@@ -12,7 +12,7 @@ counterexample      derivative probe: more search below can shrink mass above
 sweep               parameter grid evaluated concurrently into tidy CSV
 
 All outputs embed (JSON) or reference (CSV sidecar) a run manifest carrying
-the command line, config hash, seed and tool version; volatile fields such as
+the command line, scenario hash, seed and tool version; volatile fields such as
 wall time live only in the sidecar so repeated runs are byte-identical.
 Exit codes: 0 success, 2 invalid inputs, 3 solver failure.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -30,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_CONFIG, SolverConfig
 from .dynamics import integrate, mass_loss_check
 from .best_response import minimal_search_test, n_bar, solve_value
 from .equilibrium import find_equilibria, pareto_rank
@@ -61,13 +61,6 @@ def _build_policy(spec: str, params: ModelParams) -> Policy:
             raise ValidationError("policy list file must hold a JSON array of efforts")
         return Policy.from_list(values, params)
     raise ValidationError(f"unknown policy spec {spec!r} (use trigger:N, const:c or list:path)")
-
-
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    cfg = DEFAULT_CONFIG
-    if getattr(args, "tol", None) is not None:
-        cfg = cfg.with_(root_tol=args.tol)
-    return cfg
 
 
 def _load(args: argparse.Namespace) -> ModelParams:
@@ -126,10 +119,9 @@ def _floats(arr) -> list[float]:
 def _cmd_solve_stationary(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _load(args)
-    cfg = _solver_config(args)
     policy = _build_policy(args.policy, params)
-    state = solve_stationary(policy, params, cfg)
-    loss = mass_loss_check(policy, params, cfg, state=state)
+    state = solve_stationary(policy, params)
+    loss = mass_loss_check(policy, params, state=state)
     result = {
         "c_bar": state.c_bar,
         "grid_mass": state.mu.grid_mass(),
@@ -145,7 +137,6 @@ def _cmd_solve_stationary(args: argparse.Namespace) -> int:
 def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _load(args)
-    cfg = _solver_config(args)
     policy = _build_policy(args.policy, params)
     if args.init == "pi":
         mu0 = params.pi
@@ -153,8 +144,8 @@ def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
         mu0 = PrecisionMeasure.point_mass(int(args.init[6:]), params.n_max)
     else:
         raise ValidationError(f"unknown initial condition {args.init!r} (use pi or point:N)")
-    traj = integrate(mu0, policy, params, t_end=args.t_end, dt_out=args.dt_out, config=cfg)
-    state = solve_stationary(policy, params, cfg)
+    traj = integrate(mu0, policy, params, t_end=args.t_end, dt_out=args.dt_out)
+    state = solve_stationary(policy, params)
     final_gap = traj.l1_distance(state.mu)
 
     manifest = _manifest(args, params)
@@ -183,10 +174,9 @@ def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
 def _cmd_best_response(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _load(args)
-    cfg = _solver_config(args)
     market = _build_policy(args.market, params)
-    state = solve_stationary(market, params, cfg)
-    br = solve_value(state, params, cfg)
+    state = solve_stationary(market, params)
+    br = solve_value(state, params)
     result = {
         "market_c_bar": state.c_bar,
         "trigger": br.trigger,
@@ -205,8 +195,7 @@ def _cmd_best_response(args: argparse.Namespace) -> int:
 def _cmd_solve_equilibrium(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _load(args)
-    cfg = _solver_config(args)
-    report = find_equilibria(params, cfg)
+    report = find_equilibria(params)
     ranked = pareto_rank(report)
     support = [int(k) for k in params.pi.support()]
     result = {
@@ -237,12 +226,11 @@ def _cmd_solve_equilibrium(args: argparse.Namespace) -> int:
 def _cmd_intervention(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _load(args)
-    cfg = _solver_config(args)
-    baseline = find_equilibria(params, cfg)
+    baseline = find_equilibria(params)
     if args.kind == "subsidy":
-        treated, tax = apply_subsidy(params, args.delta, cfg, selection=args.selection)
+        treated, tax = apply_subsidy(params, args.delta, selection=args.selection)
     else:
-        treated = find_equilibria(apply_education(params, args.signals), cfg)
+        treated = find_equilibria(apply_education(params, args.signals))
         tax = 0.0
     outcome = welfare_compare(baseline, treated, tax=tax, selection=args.selection)
     support = [int(k) for k in params.pi.support()]
@@ -264,7 +252,6 @@ def _cmd_intervention(args: argparse.Namespace) -> int:
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _load(args)
-    cfg = _solver_config(args)
     policy = _build_policy(args.policy, params)
     sim_cfg = SimConfig(
         population=args.population,
@@ -274,8 +261,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         replications=args.replications,
     )
     if args.mode == "run":
-        out = run_sim(policy, params, sim_cfg, cfg)
-        state = solve_stationary(policy, params, cfg)
+        out = run_sim(policy, params, sim_cfg)
+        state = solve_stationary(policy, params)
         freq = out.frequencies()
         linf = float(np.max(np.abs(freq - state.mu.weights)))
         result = {
@@ -291,9 +278,9 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             "max_frequency_gap": linf,
         }
     else:
-        state = solve_stationary(policy, params, cfg)
+        state = solve_stationary(policy, params)
         est = estimate_value(policy, params, sim_cfg, entry_precision=args.entry, state=state)
-        br_value = solve_value(state, params, cfg).value.values[args.entry]
+        br_value = solve_value(state, params).value.values[args.entry]
         result = {
             "entry_precision": args.entry,
             "estimate": est.mean,
@@ -308,7 +295,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     params = _load(args)
-    cfg = _solver_config(args)
 
     def two_rung(c1: float) -> Policy:
         # Search at c1 with one signal, at c2 with two, stop with three or more:
@@ -317,7 +303,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         return Policy.from_list([c1, args.c2, 0.0], params)
 
     def effort_mass_above(c1: float) -> tuple[float, float]:
-        state = solve_stationary(two_rung(c1), params, cfg)
+        state = solve_stationary(two_rung(c1), params)
         nu = state.nu()
         return float(nu.tail_sums()[2]), state.c_bar
 
@@ -330,8 +316,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
     full = two_rung(args.c1)
     reduced = two_rung(args.c1 - args.eps)
-    state_full = solve_stationary(full, params, cfg)
-    state_red = solve_stationary(reduced, params, cfg)
+    state_full = solve_stationary(full, params)
+    state_red = solve_stationary(reduced, params)
     report = fosd_compare(state_red.nu(), state_full.nu())
     result = {
         "derivative_mass_above_2_wrt_c1": derivative,
@@ -353,16 +339,16 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _sweep_worker(job: tuple) -> list:
-    base, overrides, task, policy_spec, n_max, cfg = job
+    base, overrides, task, policy_spec, n_max = job
     scenario = dict(base)
     scenario.update(overrides)
     params = load_params(scenario, n_max_override=n_max)
     if task == "solve-stationary":
         policy = _build_policy(policy_spec, params)
-        state = solve_stationary(policy, params, cfg)
+        state = solve_stationary(policy, params)
         metrics = [state.c_bar, state.mu.grid_mass(), state.mu.tail_mass]
     elif task == "solve-equilibrium":
-        report = find_equilibria(params, cfg)
+        report = find_equilibria(params)
         triggers = report.triggers()
         metrics = [len(triggers), triggers[-1] if triggers else -1, report.n_bar]
     else:
@@ -417,8 +403,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     combos: list[dict] = [{}]
     for k in keys:
         combos = [dict(c, **{k: v}) for c in combos for v in grid[k]]
-    cfg = _solver_config(args)
-    jobs = [(base, combo, args.task, args.policy, args.n_max, cfg) for combo in combos]
+    jobs = [(base, combo, args.task, args.policy, args.n_max) for combo in combos]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -438,12 +423,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(kind: type, ok, what: str):
+    """Argparse ``type=`` that parses with ``kind`` and rejects values failing ``ok`` (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="scenario JSON file")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--n-max", type=int, default=None, dest="n_max", help="override grid truncation")
-    p.add_argument("--tol", type=float, default=None, help="override root-finding tolerance")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed where applicable")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="PRNG seed where applicable")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-dynamics", help="integrate the measure flow")
     _add_common(p)
     p.add_argument("--policy", required=True)
-    p.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p.add_argument("--dt-out", type=float, default=None, dest="dt_out")
+    p.add_argument("--t-end", type=_positive_float, required=True, dest="t_end")
+    p.add_argument("--dt-out", type=_positive_float, default=None, dest="dt_out")
     p.add_argument("--init", default="pi", help="pi | point:N")
     p.set_defaults(func=_cmd_simulate_dynamics)
 
@@ -476,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intervention", help="subsidy or education experiment")
     _add_common(p)
     p.add_argument("kind", choices=["subsidy", "educate"])
-    p.add_argument("--delta", type=float, default=0.0, help="effort subsidy (subsidy mode)")
+    p.add_argument("--delta", type=_finite_float, default=0.0, help="effort subsidy (subsidy mode)")
     p.add_argument("--signals", type=int, default=1, help="free exit signals (educate mode)")
     p.add_argument("--selection", default="pareto_best",
                    choices=["pareto_best", "pareto_worst", "matched"])
@@ -486,19 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("mode", choices=["run", "value"])
     p.add_argument("--policy", required=True)
-    p.add_argument("--population", type=int, default=100_000)
-    p.add_argument("--horizon", type=float, default=50.0)
-    p.add_argument("--y", type=float, default=0.8, help="latent state realization")
+    p.add_argument("--population", type=_positive_int, default=100_000)
+    p.add_argument("--horizon", type=_positive_float, default=50.0)
+    p.add_argument("--y", type=_finite_float, default=0.8, help="latent state realization")
     p.add_argument("--entry", type=int, default=1, help="entry precision (value mode)")
-    p.add_argument("--replications", type=int, default=None)
+    p.add_argument("--replications", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("counterexample", help="derivative probe for effort-mass reversal")
     _add_common(p)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--h", type=float, default=1e-6)
+    p.add_argument("--c1", type=_finite_float, default=1.0)
+    p.add_argument("--c2", type=_finite_float, default=1.0)
+    p.add_argument("--eps", type=_finite_float, default=1e-3)
+    p.add_argument("--h", type=_positive_float, default=1e-6)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("sweep", help="evaluate a parameter grid into CSV")

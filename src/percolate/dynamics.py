@@ -18,12 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure
 from .stationary import MarketState, balance_residual, is_stable, solve_stationary
 
 logger = logging.getLogger(__name__)
+
+# Absolute and relative tolerances of the measure-flow integrator.
+ODE_ATOL = 1e-10
+ODE_RTOL = 1e-8
 
 
 def rhs(weights: np.ndarray, policy: Policy, params: ModelParams) -> np.ndarray:
@@ -60,13 +63,12 @@ def integrate(
     params: ModelParams,
     t_end: float,
     dt_out: float | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
     """Integrate the measure flow from ``mu0`` to ``t_end``.
 
     Uses an adaptive explicit Runge-Kutta (4,5) scheme at tight tolerances.
     Snapshots on the observation grid are checked for negativity: undershoots
-    within -1e-12 are clipped to zero and counted; anything worse raises.
+    down to -1e3 * ODE_ATOL are clipped to zero and counted; anything worse raises.
     """
     if t_end <= 0:
         raise ValidationError("t_end must be positive")
@@ -91,8 +93,8 @@ def integrate(
         y0,
         method="RK45",
         t_eval=t_eval,
-        atol=config.ode_atol,
-        rtol=config.ode_rtol,
+        atol=ODE_ATOL,
+        rtol=ODE_RTOL,
     )
     if not sol.success:
         raise SolverError(f"measure-flow integration failed: {sol.message}")
@@ -103,7 +105,7 @@ def integrate(
     # Undershoots up to a few orders above the integrator's absolute
     # tolerance are discretization noise to clip and count; anything worse
     # signals a genuine defect in the flow.
-    clip_floor = -1e3 * config.ode_atol
+    clip_floor = -1e3 * ODE_ATOL
     for col in sol.y.T:
         w = col[:-1].copy()
         tail = float(col[-1])
@@ -154,14 +156,13 @@ class MassLossReport:
 def mass_loss_check(
     policy: Policy,
     params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
     state: MarketState | None = None,
 ) -> MassLossReport:
     """Check the escape-to-infinity condition and estimate retained mass."""
     c_tail = policy.tail_effort()
     stable = is_stable(policy, params)
     if state is None:
-        state = solve_stationary(policy, params, config)
+        state = solve_stationary(policy, params)
     if stable or c_tail <= 0.0:
         limit = 1.0
     else:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .best_response import (
+    INDIFFERENCE_TOL,
     BestResponse,
     MinimalSearchReport,
     _payoff_bound,
@@ -23,7 +24,6 @@ from .best_response import (
     solve_value,
     trigger_interval,
 )
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy
 from .stationary import MarketState, solve_stationary
@@ -58,15 +58,11 @@ class CorrespondenceEntry:
         return self.lo <= self.market_trigger <= self.hi
 
 
-def correspondence(
-    n: int,
-    params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> CorrespondenceEntry:
+def correspondence(n: int, params: ModelParams) -> CorrespondenceEntry:
     """Solve the trigger-n market and the optimal trigger range against it."""
-    state = solve_stationary(Policy.trigger_policy(n, params), params, config)
-    br = solve_value(state, params, config)
-    lo, hi = trigger_interval(br.switching, reachable_floor(params), config.indifference_tol)
+    state = solve_stationary(Policy.trigger_policy(n, params), params)
+    br = solve_value(state, params)
+    lo, hi = trigger_interval(br.switching, reachable_floor(params), INDIFFERENCE_TOL)
     return CorrespondenceEntry(market_trigger=n, lo=lo, hi=hi, state=state, best_response=br)
 
 
@@ -104,11 +100,7 @@ class EquilibriumReport:
         return any(e.is_active(tol) for e in self.equilibria)
 
 
-def find_equilibria(
-    params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
-    allow_nonlinear: bool = False,
-) -> EquilibriumReport:
+def find_equilibria(params: ModelParams, allow_nonlinear: bool = False) -> EquilibriumReport:
     """Scan all trigger policies from the search-payoff bound down to 0.
 
     With linear cost best responses are bang-bang, so restricting the scan to
@@ -130,7 +122,7 @@ def find_equilibria(
     table: dict[int, tuple[int, int]] = {}
     found: list[Equilibrium] = []
     for n in range(top, -1, -1):
-        entry = correspondence(n, params, config)
+        entry = correspondence(n, params)
         table[n] = (entry.lo, entry.hi)
         if params.effective_cost().kind == "linear":
             is_fp = entry.is_fixed_point
@@ -148,7 +140,7 @@ def find_equilibria(
             )
     found.sort(key=lambda e: e.trigger)
 
-    minimal = minimal_search_test(params, config)
+    minimal = minimal_search_test(params)
     zero_is_fp = bool(found and found[0].trigger == 0)
     if minimal.is_equilibrium != zero_is_fp:
         logger.warning(

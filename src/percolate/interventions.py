@@ -21,7 +21,6 @@ from functools import partial
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .equilibrium import Equilibrium, EquilibriumReport, find_equilibria
 from .errors import SolverError, ValidationError
 from .model import CostSpec, ModelParams, PrecisionMeasure, exit_utility
@@ -36,7 +35,6 @@ logger = logging.getLogger(__name__)
 def apply_subsidy(
     params: ModelParams,
     delta: float,
-    config: SolverConfig = DEFAULT_CONFIG,
     selection: str = "pareto_best",
 ) -> tuple[EquilibriumReport, float]:
     """Add a proportional effort subsidy and price its balanced-budget tax.
@@ -47,14 +45,20 @@ def apply_subsidy(
     """
     if delta < 0:
         raise ValidationError("subsidy must be nonnegative")
-    report = find_equilibria(params.with_(subsidy=params.subsidy + delta), config)
+    report = find_equilibria(params.with_(subsidy=params.subsidy + delta))
     eq = _select(report, selection)
     tax = delta * eq.state.c_bar / params.eta
     return report, tax
 
 
 def apply_education(params: ModelParams, signals: int) -> ModelParams:
-    """Grant ``signals`` additional free signals at exit."""
+    """Grant every agent ``signals`` more public signals.
+
+    Public signals are common to all agents and never pooled at meetings, so
+    they leave the stationary measure unchanged and enter only through the
+    exit payoff u(n + M).  (A grant of private signals at entry is already a
+    shifted entry measure ``pi``.)
+    """
     if signals < 0:
         raise ValidationError("signal grant must be nonnegative")
     return params.with_(public_signals=params.public_signals + signals)
@@ -156,7 +160,6 @@ def _existence_boundary(
     lo: float,
     hi: float,
     band: float,
-    config: SolverConfig,
 ) -> Bisection:
     """Bisect kappa between an active and an inactive market."""
     evals = 0
@@ -164,7 +167,7 @@ def _existence_boundary(
     def active(x: float) -> bool:
         nonlocal evals
         evals += 1
-        return find_equilibria(make_params(x), config).has_active()
+        return find_equilibria(make_params(x)).has_active()
 
     if not active(lo):
         # Very cheap search can push every fixed-point trigger past the grid
@@ -269,7 +272,6 @@ def find_subsidy_witness(
     c_hi: float = 1.0,
     n_max: int = 256,
     band: float = 1e-4,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> SubsidyWitness:
     """Construct a market where a tiny subsidy strictly improves all entrants.
 
@@ -284,13 +286,13 @@ def find_subsidy_witness(
     start = -_condition_margin(make(0.0), block)  # one-jump gain scale
     if start <= 0:
         raise SolverError("entry block carries no search gain; pick a larger block")
-    boundary = _existence_boundary(make, start / 8.0, start, band, config)
+    boundary = _existence_boundary(make, start / 8.0, start, band)
 
     width = max(boundary.inactive - boundary.active, band * boundary.inactive)
     kappa_base = boundary.inactive + 2.0 * width
     params_base = make(kappa_base)
 
-    baseline = find_equilibria(params_base, config)
+    baseline = find_equilibria(params_base)
     if baseline.has_active():
         raise SolverError("baseline unexpectedly active; widen the band")
 
@@ -302,7 +304,7 @@ def find_subsidy_witness(
     last_error = "no subsidy level tried"
     for fraction in (0.3, 0.45, 0.6, 0.75, 0.9):
         delta = fraction * kappa_base
-        treated, tax = apply_subsidy(params_base, delta, config)
+        treated, tax = apply_subsidy(params_base, delta)
         if not treated.has_active():
             last_error = f"delta={delta:.6g} failed to activate the market"
             continue
@@ -359,7 +361,6 @@ def find_education_witness(
     c_hi: float = 1.0,
     n_max: int = 256,
     band: float = 1e-4,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> EducationWitness:
     """Construct a market where granting one free exit signal lowers entry welfare.
 
@@ -381,10 +382,8 @@ def find_education_witness(
             last_error = f"no search gain at rho={rho}"
             continue
         try:
-            b0 = _existence_boundary(make, start / 8.0, start, band, config)
-            b1 = _existence_boundary(
-                partial(make, public_signals=1), start / 16.0, start, band, config
-            )
+            b0 = _existence_boundary(make, start / 8.0, start, band)
+            b1 = _existence_boundary(partial(make, public_signals=1), start / 16.0, start, band)
         except SolverError as exc:
             last_error = f"rho={rho}: {exc}"
             continue
@@ -395,8 +394,8 @@ def find_education_witness(
         # keeps as much search surplus as possible while one public signal
         # still collapses it.
         kappa = min(math.sqrt(b1.inactive * b0.active), b1.inactive * 1.05)
-        baseline = find_equilibria(make(kappa), config)
-        treated = find_equilibria(make(kappa, public_signals=1), config)
+        baseline = find_equilibria(make(kappa))
+        treated = find_equilibria(make(kappa, public_signals=1))
         if not baseline.has_active() or treated.has_active():
             last_error = f"rho={rho}: midpoint slope did not separate the markets"
             continue

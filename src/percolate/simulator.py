@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ValidationError
 from .model import (
     ModelParams,
@@ -142,7 +141,6 @@ def run(
     policy: Policy,
     params: ModelParams,
     cfg: SimConfig,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> SimOutput:
     """Simulate the finite-population market under ``policy``."""
     if cfg.population < 2:
@@ -365,7 +363,6 @@ def estimate_value(
     cfg: SimConfig,
     entry_precision: int = 1,
     state: MarketState | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> ValueEstimate:
     """Monte Carlo estimate of the discounted value at ``entry_precision``.
 
@@ -375,15 +372,19 @@ def estimate_value(
     measure, exit occurs at eta', and flow cost accrues between events in
     closed form.  Returns the sample mean with a 95% confidence half-width.
     """
+    if not 0 <= entry_precision <= params.n_max:
+        raise ValidationError(f"entry precision must lie in [0, {params.n_max}]")
+    R = cfg.replications if cfg.replications is not None else cfg.population
+    if R < 1:
+        raise ValidationError("replications must be at least 1")
     if state is None:
-        state = solve_stationary(policy, params, config)
+        state = solve_stationary(policy, params)
     w = state.policy.efforts * state.mu.weights
     c_bar = float(w.sum())
     if c_bar > 0:
         jump_cum = np.cumsum(w) / c_bar
     else:
         jump_cum = None
-    R = cfg.replications if cfg.replications is not None else cfg.population
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     cost = params.effective_cost()
     r = params.r

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure, effort_weighted
 
@@ -153,8 +152,14 @@ def is_stable(policy: Policy, params: ModelParams) -> bool:
 # Root finding on the self-consistency gap
 # ---------------------------------------------------------------------------
 
+# Acceptance bounds of a solved market: |g| at the root, the sup-norm balance
+# residual and the deviation of total mass from 1.
+ROOT_TOL = 1e-12
+RESIDUAL_TOL = 1e-10
+MASS_TOL = 1e-8
+
 # The smallest tolerances brentq accepts: since g' >= 1, stopping at an
-# x-tolerance of root_tol can still leave |g| above root_tol.
+# x-tolerance of ROOT_TOL can still leave |g| above ROOT_TOL.
 _XTOL = math.ulp(0.0)
 _RTOL = 4.0 * np.finfo(float).eps
 
@@ -176,23 +181,16 @@ _memo: OrderedDict[bytes, tuple[PrecisionMeasure, float]] = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-def _market_key(policy: Policy, params: ModelParams, config: SolverConfig) -> bytes:
+def _market_key(policy: Policy, params: ModelParams) -> bytes:
     """Digest of everything the stationary solve reads from its inputs."""
-    scalars = (
-        float(params.eta), float(params.c_hi), int(params.n_max),
-        config.root_tol, config.residual_tol, config.mass_tol,
-    )
+    scalars = (float(params.eta), float(params.c_hi), int(params.n_max))
     h = hashlib.blake2b(repr(scalars).encode(), digest_size=16)
     h.update(params.pi.weights.tobytes())
     h.update(policy.efforts.tobytes())
     return h.digest()
 
 
-def solve_stationary(
-    policy: Policy,
-    params: ModelParams,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> MarketState:
+def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     """Stationary market state under ``policy``.
 
     Finds the average effort as the root of g(x) = x - nu(N)(x), where nu(N)(x)
@@ -200,29 +198,28 @@ def solve_stationary(
     strictly increasing because every candidate weight is decreasing in the
     trial effort.  Brent's method solves it to machine precision on [floor,
     max(c_hi, floor)], the floor being the smallest trial with a real
-    zero-precision balance, and the root must meet |g| <= root_tol; a trial
+    zero-precision balance, and the root must meet |g| <= ROOT_TOL; a trial
     whose weights diverge counts as g = -inf.  The solved state is validated
     against the balance residual and, in the stable regime eta >= C_tail *
     c_hi, against mass conservation.
 
     Solves are memoized per process (least recently used, ``_MEMO_SIZE``
-    markets) on what the solve reads: eta, c_hi, n_max, the entry weights, the
-    efforts and the config's root_tol, residual_tol and mass_tol.  Cost, r,
-    eta', rho, c_lo, public signals and subsidy enter only the best response,
-    so markets differing only in them share one solve.  The policy
-    bounds are checked on every call, a hit returns the caller's own
-    ``policy`` with the stored measure and average effort, and a failed solve
-    is not stored.  The unstable-regime warning (mass < 1) is therefore logged
-    once per market per process.
+    markets) on what the solve reads: eta, c_hi, n_max, the entry weights and
+    the efforts.  Cost, r, eta', rho, c_lo, public signals and subsidy enter
+    only the best response, so markets differing only in them share one
+    solve.  The policy bounds are checked on every call, a hit returns the
+    caller's own ``policy`` with the stored measure and average effort, and a
+    failed solve is not stored.  The unstable-regime warning (mass < 1) is
+    therefore logged once per market per process.
     """
     policy.validate_bounds(params)
-    key = _market_key(policy, params, config)
+    key = _market_key(policy, params)
     with _memo_lock:
         hit = _memo.get(key)
         if hit is not None:
             _memo.move_to_end(key)
     if hit is None:
-        hit = _solve(policy, params, config)
+        hit = _solve(policy, params)
         with _memo_lock:
             _memo[key] = hit
             if len(_memo) > _MEMO_SIZE:
@@ -231,9 +228,7 @@ def solve_stationary(
     return MarketState(mu=mu, policy=policy, c_bar=c_bar)
 
 
-def _solve(
-    policy: Policy, params: ModelParams, config: SolverConfig
-) -> tuple[PrecisionMeasure, float]:
+def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float]:
     """Uncached stationary solve: (measure with tail mass, average effort)."""
 
     def gap(x: float) -> float:
@@ -249,16 +244,16 @@ def _solve(
     # Any root is a grid effort mass, at most c_hi times a grid mass <= 1, so g(c_hi) >= 0.
     hi = max(params.c_hi, lo)
     ends = {lo: gap(lo)}
-    if ends[lo] > config.root_tol:
+    if ends[lo] > ROOT_TOL:
         raise SolverError(
             f"no stationary average effort: the self-consistency gap is already positive "
             f"({ends[lo]:.3e}) at the feasibility floor {lo:.6g}"
         )
     root = lo
-    if ends[lo] < -config.root_tol:
+    if ends[lo] < -ROOT_TOL:
         ends[hi] = gap(hi)
         root = hi
-        if ends[hi] > config.root_tol:
+        if ends[hi] > ROOT_TOL:
             # brentq evaluates both ends again; they are already known.
             root = brentq(lambda x: ends[x] if x in ends else gap(x), lo, hi,
                           xtol=_XTOL, rtol=_RTOL, disp=False)
@@ -266,18 +261,18 @@ def _solve(
     # Also rejects a bracket with no sign change, whose root is then hi.
     mu_grid = candidate_measure(root, policy, params)
     g_root = root - average_effort(mu_grid, policy)
-    if abs(g_root) > config.root_tol:
+    if abs(g_root) > ROOT_TOL:
         raise SolverError(f"no stationary average effort: |g({root:.12g})| = {abs(g_root):.3e}")
     res, overflow = balance_residual(mu_grid.weights, policy, params)
     sup_res = float(np.max(np.abs(res)))
-    if sup_res > config.residual_tol:
+    if sup_res > RESIDUAL_TOL:
         raise SolverError(f"stationary balance residual {sup_res:.3e} exceeds tolerance")
 
     tail_mass = overflow / params.eta
     mu = PrecisionMeasure(mu_grid.weights, tail_mass)
 
     mass = mu.total_mass()
-    if abs(mass - 1.0) > config.mass_tol:
+    if abs(mass - 1.0) > MASS_TOL:
         if is_stable(policy, params):
             raise SolverError(
                 f"stationary mass {mass:.10f} deviates from 1 in the stable regime"

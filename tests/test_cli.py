@@ -268,24 +268,15 @@ def test_sweep_accepts_inline_grid(scenario_file, tmp_path, monkeypatch):
     assert [r["eta"] for r in rows] == ["0.5", "1.0"]
 
 
-def test_sweep_honours_n_max_and_tol(tmp_path, monkeypatch):
+def test_sweep_honours_n_max(tmp_path, monkeypatch):
     monkeypatch.setenv("PERCOLATE_THREADS", "1")
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(make_scenario(c_lo=0.1)))
-    flags = ["--config", str(scenario), "--policy", "trigger:3", "--n-max", "16", "--tol", "1e-11"]
-    tols = []
-    real = cli.solve_stationary
-
-    def recording(policy, params, config):
-        tols.append(config.root_tol)
-        return real(policy, params, config)
-
-    monkeypatch.setattr(cli, "solve_stationary", recording)
+    flags = ["--config", str(scenario), "--policy", "trigger:3", "--n-max", "16"]
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--grid", '{"eta": [1.0]}', "--out", str(out)] + flags) == 0
     state = tmp_path / "state.json"
     assert cli.main(["solve-stationary", "--out", str(state)] + flags) == 0
-    assert tols == [1e-11, 1e-11]
     with open(out) as fh:
         (row,) = list(csv.DictReader(fh))
     doc = _load(state)
@@ -400,6 +391,48 @@ def test_bad_initial_condition_and_grid_size_exit_2(scenario_file):
             "solve-stationary", "--config", scenario_file, "--policy", "trigger:1",
             "--n-max", n_max,
         ]) == 2
+
+
+# Each of these crashed or simulated a NaN state before the flags were
+# checked at parse time.
+_MC_RUN = ["montecarlo", "run", "--policy", "trigger:3", "--population", "50", "--horizon", "1"]
+_DYNAMICS = ["simulate-dynamics", "--policy", "trigger:3", "--t-end", "1"]
+BAD_NUMERIC_FLAGS = {
+    "replications-0": ["montecarlo", "value", "--policy", "trigger:1", "--replications", "0"],
+    "value-population-0": ["montecarlo", "value", "--policy", "trigger:1", "--population", "0"],
+    "dt-out-0": _DYNAMICS + ["--dt-out", "0"],
+    "h-0": ["counterexample", "--h", "0"],
+    "t-end-nan": ["simulate-dynamics", "--policy", "trigger:3", "--t-end", "nan"],
+    "horizon-nan": _MC_RUN + ["--horizon", "nan"],
+    "horizon-inf": _MC_RUN + ["--horizon", "inf"],
+    "seed-negative": _MC_RUN + ["--seed", "-1"],
+    "dt-out-negative": _DYNAMICS + ["--dt-out", "-1"],
+    "y-nan": _MC_RUN + ["--y", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_NUMERIC_FLAGS.values()), ids=list(BAD_NUMERIC_FLAGS))
+def test_bad_numeric_flags_exit_2_when_parsed(tmp_path, argv):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(make_scenario(n_max=16)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", str(scenario), "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+
+
+def test_tolerance_flag_is_not_accepted(scenario_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-stationary", "--config", scenario_file, "--policy", "trigger:3",
+                  "--tol", "1e-11"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("entry", ["-1", "65"])
+def test_value_entry_off_the_grid_exits_2(scenario_file, entry):
+    assert cli.main([
+        "montecarlo", "value", "--config", scenario_file, "--policy", "trigger:1",
+        "--replications", "50", "--entry", entry,
+    ]) == 2
 
 
 def test_solver_failure_exits_3(scenario_file, monkeypatch):

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolate import DEFAULT_CONFIG, ModelParams, Policy, SolverError, ValidationError, load_params
+from percolate import ModelParams, Policy, SolverError, ValidationError, load_params
 from percolate.model import N_MAX_LIMIT
-from percolate.stationary import balance_residual, is_stable, solve_stationary
+from percolate.stationary import (
+    MASS_TOL, RESIDUAL_TOL, balance_residual, is_stable, solve_stationary,
+)
 from conftest import make_scenario
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -45,9 +47,9 @@ def test_valid_scenarios_solve_or_fail_cleanly(case):
     except SolverError:
         return
     res, _ = balance_residual(state.mu.weights, policy, params)
-    assert float(np.max(np.abs(res))) < DEFAULT_CONFIG.residual_tol
+    assert float(np.max(np.abs(res))) < RESIDUAL_TOL
     if is_stable(policy, params):
-        assert abs(state.mu.total_mass() - 1.0) <= DEFAULT_CONFIG.mass_tol
+        assert abs(state.mu.total_mass() - 1.0) <= MASS_TOL
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -1,9 +1,16 @@
-"""The README's Python examples run as written, at reduced sizes."""
+"""The README's Python examples run as written, at reduced sizes, and its
+command lines parse against the CLI as it is."""
 
 from __future__ import annotations
 
+import argparse
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+import percolate.cli as cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +32,32 @@ def test_readme_python_blocks_run():
         assert source.count(full) == 1, full
         source = source.replace(full, small)
     exec(compile(source, "<README.md python blocks>", "exec"), {})
+
+
+def test_readme_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["percolate"]:
+                commands.append(words[1:])
+    assert {argv[0] for argv in commands} >= {"solve-stationary", "montecarlo", "sweep"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: percolate {shlex.join(argv)}")
+
+
+def test_readme_synopsis_names_only_common_flags():
+    text = README.read_text(encoding="utf-8")
+    (synopsis,) = re.findall(r"^percolate <subcommand> .*$", text, re.M)
+    flags = set(re.findall(r"--[a-z][a-z-]*", synopsis))
+    assert "--config" in flags
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in subcommands.choices.items():
+        defined = {s for a in sub._actions for s in a.option_strings}
+        assert flags <= defined, (name, sorted(flags - defined))

@@ -7,6 +7,7 @@ import pytest
 
 from percolate import (
     Policy,
+    ValidationError,
     cross_section_params,
     exit_utility,
     load_params,
@@ -178,3 +179,11 @@ def test_estimate_value_matches_linear_system(trigger3_run):
     )
     assert abs(est.mean - v[0]) < 1.6 * est.half_width  # 3 sigma
     assert est.replications == 120_000
+
+
+@pytest.mark.parametrize("entry, replications", [(-1, 10), (17, 10), (1, 0)])
+def test_estimate_value_rejects_bad_entry_and_replications(entry, replications):
+    p = _params(n_max=16)
+    with pytest.raises(ValidationError):
+        estimate_value(Policy.trigger_policy(1, p), p, SimConfig(replications=replications),
+                       entry_precision=entry)
