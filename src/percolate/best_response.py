@@ -10,7 +10,10 @@ value solves
 
 a sup-norm contraction with modulus c_hi c_bar / (c_hi c_bar + r + eta').
 Beyond the grid the value is closed by the stop-searching continuation
-(eta' u(n) - K(c_lo)) / (r + eta').
+(eta' u(n) - K(c_lo)) / (r + eta'), raised to the value at n_max where that
+is larger: the true value increases in precision, so this is still a lower
+bound, and the closed operator maps increasing values to increasing values
+even when searching pays past the grid.
 
 With linear cost the inner maximization is bang-bang and the optimal policy
 is a trigger: effort c_hi exactly while the switching sequence
@@ -51,8 +54,8 @@ def _tail_values(params: ModelParams) -> np.ndarray:
 
 
 def _padded(values: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Grid values extended past the grid by the stop-searching continuation."""
-    return np.concatenate([values, tail[values.size :]])
+    """Grid values extended past the grid by the stop-searching continuation, floored at V_{n_max}."""
+    return np.concatenate([values, np.maximum(tail[values.size :], values[-1])])
 
 
 def bellman_operator(
@@ -230,7 +233,10 @@ def n_bar(params: ModelParams) -> int:
 
     where 0 is the least upper bound of the exit payoff u.
 
-    Returns the largest n satisfying it (0 if none).
+    Returns the largest n satisfying it (0 if none).  It bounds optimal
+    triggers only when r + eta' >= 1: with faster discounting the switching
+    sequence is bounded on the quotient scale c_hi * eta' / (r + eta'), and
+    ``find_equilibria`` scans up to the larger bound (``scan_bound``).
     """
     if params.effective_cost().marginal_right(params.c_lo) <= 0.0:
         warnings.warn("marginal cost at c_lo is zero: no finite trigger bound", stacklevel=2)

@@ -404,7 +404,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for k in keys:
         combos = [dict(c, **{k: v}) for c in combos for v in grid[k]]
     jobs = [(base, combo, args.task, args.policy, args.n_max) for combo in combos]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -13,6 +13,7 @@ overflow that the tail compartment accounts for.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ logger = logging.getLogger(__name__)
 # Absolute and relative tolerances of the measure-flow integrator.
 ODE_ATOL = 1e-10
 ODE_RTOL = 1e-8
+# Most observation steps (t_end / dt_out) one integration records; a finer
+# grid is an input error rather than an allocation failure.
+MAX_SNAPSHOTS = 100_000
 
 
 def rhs(weights: np.ndarray, policy: Policy, params: ModelParams) -> np.ndarray:
@@ -67,11 +71,20 @@ def integrate(
     """Integrate the measure flow from ``mu0`` to ``t_end``.
 
     Uses an adaptive explicit Runge-Kutta (4,5) scheme at tight tolerances.
-    Snapshots on the observation grid are checked for negativity: undershoots
-    down to -1e3 * ODE_ATOL are clipped to zero and counted; anything worse raises.
+    Snapshots on the observation grid (every ``dt_out``, default t_end / 50,
+    at most ``MAX_SNAPSHOTS`` steps) are checked for negativity: undershoots down to
+    -1e3 * ODE_ATOL are clipped to zero and counted; anything worse raises.
     """
-    if t_end <= 0:
-        raise ValidationError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValidationError(f"t_end must be finite and positive, got {t_end}")
+    if dt_out is None:
+        dt_out = t_end / 50.0
+    if not (math.isfinite(dt_out) and dt_out > 0.0):
+        raise ValidationError(f"dt_out must be finite and positive, got {dt_out}")
+    if t_end / dt_out > MAX_SNAPSHOTS:
+        raise ValidationError(
+            f"observation grid of t_end / dt_out = {t_end / dt_out:.3g} steps exceeds {MAX_SNAPSHOTS}"
+        )
     policy.validate_bounds(params)
     if mu0.weights.size != params.n_max + 1:
         raise ValidationError("initial measure grid does not match n_max")
@@ -80,8 +93,6 @@ def integrate(
         res, overflow = balance_residual(y[:-1], policy, params)
         return np.append(res, overflow - params.eta * y[-1])
 
-    if dt_out is None:
-        dt_out = t_end / 50.0
     t_eval = np.arange(0.0, t_end + dt_out * 0.5, dt_out)
     if t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)

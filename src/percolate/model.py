@@ -368,7 +368,8 @@ class ValueFunction:
 
     ``values[n]`` is the value at precision n for n = 0..n_max.  Beyond the
     grid the value is approximated by the stop-searching continuation
-    (eta' * u(n) - K(c_lo)) / (r + eta'); ``tail_value`` stores its limit.
+    (eta' * u(n) - K(c_lo)) / (r + eta'), or by ``values[n_max]`` where that
+    is larger; ``tail_value`` stores its limit.
     """
 
     values: np.ndarray

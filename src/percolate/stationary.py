@@ -7,8 +7,10 @@ The cross-sectional measure mu over precisions solves the balance equation
 where ``*`` is discrete self-convolution over precisions (two searchers of
 precisions l and n-l meet and both land at n) and ``nu(N)`` is the total
 effort mass.  Solving proceeds in two nested steps: given a trial average
-effort, the weights follow from a per-precision recursion; the trial is then
-fixed by Brent's method on the self-consistency gap.
+effort, the weights follow run by run of precisions with equal effort (on
+such a run the generating function of nu is a root of a quadratic, whose
+coefficients come from power-series Newton doubling); the trial is then fixed
+by Brent's method on the self-consistency gap.
 
 Mass entering at precision 0 is supported: the convolution includes the
 l = 0 and l = n terms, which moves the zero-precision balance from a linear
@@ -56,24 +58,65 @@ class MarketState:
 # Candidate measure for a trial average effort
 # ---------------------------------------------------------------------------
 
+def _square_block(a: np.ndarray, m: int, w: int) -> np.ndarray:
+    """Coefficients m..m+w-1 of the square of the series a_1 x + ... + a_{m-1} x^{m-1}.
+
+    ``a`` must be zero on indices m..m+w-1; costs O(m w), not O(m^2).
+    """
+    return np.correlate(a[1 : m + w], a[m - 1 :: -1], mode="valid")
+
+
+def _solve_run(a: np.ndarray, s: int, e: int, gain: float, source: np.ndarray) -> None:
+    """Fill a[s:e] with the root of a = gain * (source + a^2) on precisions s..e-1.
+
+    ``a`` holds the effort-weighted weights below s and zeros from s on.  Newton
+    doubling on power series: with a known below m and r = 1/(1 - 2 gain a)
+    known below len(r), one step makes a exact below m + len(r), and the
+    Newton step for the reciprocal doubles len(r).  Each round is a few
+    truncated convolutions of nonnegative series, so no digits cancel.
+    """
+    m, r = s, np.ones(1)
+    while True:
+        w = min(r.size, e - m)
+        g = gain * (source[m : m + w] + _square_block(a, m, w))
+        a[m : m + w] = np.convolve(g, r[:w])[:w]
+        m += w
+        if m == e:
+            return
+        grow = min(r.size, e - m - r.size)
+        if grow > 0:
+            ar = np.convolve(a[: r.size + grow], r)[r.size : r.size + grow]
+            r = np.concatenate((r, 2.0 * gain * np.convolve(r[:grow], ar)[:grow]))
+
+
 def candidate_measure(
     c_bar: float,
     policy: Policy,
     params: ModelParams,
 ) -> PrecisionMeasure:
-    """Solve the per-precision balance given a trial average effort ``c_bar``.
+    """Solve the balance given a trial average effort ``c_bar``, run by run of equal effort.
 
     Precision 0 satisfies a quadratic (its searchers can only meet other
     zero-precision searchers without leaving the bin); the dynamically stable
-    branch is the smaller root.  Precisions k >= 1 then follow from
+    branch is the smaller root, taken as 2 eta pi_0 / (b + sqrt(disc)) so that
+    a small zero-bin effort loses no digits to cancellation.  Precisions
+    k >= 1 then satisfy
 
         mu_k = (eta pi_k + sum_{l=1}^{k-1} nu_l nu_{k-l}) / (eta + C_k (c_bar - 2 nu_0)),
 
     where the 2 nu_0 correction accounts for meetings with zero-precision
     searchers keeping the mover at its own precision plus the l=0/l=k
-    convolution terms.  Raises SolverError if the trial effort is infeasible
-    for the zero-precision quadratic, a denominator degenerates or a weight
-    diverges (overflows to a non-finite value).
+    convolution terms.  On a maximal run of precisions with one effort c > 0
+    this makes the series A(x) = sum_{k>=1} nu_k x^k a root of the quadratic
+    A = a (eta pi + A^2) with a = c / (eta + c (c_bar - 2 nu_0)), given the
+    weights below the run; its coefficients follow by Newton doubling in
+    about log2(run length) rounds.  A run with zero effort has nu = 0, and
+    every mu_k then follows from one self-convolution of nu.
+
+    Raises SolverError if the trial effort is infeasible for the
+    zero-precision quadratic, a denominator degenerates or a weight diverges
+    (overflows to a non-finite value); the first failing precision is named,
+    as a per-precision recursion would.
     """
     if c_bar < 0:
         raise ValidationError(f"average effort must be nonnegative, got {c_bar}")
@@ -83,7 +126,6 @@ def candidate_measure(
     pi = params.pi.weights
 
     mu = np.zeros(n_max + 1)
-    nu = np.zeros(n_max + 1)
 
     c0 = C[0]
     if c0 > 0.0 and pi[0] > 0.0:
@@ -97,27 +139,39 @@ def candidate_measure(
                     f"trial average effort {c_bar:.6g} infeasible for the zero-precision balance "
                     f"(discriminant {disc:.3e})"
                 )
-        mu[0] = (b - math.sqrt(disc)) / (2.0 * c0 * c0)
+        mu[0] = 2.0 * eta * pi[0] / (b + math.sqrt(disc))
     else:
         mu[0] = pi[0]
-    nu[0] = c0 * mu[0]
 
-    shift = c_bar - 2.0 * nu[0]
-    # Stop at the first non-finite weight, before inf meets a zero effort as NaN.
+    shift = c_bar - 2.0 * c0 * mu[0]
+    source = eta * pi
+    # Effort-weighted weights of precisions >= 1; index 0 stays zero.
+    nu = np.zeros(n_max + 1)
+    starts = [1, *(np.flatnonzero(C[2:] != C[1:-1]) + 2).tolist(), n_max + 1]
+    stop = n_max + 1
+    # Overflow runs on as inf/NaN; the first non-finite weight is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_max + 1):
-            den = eta + C[k] * shift
+        for s, e in zip(starts[:-1], starts[1:]):
+            c = C[s]
+            if c == 0.0:
+                continue
+            den = eta + c * shift
             if den <= 1e-14:
-                raise SolverError(
-                    f"degenerate balance denominator at precision {k} for trial effort {c_bar:.6g}"
-                )
-            interior = float(np.dot(nu[1:k], nu[k - 1:0:-1])) if k >= 2 else 0.0
-            m = (eta * pi[k] + interior) / den
-            if not math.isfinite(m):
-                raise SolverError(f"candidate measure diverges at precision {k} (trial {c_bar:.6g})")
-            mu[k] = m
-            nu[k] = C[k] * m
-
+                stop = s
+                break
+            _solve_run(nu, s, e, c / den, source)
+        # pairs[k] = sum_{l=1}^{k-1} nu_l nu_{k-l}.  Convolving nu[1:] leaves out
+        # the zero at index 0, whose product with an overflowed weight would
+        # read NaN one precision early.
+        pairs = np.concatenate(([0.0, 0.0], np.convolve(nu[1:], nu[1:])))
+        mu[1:stop] = (source[1:stop] + pairs[1:stop]) / (eta + C[1:stop] * shift)
+        bad = np.flatnonzero(~np.isfinite(mu[1:stop]))
+    if bad.size:
+        raise SolverError(f"candidate measure diverges at precision {bad[0] + 1} (trial {c_bar:.6g})")
+    if stop <= n_max:
+        raise SolverError(
+            f"degenerate balance denominator at precision {stop} for trial effort {c_bar:.6g}"
+        )
     return PrecisionMeasure(mu)
 
 

@@ -1,17 +1,20 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately written from first principles (joint-Gaussian
-covariance algebra, scalar fixed points via brentq, exact rational
-arithmetic) rather than by calling the package, so the tests compare two
-genuinely different routes to the same numbers.
+covariance algebra, the per-precision balance recursion, scalar fixed points
+via brentq, exact rational arithmetic) rather than by calling the package, so
+the tests compare two genuinely different routes to the same numbers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
+
+from percolate import SolverError
 
 
 def gaussian_posterior(rho: float, n: int) -> tuple[np.ndarray, float]:
@@ -41,6 +44,55 @@ def cross_section_moments(rho: float, n: int, y: float, draws: int, seed: int) -
     x = rho * y + np.sqrt(1.0 - rho * rho) * rng.standard_normal((draws, n))
     means = x @ b
     return float(means.mean()), float(means.var())
+
+
+# ---------------------------------------------------------------------------
+# Candidate measure by the per-precision recursion
+# ---------------------------------------------------------------------------
+
+
+def candidate_measure_loop(c_bar: float, efforts: np.ndarray, pi: np.ndarray, eta: float) -> np.ndarray:
+    """Candidate stationary weights at trial effort ``c_bar``, one precision at a time.
+
+    Precision 0 takes the smaller root of its quadratic, in the form
+    2 eta pi_0 / (b + sqrt(disc)) that keeps its digits as C_0 -> 0; then,
+    for k = 1..n_max,
+
+        mu_k = (eta pi_k + sum_{l=1}^{k-1} nu_l nu_{k-l}) / (eta + C_k (c_bar - 2 nu_0)),
+
+    with nu = C mu.  Raises SolverError where the package's kernel must: an
+    infeasible zero-bin quadratic, a denominator <= 1e-14, or a non-finite
+    weight (at the first such precision).
+    """
+    n_max = efforts.size - 1
+    mu = np.zeros(n_max + 1)
+    nu = np.zeros(n_max + 1)
+    c0 = efforts[0]
+    if c0 > 0.0 and pi[0] > 0.0:
+        b = eta + c0 * c_bar
+        disc = b * b - 4.0 * c0 * c0 * eta * pi[0]
+        if disc < 0.0:
+            if disc > -1e-12 * b * b:
+                disc = 0.0
+            else:
+                raise SolverError(f"trial {c_bar} infeasible for the zero-precision balance")
+        mu[0] = 2.0 * eta * pi[0] / (b + math.sqrt(disc))
+    else:
+        mu[0] = pi[0]
+    nu[0] = c0 * mu[0]
+    shift = c_bar - 2.0 * nu[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_max + 1):
+            den = eta + efforts[k] * shift
+            if den <= 1e-14:
+                raise SolverError(f"degenerate balance denominator at precision {k}")
+            interior = float(np.dot(nu[1:k], nu[k - 1:0:-1])) if k >= 2 else 0.0
+            m = (eta * pi[k] + interior) / den
+            if not math.isfinite(m):
+                raise SolverError(f"candidate measure diverges at precision {k}")
+            mu[k] = m
+            nu[k] = efforts[k] * m
+    return mu
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from percolate import (
     CostSpec,
     Policy,
     exit_utility,
+    find_equilibria,
     load_params,
     minimal_search_test,
     n_bar,
@@ -78,6 +79,18 @@ def test_value_is_monotone_with_shrinking_gain():
     assert np.all(premium >= -1e-12)
 
 
+def test_values_increase_when_searching_pays_past_the_grid():
+    # Search pays far beyond n_max = 25, so every jump from the top of the
+    # grid leaves it.  Closed by the bare stop-searching continuation, the
+    # value fell from precision 24 to 25 by 1.5e-4.
+    p = _params(n_max=25, rho=0.125, r=0.125, c_hi=2.0, pi={"0": 0.5, "1": 0.5},
+                cost={"type": "linear", "kappa": 0.005859375})
+    st = solve_stationary(Policy.trigger_policy(26, p), p)
+    br = solve_value(st, p)
+    assert br.trigger == p.n_max + 1
+    assert np.all(np.diff(br.value.values) >= 0.0)
+
+
 def test_bellman_operator_preserves_monotonicity_and_order():
     p, st, _ = _solved(trigger=4)
     rng = np.random.default_rng(3)
@@ -139,6 +152,16 @@ def test_trigger_bound_matches_exact_arithmetic(rho, kappa):
                                  Fraction(1), Fraction(1), Fraction(1, 10),
                                  Fraction(kappa).limit_denominator(10**6))
     assert n_bar(p) == oracle
+
+
+def test_optimal_trigger_can_exceed_n_bar_when_discounting_is_fast():
+    # r + eta' = 0.11 < 1: n_bar's product scale c_hi eta' (r + eta') = 0.011
+    # is far below the quotient scale c_hi eta' / (r + eta') = 0.91 that
+    # bounds the switching sequence, so n_bar is no bound on optimal triggers.
+    p = _params(eta_prime=0.1, r=0.01, cost={"type": "linear", "kappa": 0.02})
+    st = solve_stationary(Policy.constant(p.c_hi, p), p)
+    br = solve_value(st, p)
+    assert n_bar(p) < br.trigger <= find_equilibria(p).scan_bound
 
 
 def test_no_search_beyond_the_bound():

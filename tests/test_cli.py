@@ -318,6 +318,41 @@ def test_sweep_rejects_bad_thread_count_before_any_pool(scenario_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads,expected", [("1000", 3), ("2", 2)])
+def test_sweep_starts_no_more_workers_than_grid_points(scenario_file, tmp_path, monkeypatch,
+                                                       threads, expected):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("PERCOLATE_THREADS", threads)
+    out = tmp_path / "sweep.csv"
+    rc = cli.main([
+        "sweep", "--config", scenario_file, "--grid", '{"eta": [0.5, 1.0, 2.0]}',
+        "--task", "solve-stationary", "--policy", "trigger:3", "--out", str(out),
+    ])
+    assert rc == 0
+    assert started == [expected]
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == 3
+
+
 def test_sweep_requires_out(scenario_file, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"eta": [0.5]}))
@@ -418,6 +453,13 @@ def test_bad_numeric_flags_exit_2_when_parsed(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--config", str(scenario), "--out", str(tmp_path / "out.json")])
     assert exc.value.code == 2
+
+
+def test_too_fine_observation_grid_exits_2(scenario_file, tmp_path):
+    # Passes the flag check, then used to fail in numpy's allocator (exit 1).
+    assert cli.main(_DYNAMICS + [
+        "--config", scenario_file, "--dt-out", "1e-300", "--out", str(tmp_path / "traj.json"),
+    ]) == 2
 
 
 def test_tolerance_flag_is_not_accepted(scenario_file):

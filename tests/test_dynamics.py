@@ -8,12 +8,14 @@ import pytest
 from percolate import (
     Policy,
     PrecisionMeasure,
+    ValidationError,
     integrate,
     load_params,
     mass_loss_check,
     rhs,
     solve_stationary,
 )
+from percolate.dynamics import MAX_SNAPSHOTS
 from conftest import make_scenario
 
 
@@ -90,6 +92,16 @@ def test_snapshot_grid_and_default_spacing():
     fine = integrate(p.pi, pol, p, t_end=10.0, dt_out=0.5)
     assert len(fine.times) == 21
     assert fine.final().total_mass() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("t_end,dt_out", [
+    (1.0, 0.0), (1.0, -0.5), (1.0, float("nan")), (1.0, float("inf")),
+    (1.0, 1e-300), (float(MAX_SNAPSHOTS) + 1.0, 1.0), (float("inf"), None), (float("nan"), None),
+])
+def test_bad_observation_grid_is_rejected_before_allocation(t_end, dt_out):
+    p = _params(n_max=16)
+    with pytest.raises(ValidationError, match="t_end|dt_out"):
+        integrate(p.pi, Policy.trigger_policy(3, p), p, t_end=t_end, dt_out=dt_out)
 
 
 def test_mass_loss_report_in_stable_regime():

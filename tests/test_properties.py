@@ -7,17 +7,23 @@ draws the same cases.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percolate import ModelParams, Policy, SolverError, ValidationError, load_params
+from percolate import (
+    ModelParams, Policy, SolverError, ValidationError, load_params, n_bar, solve_value,
+)
+from percolate.best_response import VALUE_TOL, _payoff_bound, bellman_operator
 from percolate.model import N_MAX_LIMIT
 from percolate.stationary import (
-    MASS_TOL, RESIDUAL_TOL, balance_residual, is_stable, solve_stationary,
+    MASS_TOL, RESIDUAL_TOL, _feasibility_floor, balance_residual, candidate_measure, is_stable,
+    solve_stationary,
 )
 from conftest import make_scenario
+from oracles import candidate_measure_loop
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -50,6 +56,66 @@ def test_valid_scenarios_solve_or_fail_cleanly(case):
     assert float(np.max(np.abs(res))) < RESIDUAL_TOL
     if is_stable(policy, params):
         assert abs(state.mu.total_mass() - 1.0) <= MASS_TOL
+
+
+# ---------------------------------------------------------------------------
+# Stationary kernel against the per-precision recursion
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """A market, a policy of 1-6 runs of equal effort and a trial average effort."""
+    n_max = draw(st.integers(2, 64))
+    support = draw(st.lists(st.integers(1, min(5, n_max)), min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        support.append(0)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    pi = {str(k): w / sum(raw) for k, w in zip(support, raw)}
+    c_lo = draw(st.sampled_from([0.0, 0.1])) if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
+    c_hi = draw(st.floats(max(c_lo, 0.01), c_lo + 2.0))
+    eta = draw(st.floats(0.05, 5.0))
+    params = load_params(make_scenario(n_max=n_max, pi=pi, c_lo=c_lo, c_hi=c_hi, eta=eta))
+
+    n_runs = draw(st.integers(1, min(6, n_max)))
+    cuts = sorted(draw(st.lists(st.integers(2, n_max), min_size=n_runs - 1,
+                                max_size=n_runs - 1, unique=True)))
+    effort = st.one_of(st.sampled_from([c_lo, c_hi]), st.floats(c_lo, c_hi))
+    levels = [draw(effort) for _ in range(n_runs)]
+    lengths = [b - a for a, b in zip([1, *cuts], [*cuts, n_max + 1])]
+    if draw(st.booleans()):
+        # A list policy: the last run is the repeated tail, precision 0 copies precision 1.
+        values = [v for v, n in zip(levels, lengths) for _ in range(n)]
+        policy = Policy.from_list(values[: draw(st.integers(len(values) - lengths[-1] + 1,
+                                                            len(values)))], params)
+    else:
+        efforts = np.repeat([draw(effort), *levels], [1, *lengths])
+        policy = Policy(efforts)
+
+    floor = _feasibility_floor(policy, params)
+    trial = floor + draw(st.floats(0.0, 1.0)) * max(c_hi - floor, 0.0)
+    return params, policy, trial
+
+
+def _failure(message: str) -> tuple[str, ...] | None:
+    """The failure kind and the precision it names, if any."""
+    found = re.match(r"(.*) at precision (\d+)", message)
+    return found.groups() if found else None
+
+
+@settings(PROPERTY, max_examples=300)
+@given(kernel_cases())
+def test_kernel_matches_per_precision_recursion(case):
+    params, policy, trial = case
+    try:
+        expected = candidate_measure_loop(trial, policy.efforts, params.pi.weights, params.eta)
+    except SolverError as exc:
+        with pytest.raises(SolverError) as got:
+            candidate_measure(trial, policy, params)
+        assert _failure(str(got.value)) == _failure(str(exc))
+        return
+    weights = candidate_measure(trial, policy, params).weights
+    np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=0.0)
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -89,3 +155,93 @@ def test_out_of_range_grid_is_rejected_before_allocation(n_max):
         load_params(make_scenario(), n_max_override=n_max)
     with pytest.raises(ValidationError, match="n_max"):
         ModelParams(n_max=n_max)
+
+
+# ---------------------------------------------------------------------------
+# Best response on random linear-cost markets
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def solved_markets(draw):
+    """A solved stationary market under a trigger policy, with linear cost."""
+    n_max = draw(st.integers(4, 64))
+    support = draw(st.lists(st.integers(0, min(5, n_max)), min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    c_lo = draw(st.sampled_from([0.0, 0.1])) if draw(st.booleans()) else draw(st.floats(0.0, 0.5))
+    scenario = make_scenario(
+        n_max=n_max,
+        pi={str(k): w / sum(raw) for k, w in zip(support, raw)},
+        c_lo=c_lo,
+        c_hi=draw(st.floats(c_lo + 0.05, c_lo + 2.0)),
+        eta=draw(st.floats(0.1, 3.0)),
+        eta_prime=draw(st.floats(0.1, 3.0)),
+        r=draw(st.floats(0.01, 1.0)),
+        rho=draw(st.floats(0.1, 0.9)),
+        cost={"type": "linear", "kappa": draw(st.floats(0.005, 0.5))},
+    )
+    params = load_params(scenario)
+    policy = Policy.trigger_policy(draw(st.integers(0, n_max + 1)), params)
+    return params, policy
+
+
+def _best_response(case):
+    params, policy = case
+    try:
+        state = solve_stationary(policy, params)
+    except SolverError:
+        return None
+    return params, state, solve_value(state, params)
+
+
+@PROPERTY
+@given(solved_markets())
+def test_values_increase_in_precision(case):
+    solved = _best_response(case)
+    if solved is None:
+        return
+    _, _, br = solved
+    # Each value is certified within VALUE_TOL of the true, increasing one.
+    assert np.all(np.diff(br.value.values) >= -2.0 * VALUE_TOL)
+
+
+@PROPERTY
+@given(solved_markets())
+def test_linear_cost_optimum_is_a_trigger_within_the_bound(case):
+    solved = _best_response(case)
+    if solved is None:
+        return
+    params, _, br = solved
+    efforts = br.policy.efforts
+    assert br.trigger is not None
+    assert np.all(efforts[: br.trigger] == params.c_hi)
+    assert np.all(efforts[br.trigger :] == params.c_lo)
+    # n_bar bounds the trigger only when r + eta' >= 1; the quotient-scale
+    # bound covers faster discounting, and the scan runs to the larger.  A
+    # bound clipped to n_max says only that searching may pay past the grid.
+    bound = max(n_bar(params), _payoff_bound(
+        params, params.c_hi * params.eta_prime / (params.r + params.eta_prime)))
+    assert bound == params.n_max or br.trigger <= bound
+
+
+@PROPERTY
+@given(solved_markets())
+def test_certified_value_error_holds_against_a_longer_iteration(case):
+    solved = _best_response(case)
+    if solved is None:
+        return
+    params, state, br = solved
+    q = br.contraction_q
+    values = br.value.values
+    # Iterate on until the change stops shrinking: the reference is then
+    # within q / (1 - q) times its last change of the true fixed point.
+    last = math.inf
+    for _ in range(100_000):
+        new = bellman_operator(values, state, params)[0]
+        change = float(np.max(np.abs(new - values)))
+        values = new
+        if change == 0.0 or change >= last:
+            break
+        last = change
+    ref_error = q / (1.0 - q) * change if q > 0.0 else 0.0
+    assert float(np.max(np.abs(br.value.values - values))) <= VALUE_TOL + ref_error

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import OrderedDict
 
@@ -29,7 +30,7 @@ from percolate.stationary import (
     candidate_measure,
 )
 from conftest import make_scenario
-from oracles import three_bin_derivatives, three_bin_market
+from oracles import candidate_measure_loop, three_bin_derivatives, three_bin_market
 
 # Frozen values from the independent three-bin oracle (eta = 1, entries
 # (0.2, 0.6, 0.2) on precisions {1,2,3}, efforts (1, 1, 0, ...)).
@@ -362,6 +363,50 @@ def test_diverging_trial_raises_without_overflow_warning():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolverError, match="diverges"):
             candidate_measure(stationary._feasibility_floor(pol, p), pol, p)
+
+
+def _kernel_outcome(run):
+    """Weights, or the failure kind and the precision it names."""
+    try:
+        return run()
+    except SolverError as exc:
+        return re.search(r"^(.*) at precision (\d+)", str(exc)).groups()
+
+
+def test_kernel_fails_where_the_recursion_fails_and_agrees_elsewhere():
+    # Entry mass at precision 0 makes the zero-bin denominator shift reach
+    # -eta / C_0 at the feasibility floor, so trials just above it drive
+    # runs with more effort than precision 0 to diverge or degenerate.
+    p = _params(n_max=64, pi={"0": 0.9, "1": 0.07, "2": 0.03}, eta=0.2, c_hi=2.5)
+    policies = (
+        Policy.trigger_policy(5, p),
+        Policy.from_list([1.0] * 8 + [2.5] * 12 + [0.0] * 10 + [1.7], p),
+        Policy(np.repeat([2.5, 2.5, 1.0, 0.0, 1.7], [1, 8, 20, 10, 26])),
+    )
+    kinds = set()
+    for pol in policies:
+        floor = stationary._feasibility_floor(pol, p)
+        for x in floor + (p.c_hi - floor) * np.append(0.0, np.geomspace(1e-14, 1.0, 60)):
+            expected = _kernel_outcome(
+                lambda: candidate_measure_loop(x, pol.efforts, p.pi.weights, p.eta))
+            got = _kernel_outcome(lambda: candidate_measure(x, pol, p).weights)
+            if isinstance(expected, tuple):
+                assert got == expected
+                kinds.add(expected[0])
+            else:
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+                kinds.add("finite")
+    assert kinds == {"finite", "candidate measure diverges", "degenerate balance denominator"}
+
+
+@pytest.mark.parametrize("c_lo", [1e-6, 1e-9, 1e-200])
+def test_small_zero_bin_effort_keeps_the_entry_mass(c_lo):
+    # The small root (b - sqrt(disc)) / (2 C_0^2) cancels to noise as C_0 -> 0
+    # (and to 0/0 once C_0^2 underflows); the conjugate form does not.
+    p = _params(n_max=32, pi={"0": 0.5, "1": 0.5}, c_lo=c_lo)
+    st = solve_stationary(Policy.trigger_policy(0, p), p)
+    assert st.mu.weights[0] == pytest.approx(0.5, rel=1e-6)
+    assert st.c_bar == pytest.approx(c_lo, rel=1e-6, abs=stationary.ROOT_TOL)
 
 
 def test_readme_market_solves_to_machine_precision():
