@@ -27,7 +27,7 @@ from .model import (
     pool_posteriors,
 )
 from .stationary import MarketState, fosd_compare, mgf_check, solve_stationary, z_sequence
-from .dynamics import Trajectory, integrate, mass_loss_check, rhs
+from .dynamics import Trajectory, integrate, mass_loss_check
 from .best_response import BestResponse, minimal_search_test, n_bar, solve_value
 from .equilibrium import EquilibriumReport, correspondence, find_equilibria, pareto_rank
 from .interventions import (
@@ -68,7 +68,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "mass_loss_check",
-    "rhs",
     "BestResponse",
     "minimal_search_test",
     "n_bar",

@@ -122,22 +122,18 @@ class BestResponse:
         return self.deltas[-1]
 
 
-def trigger_interval(
-    switching: np.ndarray,
-    n_min: int,
-    tol: float,
-) -> tuple[int, int]:
+def trigger_interval(switching: np.ndarray, n_min: int) -> tuple[int, int]:
     """Range of trigger indices consistent with a nonincreasing switching sequence.
 
     Only precisions >= n_min are binding (others are unreachable).  A trigger
     N prescribes high effort strictly below N, so optimality requires the
-    switching value to be > -tol on [n_min, N) and < tol on [N, inf).  The
-    returned (lo, hi) brackets every such N; indifference (|value| <= tol)
-    widens the range on both sides.
+    switching value to be > -tol on [n_min, N) and < tol on [N, inf), with
+    tol = ``INDIFFERENCE_TOL``.  The returned (lo, hi) brackets every such N;
+    indifference (|value| <= tol) widens the range on both sides.
     """
     t = switching[n_min:]
-    above = np.flatnonzero(t > tol)
-    below = np.flatnonzero(t < -tol)
+    above = np.flatnonzero(t > INDIFFERENCE_TOL)
+    below = np.flatnonzero(t < -INDIFFERENCE_TOL)
     lo = int(above[-1]) + n_min + 1 if above.size else 0
     hi = int(below[0]) + n_min if below.size else switching.size
     if hi < lo:
@@ -176,7 +172,7 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     switching = s - cost.marginal_right(params.c_lo)
 
     if cost.kind == "linear":
-        lo, hi = trigger_interval(switching, 0, INDIFFERENCE_TOL)
+        lo, hi = trigger_interval(switching, 0)
         efforts = np.where(switching >= -INDIFFERENCE_TOL, params.c_hi, params.c_lo)
         policy = Policy(efforts, trigger=hi if hi <= params.n_max else None)
         trig: int | None = hi

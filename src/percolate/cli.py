@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import integrate, mass_loss_check
-from .best_response import minimal_search_test, n_bar, solve_value
+from .best_response import n_bar, solve_value
 from .equilibrium import find_equilibria, pareto_rank
 from .errors import SolverError, ValidationError
 from .interventions import apply_education, apply_subsidy, welfare_compare
@@ -307,14 +307,19 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         nu = state.nu()
         return float(nu.tail_sums()[2]), state.c_bar
 
+    full = two_rung(args.c1)  # rejects --c1 or --c2 outside [c_lo, c_hi]
     hi = min(args.c1 + args.h, params.c_hi)
     lo = max(args.c1 - args.h, params.c_lo)
+    if hi <= lo:
+        raise ValidationError(
+            f"--h {args.h!r} leaves no difference interval around --c1 {args.c1!r} "
+            f"within [c_lo, c_hi] = [{params.c_lo!r}, {params.c_hi!r}]"
+        )
     up, cbar_up = effort_mass_above(hi)
     dn, cbar_dn = effort_mass_above(lo)
     derivative = (up - dn) / (hi - lo)
     cbar_derivative = (cbar_up - cbar_dn) / (hi - lo)
 
-    full = two_rung(args.c1)
     reduced = two_rung(args.c1 - args.eps)
     state_full = solve_stationary(full, params)
     state_red = solve_stationary(reduced, params)

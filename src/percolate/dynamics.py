@@ -33,16 +33,6 @@ ODE_RTOL = 1e-8
 MAX_SNAPSHOTS = 100_000
 
 
-def rhs(weights: np.ndarray, policy: Policy, params: ModelParams) -> np.ndarray:
-    """Instantaneous drift of the grid weights (overflow flows to the tail).
-
-    The components sum to eta * (1 - grid mass) minus the convolution overflow,
-    so they sum to ~0 for a probability vector with negligible truncation.
-    """
-    res, _ = balance_residual(np.asarray(weights, dtype=float), policy, params)
-    return res
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshots of the measure flow on a fixed observation grid."""

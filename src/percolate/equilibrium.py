@@ -9,13 +9,9 @@ by a single descending scan from the search-payoff bound.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .best_response import (
-    INDIFFERENCE_TOL,
     BestResponse,
     MinimalSearchReport,
     _payoff_bound,
@@ -28,7 +24,10 @@ from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy
 from .stationary import MarketState, solve_stationary
 
-logger = logging.getLogger(__name__)
+# Average effort at or below which a market counts as not searching, and how far a
+# lower trigger's value may exceed a higher one's before ``pareto_rank`` raises.
+ACTIVE_TOL = 1e-9
+PARETO_TOL = 1e-10
 
 
 def reachable_floor(params: ModelParams) -> int:
@@ -41,42 +40,38 @@ def reachable_floor(params: ModelParams) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CorrespondenceEntry:
-    """Best-response summary for one market trigger.
+    """Best response to one trigger market; an equilibrium when it is a fixed point.
 
-    ``lo..hi`` is the range of trigger indices optimal against the trigger-n
-    market, with optimality imposed only at reachable precisions.
+    ``lo..hi`` is the range of trigger indices optimal against the market
+    that the trigger-``trigger`` policy induces, with optimality imposed only
+    at reachable precisions.  ``EquilibriumReport.equilibria`` holds the
+    entries whose own trigger lies in that range.
     """
 
-    market_trigger: int
+    trigger: int
     lo: int
     hi: int
     state: MarketState
     best_response: BestResponse
 
     @property
+    def interval(self) -> tuple[int, int]:
+        return self.lo, self.hi
+
+    @property
     def is_fixed_point(self) -> bool:
-        return self.lo <= self.market_trigger <= self.hi
+        return self.lo <= self.trigger <= self.hi
+
+    def is_active(self) -> bool:
+        return self.trigger >= 1 and self.state.c_bar > ACTIVE_TOL
 
 
 def correspondence(n: int, params: ModelParams) -> CorrespondenceEntry:
     """Solve the trigger-n market and the optimal trigger range against it."""
     state = solve_stationary(Policy.trigger_policy(n, params), params)
     br = solve_value(state, params)
-    lo, hi = trigger_interval(br.switching, reachable_floor(params), INDIFFERENCE_TOL)
-    return CorrespondenceEntry(market_trigger=n, lo=lo, hi=hi, state=state, best_response=br)
-
-
-@dataclass(frozen=True, eq=False)
-class Equilibrium:
-    """A fixed-point trigger with its market state and equilibrium value."""
-
-    trigger: int
-    state: MarketState
-    best_response: BestResponse
-    interval: tuple[int, int]
-
-    def is_active(self, tol: float = 1e-9) -> bool:
-        return self.trigger >= 1 and self.state.c_bar > tol
+    lo, hi = trigger_interval(br.switching, reachable_floor(params))
+    return CorrespondenceEntry(trigger=n, lo=lo, hi=hi, state=state, best_response=br)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +79,7 @@ class EquilibriumReport:
     """All trigger equilibria of a market, with scan diagnostics."""
 
     params: ModelParams
-    equilibria: tuple[Equilibrium, ...]
+    equilibria: tuple[CorrespondenceEntry, ...]
     n_bar: int
     scan_bound: int
     correspondence_table: dict[int, tuple[int, int]]
@@ -93,26 +88,24 @@ class EquilibriumReport:
     def triggers(self) -> list[int]:
         return [e.trigger for e in self.equilibria]
 
-    def best(self) -> Equilibrium:
+    def best(self) -> CorrespondenceEntry:
         return self.equilibria[-1]
 
-    def has_active(self, tol: float = 1e-9) -> bool:
-        return any(e.is_active(tol) for e in self.equilibria)
+    def has_active(self) -> bool:
+        return any(e.is_active() for e in self.equilibria)
 
 
-def find_equilibria(params: ModelParams, allow_nonlinear: bool = False) -> EquilibriumReport:
+def find_equilibria(params: ModelParams) -> EquilibriumReport:
     """Scan all trigger policies from the search-payoff bound down to 0.
 
-    With linear cost best responses are bang-bang, so restricting the scan to
-    triggers loses nothing.  For other convex costs pass ``allow_nonlinear``
-    to scan triggers anyway; a trigger then counts as a fixed point only when
-    the exact argmax policy coincides with it pointwise.
+    Only linear cost is accepted: its best responses are bang-bang, so
+    restricting the scan to triggers loses nothing, and any other cost raises
+    ``ValidationError``.  Equilibria come out in increasing trigger order,
+    and ``minimal_search`` carries ``minimal_search_test``'s independent
+    verdict on everyone searching at c_lo.
     """
-    if params.effective_cost().kind != "linear" and not allow_nonlinear:
-        raise ValidationError(
-            "equilibrium search assumes linear cost (bang-bang optimality); "
-            "pass allow_nonlinear=True to scan trigger policies regardless"
-        )
+    if params.effective_cost().kind != "linear":
+        raise ValidationError("equilibrium search assumes linear cost (bang-bang optimality)")
     bound = n_bar(params)
     # The variant with the discount ratio eta' / (r + eta') coincides with
     # n_bar at r + eta' = 1; the larger of the two is safe for any discounting.
@@ -120,59 +113,34 @@ def find_equilibria(params: ModelParams, allow_nonlinear: bool = False) -> Equil
         params, params.c_hi * params.eta_prime / (params.r + params.eta_prime)
     ))
     table: dict[int, tuple[int, int]] = {}
-    found: list[Equilibrium] = []
+    found: list[CorrespondenceEntry] = []
     for n in range(top, -1, -1):
         entry = correspondence(n, params)
         table[n] = (entry.lo, entry.hi)
-        if params.effective_cost().kind == "linear":
-            is_fp = entry.is_fixed_point
-        else:
-            target = Policy.trigger_policy(n, params)
-            is_fp = bool(np.max(np.abs(entry.best_response.policy.efforts - target.efforts)) < 1e-12)
-        if is_fp:
-            found.append(
-                Equilibrium(
-                    trigger=n,
-                    state=entry.state,
-                    best_response=entry.best_response,
-                    interval=(entry.lo, entry.hi),
-                )
-            )
-    found.sort(key=lambda e: e.trigger)
-
-    minimal = minimal_search_test(params)
-    zero_is_fp = bool(found and found[0].trigger == 0)
-    if minimal.is_equilibrium != zero_is_fp:
-        logger.warning(
-            "minimal-search test (%s) disagrees with the trigger-0 scan (%s); "
-            "likely an indifference boundary",
-            minimal.is_equilibrium,
-            zero_is_fp,
-        )
+        if entry.is_fixed_point:
+            found.append(entry)
+    found.reverse()
     return EquilibriumReport(
         params=params,
         equilibria=tuple(found),
         n_bar=bound,
         scan_bound=top,
         correspondence_table=table,
-        minimal_search=minimal,
+        minimal_search=minimal_search_test(params),
     )
 
 
-def pareto_rank(
-    report: EquilibriumReport,
-    tol: float = 1e-10,
-) -> list[Equilibrium]:
+def pareto_rank(report: EquilibriumReport) -> list[CorrespondenceEntry]:
     """Equilibria ordered best-first, asserting pointwise value dominance.
 
     Higher triggers coordinate more search and dominate pointwise; any
-    violation beyond ``tol`` raises.
+    violation beyond ``PARETO_TOL`` raises.
     """
     ordered = sorted(report.equilibria, key=lambda e: e.trigger, reverse=True)
     for better, worse in zip(ordered, ordered[1:]):
         gap = better.best_response.value.values - worse.best_response.value.values
         worst = float(gap.min())
-        if worst < -tol:
+        if worst < -PARETO_TOL:
             raise SolverError(
                 f"value ordering violated between triggers {better.trigger} and "
                 f"{worse.trigger}: min gap {worst:.3e}"

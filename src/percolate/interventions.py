@@ -9,23 +9,31 @@ Because equilibria can flip discontinuously, interesting witnesses sit next
 to the boundary where an active (searching) equilibrium appears or vanishes.
 The witness finders below locate that boundary by bisection on the cost
 slope kappa and certify the welfare comparison on the entry support; every
-bisection is recorded in the returned report.
+bisection is recorded in the returned report.  Both search one fixed family
+of markets (``_block_market``); only the grid size ``n_max`` is the caller's.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .equilibrium import Equilibrium, EquilibriumReport, find_equilibria
+from .equilibrium import CorrespondenceEntry, EquilibriumReport, find_equilibria
 from .errors import SolverError, ValidationError
 from .model import CostSpec, ModelParams, PrecisionMeasure, exit_utility
 
-logger = logging.getLogger(__name__)
+# A welfare change counts as strict only beyond this magnitude.
+WELFARE_TOL = 1e-12
+# Witness markets: the entry block size, the relative width to which the
+# kappa boundary is bisected, the subsidy witness's signal correlation and
+# the correlations the education witness tries, smallest first.
+WITNESS_BLOCK = 8
+WITNESS_BAND = 1e-4
+SUBSIDY_RHO = 0.5
+EDUCATION_RHO_GRID = (0.15, 0.2, 0.25, 0.3, 0.35)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +72,8 @@ def apply_education(params: ModelParams, signals: int) -> ModelParams:
     return params.with_(public_signals=params.public_signals + signals)
 
 
-def _select(report: EquilibriumReport, selection: str, anchor: int | None = None) -> Equilibrium:
+def _select(report: EquilibriumReport, selection: str,
+            anchor: int | None = None) -> CorrespondenceEntry:
     if not report.equilibria:
         raise SolverError("no equilibrium found to select from")
     if selection == "pareto_best":
@@ -91,8 +100,8 @@ class InterventionOutcome:
     strict at every entry precision, else "ambiguous".
     """
 
-    baseline: Equilibrium
-    treated: Equilibrium
+    baseline: CorrespondenceEntry
+    treated: CorrespondenceEntry
     tax: float
     welfare_delta: np.ndarray
     verdict: str
@@ -112,7 +121,6 @@ def welfare_compare(
     treated: EquilibriumReport,
     tax: float = 0.0,
     selection: str = "pareto_best",
-    strict_tol: float = 1e-12,
 ) -> InterventionOutcome:
     """Compare entrant values at selected equilibria, net of the entry tax."""
     eq_b = _select(baseline, selection)
@@ -120,9 +128,9 @@ def welfare_compare(
     delta = eq_t.best_response.value.values - tax - eq_b.best_response.value.values
     support = baseline.params.pi.support()
     on_support = delta[support]
-    if np.all(on_support > strict_tol):
+    if np.all(on_support > WELFARE_TOL):
         verdict = "improves"
-    elif np.all(on_support < -strict_tol):
+    elif np.all(on_support < -WELFARE_TOL):
         verdict = "harms"
     else:
         verdict = "ambiguous"
@@ -155,13 +163,8 @@ class Bisection:
     evaluations: int
 
 
-def _existence_boundary(
-    make_params,
-    lo: float,
-    hi: float,
-    band: float,
-) -> Bisection:
-    """Bisect kappa between an active and an inactive market."""
+def _existence_boundary(make_params, lo: float, hi: float) -> Bisection:
+    """Bisect kappa between an active and an inactive market to ``WITNESS_BAND``."""
     evals = 0
 
     def active(x: float) -> bool:
@@ -192,36 +195,26 @@ def _existence_boundary(
         grow += 1
         if grow > 12:
             raise SolverError(f"active equilibrium persists up to kappa={hi:.6g}")
-    while hi - lo > band * hi:
+    while hi - lo > WITNESS_BAND * hi:
         mid = 0.5 * (lo + hi)
         if active(mid):
             lo = mid
         else:
             hi = mid
-    return Bisection(active=lo, inactive=hi, band=band, evaluations=evals)
+    return Bisection(active=lo, inactive=hi, band=WITNESS_BAND, evaluations=evals)
 
 
-def _block_market(
-    kappa: float,
-    block: int,
-    rho: float,
-    eta: float,
-    eta_prime: float,
-    r: float,
-    c_hi: float,
-    n_max: int,
-    public_signals: int = 0,
-) -> ModelParams:
-    """Linear-cost market whose entrants hold 0 or ``block`` signals with equal odds."""
+def _block_market(kappa: float, rho: float, n_max: int, public_signals: int = 0) -> ModelParams:
+    """Witness market whose entrants hold 0 or ``WITNESS_BLOCK`` signals with equal odds."""
     return ModelParams(
-        eta=eta,
-        eta_prime=eta_prime,
-        r=r,
+        eta=1.0,
+        eta_prime=1.0,
+        r=0.1,
         rho=rho,
         c_lo=0.0,
-        c_hi=c_hi,
+        c_hi=1.0,
         cost=CostSpec(kind="linear", kappa=kappa),
-        pi=PrecisionMeasure.from_mapping({0: 0.5, block: 0.5}, n_max),
+        pi=PrecisionMeasure.from_mapping({0: 0.5, WITNESS_BLOCK: 0.5}, n_max),
         n_max=n_max,
         public_signals=public_signals,
     )
@@ -263,32 +256,23 @@ def _condition_margin(params: ModelParams, block: int) -> float:
     return kp - gain
 
 
-def find_subsidy_witness(
-    block: int = 8,
-    rho: float = 0.5,
-    eta: float = 1.0,
-    eta_prime: float = 1.0,
-    r: float = 0.1,
-    c_hi: float = 1.0,
-    n_max: int = 256,
-    band: float = 1e-4,
-) -> SubsidyWitness:
+def find_subsidy_witness(n_max: int = 256) -> SubsidyWitness:
     """Construct a market where a tiny subsidy strictly improves all entrants.
 
-    Entry mixes precision 0 and a block of ``block`` signals; search is
+    Entry mixes precision 0 and a block of ``WITNESS_BLOCK`` signals at
+    correlation ``SUBSIDY_RHO``; search is
     worthless without coordination, so an active equilibrium exists only below
     a kappa threshold.  The threshold is located by bisection (recorded), the
     baseline slope is set just above it, and the subsidy bridges the gap.
     The treated welfare check is net of the balanced-budget entry tax.
     """
-    make = partial(_block_market, block=block, rho=rho, eta=eta, eta_prime=eta_prime,
-                   r=r, c_hi=c_hi, n_max=n_max)
-    start = -_condition_margin(make(0.0), block)  # one-jump gain scale
+    make = partial(_block_market, rho=SUBSIDY_RHO, n_max=n_max)
+    start = -_condition_margin(make(0.0), WITNESS_BLOCK)  # one-jump gain scale
     if start <= 0:
         raise SolverError("entry block carries no search gain; pick a larger block")
-    boundary = _existence_boundary(make, start / 8.0, start, band)
+    boundary = _existence_boundary(make, start / 8.0, start)
 
-    width = max(boundary.inactive - boundary.active, band * boundary.inactive)
+    width = max(boundary.inactive - boundary.active, WITNESS_BAND * boundary.inactive)
     kappa_base = boundary.inactive + 2.0 * width
     params_base = make(kappa_base)
 
@@ -317,7 +301,7 @@ def find_subsidy_witness(
             delta=delta,
             tax=tax,
             boundary=boundary,
-            condition_margin=_condition_margin(params_base, block),
+            condition_margin=_condition_margin(params_base, WITNESS_BLOCK),
             baseline=baseline,
             treated=treated,
             outcome=outcome,
@@ -352,16 +336,7 @@ class EducationWitness:
     entry_utility_delta: float
 
 
-def find_education_witness(
-    block: int = 8,
-    rho_grid: tuple[float, ...] = (0.15, 0.2, 0.25, 0.3, 0.35),
-    eta: float = 1.0,
-    eta_prime: float = 1.0,
-    r: float = 0.1,
-    c_hi: float = 1.0,
-    n_max: int = 256,
-    band: float = 1e-4,
-) -> EducationWitness:
+def find_education_witness(n_max: int = 256) -> EducationWitness:
     """Construct a market where granting one free exit signal lowers entry welfare.
 
     The free signal shrinks the payoff gap that motivates search, so the
@@ -369,21 +344,21 @@ def find_education_witness(
     the treated and untreated thresholds, the baseline market searches while
     the treated one collapses to no search.  The signal's direct worth decays
     quadratically with correlation while the foregone ladder of pooling jumps
-    scales with the block size, so weak signals favor the loss; the grid is
-    scanned from the smallest correlation up and the first strict drop in
-    expected entry utility wins (both threshold bisections recorded).
+    scales with the block size, so weak signals favor the loss;
+    ``EDUCATION_RHO_GRID`` is scanned from the smallest correlation up and
+    the first strict drop in expected entry utility wins (both threshold
+    bisections recorded).
     """
     last_error: str = "rho grid exhausted"
-    for rho in rho_grid:
-        make = partial(_block_market, block=block, rho=rho, eta=eta, eta_prime=eta_prime,
-                       r=r, c_hi=c_hi, n_max=n_max)
-        start = -_condition_margin(make(0.0), block)
+    for rho in EDUCATION_RHO_GRID:
+        make = partial(_block_market, rho=rho, n_max=n_max)
+        start = -_condition_margin(make(0.0), WITNESS_BLOCK)
         if start <= 0:
             last_error = f"no search gain at rho={rho}"
             continue
         try:
-            b0 = _existence_boundary(make, start / 8.0, start, band)
-            b1 = _existence_boundary(partial(make, public_signals=1), start / 16.0, start, band)
+            b0 = _existence_boundary(make, start / 8.0, start)
+            b1 = _existence_boundary(partial(make, public_signals=1), start / 16.0, start)
         except SolverError as exc:
             last_error = f"rho={rho}: {exc}"
             continue

@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -245,8 +245,8 @@ class PrecisionMeasure:
         rev = np.cumsum(self.weights[::-1])[::-1]
         return rev + self.tail_mass
 
-    def support(self, atol: float = 0.0) -> np.ndarray:
-        return np.flatnonzero(self.weights > atol)
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.weights > 0.0)
 
     @staticmethod
     def point_mass(n: int, n_max: int) -> "PrecisionMeasure":

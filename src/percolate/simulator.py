@@ -35,6 +35,10 @@ from .model import (
 )
 from .stationary import MarketState, solve_stationary
 
+# Variates per refill of each ``_Draws`` stream; the refill order, and so
+# every run's random stream, depends on it.
+DRAW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -104,34 +108,33 @@ class ValueEstimate:
 class _Draws:
     """Buffered draws from a seeded generator (deterministic refill order)."""
 
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 16):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = block
-        self._u = rng.random(block)
-        self._e = rng.standard_exponential(block)
-        self._n = rng.standard_normal(block)
+        self._u = rng.random(DRAW_BLOCK)
+        self._e = rng.standard_exponential(DRAW_BLOCK)
+        self._n = rng.standard_normal(DRAW_BLOCK)
         self._iu = self._ie = self._in = 0
 
     def u(self) -> float:
         i = self._iu
-        if i == self._block:
-            self._u = self._rng.random(self._block)
+        if i == DRAW_BLOCK:
+            self._u = self._rng.random(DRAW_BLOCK)
             i = 0
         self._iu = i + 1
         return float(self._u[i])
 
     def e(self) -> float:
         i = self._ie
-        if i == self._block:
-            self._e = self._rng.standard_exponential(self._block)
+        if i == DRAW_BLOCK:
+            self._e = self._rng.standard_exponential(DRAW_BLOCK)
             i = 0
         self._ie = i + 1
         return float(self._e[i])
 
     def n(self) -> float:
         i = self._in
-        if i == self._block:
-            self._n = self._rng.standard_normal(self._block)
+        if i == DRAW_BLOCK:
+            self._n = self._rng.standard_normal(DRAW_BLOCK)
             i = 0
         self._in = i + 1
         return float(self._n[i])

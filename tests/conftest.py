@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+# Hypothesis mines literals from every loaded package module; loading the CLI
+# here gives any subset of the suite the same derandomized examples.
+import percolate.cli  # noqa: F401
 from percolate import load_params
 from percolate.interventions import find_education_witness, find_subsidy_witness
 

@@ -122,13 +122,13 @@ def test_optimum_is_bang_bang_and_trigger_shaped():
 
 
 def test_trigger_interval_semantics():
-    lo, hi = trigger_interval(np.array([5.0, 3.0, 1.0, -1.0, -2.0]), 0, 1e-9)
+    lo, hi = trigger_interval(np.array([5.0, 3.0, 1.0, -1.0, -2.0]), 0)
     assert (lo, hi) == (3, 3)
-    lo, hi = trigger_interval(np.array([5.0, 3.0, 0.0, -1.0]), 0, 1e-9)
+    lo, hi = trigger_interval(np.array([5.0, 3.0, 0.0, -1.0]), 0)
     assert (lo, hi) == (2, 3)
-    lo, hi = trigger_interval(np.array([-0.5, -1.0]), 0, 1e-9)
+    lo, hi = trigger_interval(np.array([-0.5, -1.0]), 0)
     assert (lo, hi) == (0, 0)
-    lo, hi = trigger_interval(np.array([1.0, 0.5]), 0, 1e-9)
+    lo, hi = trigger_interval(np.array([1.0, 0.5]), 0)
     assert lo == 2 and hi == 2
 
 

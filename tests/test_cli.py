@@ -462,6 +462,16 @@ def test_too_fine_observation_grid_exits_2(scenario_file, tmp_path):
     ]) == 2
 
 
+def test_counterexample_step_below_resolution_exits_2(scenario_file, tmp_path, capsys):
+    # At c1 = c_hi = 1, c1 - 1e-17 rounds back to 1: the central difference
+    # had a zero-width interval and divided by zero (exit 1).
+    out = tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--config", scenario_file, "--h", "1e-17",
+                     "--out", str(out)]) == 2
+    assert "--h" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tolerance_flag_is_not_accepted(scenario_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve-stationary", "--config", scenario_file, "--policy", "trigger:3",

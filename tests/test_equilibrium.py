@@ -159,7 +159,3 @@ def test_strictly_convex_cost_requires_opt_in():
     p = _params(cost=cost)
     with pytest.raises(ValidationError):
         find_equilibria(p)
-    rep = find_equilibria(p, allow_nonlinear=True)
-    assert isinstance(rep.triggers(), list)
-    for eq in rep.equilibria:
-        assert correspondence(eq.trigger, p).is_fixed_point

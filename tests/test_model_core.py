@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import percolate
 from percolate import (
     CostSpec,
     Policy,
@@ -20,6 +21,11 @@ from percolate import (
 )
 from conftest import make_scenario
 from oracles import gaussian_posterior
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in percolate.__all__ if not hasattr(percolate, name)]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from percolate import (
-    ModelParams, Policy, SolverError, ValidationError, load_params, n_bar, solve_value,
+    ModelParams, Policy, SimConfig, SolverError, ValidationError, load_params, n_bar, run,
+    solve_value,
 )
 from percolate.best_response import VALUE_TOL, _payoff_bound, bellman_operator
 from percolate.model import N_MAX_LIMIT
@@ -245,3 +246,76 @@ def test_certified_value_error_holds_against_a_longer_iteration(case):
         last = change
     ref_error = q / (1.0 - q) * change if q > 0.0 else 0.0
     assert float(np.max(np.abs(br.value.values - values))) <= VALUE_TOL + ref_error
+
+
+# ---------------------------------------------------------------------------
+# Simulator on small random markets
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_runs(draw, idle=False):
+    """A market on at most 16 bins, a trigger or constant policy, and a run of
+    at most 500 agents over t <= 2.  With ``idle`` nobody searches: c_lo = 0
+    and the policy is trigger 0 or the constant 0."""
+    n_max = draw(st.integers(2, 16))
+    support = draw(st.lists(st.integers(1, min(5, n_max)), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        support.append(0)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    if idle:
+        c_lo = 0.0
+    else:
+        c_lo = draw(st.sampled_from([0.0, 0.1])) if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
+    c_hi = draw(st.floats(max(c_lo, 0.01), c_lo + 2.0))
+    params = load_params(make_scenario(
+        n_max=n_max,
+        pi={str(k): w / sum(raw) for k, w in zip(support, raw)},
+        c_lo=c_lo,
+        c_hi=c_hi,
+        eta=draw(st.floats(0.1, 3.0)),
+        eta_prime=draw(st.floats(0.1, 3.0)),
+        rho=draw(st.floats(0.1, 0.9)),
+    ))
+    if idle:
+        policy = draw(st.sampled_from([Policy.trigger_policy(0, params), Policy.constant(0.0, params)]))
+    elif draw(st.booleans()):
+        policy = Policy.trigger_policy(draw(st.integers(0, n_max + 1)), params)
+    else:
+        policy = Policy.constant(draw(st.floats(c_lo, c_hi)), params)
+    cfg = SimConfig(
+        population=draw(st.integers(2, 500)),
+        horizon=draw(st.floats(0.05, 2.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return policy, params, cfg
+
+
+@settings(PROPERTY, max_examples=200)
+@given(small_runs())
+def test_run_conserves_population_and_counts_every_event(case):
+    policy, params, cfg = case
+    out = run(policy, params, cfg)
+    assert np.all(out.histograms.sum(axis=1) == cfg.population)
+    assert out.n_events == out.n_matches + out.n_resets + out.n_exits
+    assert out.n_precision_caps <= out.n_matches
+
+
+@PROPERTY
+@given(small_runs(idle=True))
+def test_idle_market_never_matches(case):
+    out = run(*case)
+    assert out.n_matches == 0
+    assert out.n_pair_rejects == 0
+
+
+@PROPERTY
+@given(small_runs())
+def test_same_seed_reproduces_the_run_bit_for_bit(case):
+    a, b = run(*case), run(*case)
+    for name in ("times", "histograms", "mean_sums", "mean_square_sums",
+                 "final_precisions", "final_means"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("n_events", "n_matches", "n_resets", "n_exits", "n_pair_rejects",
+                 "n_precision_caps"):
+        assert getattr(a, name) == getattr(b, name), name
