@@ -21,7 +21,11 @@ exit at eta'), which is what the value iteration computes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -35,8 +39,9 @@ from .model import (
 )
 from .stationary import MarketState, solve_stationary
 
-# Variates per refill of each ``_Draws`` stream; the refill order, and so
-# every run's random stream, depends on it.
+# Variates per block of each draw stream.  A run's random stream is fixed by
+# this size, by the first u, e and n blocks being drawn at once in that order,
+# and by each later block being drawn only when its stream runs out.
 DRAW_BLOCK = 1 << 16
 
 
@@ -105,39 +110,22 @@ class ValueEstimate:
     replications: int
 
 
-class _Draws:
-    """Buffered draws from a seeded generator (deterministic refill order)."""
+def _streams(rng: np.random.Generator) -> tuple[Callable[[], float], ...]:
+    """The uniform, exponential and normal draw streams (u, e, n) of one run.
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._u = rng.random(DRAW_BLOCK)
-        self._e = rng.standard_exponential(DRAW_BLOCK)
-        self._n = rng.standard_normal(DRAW_BLOCK)
-        self._iu = self._ie = self._in = 0
+    Each stream yields its variates one by one, in blocks of ``DRAW_BLOCK``:
+    the three first blocks are drawn here, in that order, and each later
+    block when its stream's previous block runs out, which it then frees.
+    """
 
-    def u(self) -> float:
-        i = self._iu
-        if i == DRAW_BLOCK:
-            self._u = self._rng.random(DRAW_BLOCK)
-            i = 0
-        self._iu = i + 1
-        return float(self._u[i])
+    def blocks(block: np.ndarray, fill: Callable[[int], np.ndarray]) -> Iterator[memoryview]:
+        while True:
+            yield memoryview(block)
+            block = fill(DRAW_BLOCK)
 
-    def e(self) -> float:
-        i = self._ie
-        if i == DRAW_BLOCK:
-            self._e = self._rng.standard_exponential(DRAW_BLOCK)
-            i = 0
-        self._ie = i + 1
-        return float(self._e[i])
-
-    def n(self) -> float:
-        i = self._in
-        if i == DRAW_BLOCK:
-            self._n = self._rng.standard_normal(DRAW_BLOCK)
-            i = 0
-        self._in = i + 1
-        return float(self._n[i])
+    fills = (rng.random, rng.standard_exponential, rng.standard_normal)
+    firsts = [fill(DRAW_BLOCK) for fill in fills]
+    return tuple(chain.from_iterable(blocks(*b)).__next__ for b in zip(firsts, fills))
 
 
 def run(
@@ -146,10 +134,12 @@ def run(
     cfg: SimConfig,
 ) -> SimOutput:
     """Simulate the finite-population market under ``policy``."""
-    if cfg.population < 2:
-        raise ValidationError("population must be at least 2")
-    if cfg.horizon <= 0:
-        raise ValidationError("horizon must be positive")
+    if not isinstance(cfg.population, Integral) or cfg.population < 2:
+        raise ValidationError("population must be an integer of at least 2")
+    if not 0.0 < cfg.horizon < math.inf:
+        raise ValidationError("horizon must be positive and finite")
+    if not math.isfinite(cfg.y_realization):
+        raise ValidationError("y_realization must be finite")
     policy.validate_bounds(params)
 
     P = cfg.population
@@ -159,8 +149,8 @@ def run(
     eta_prime = params.eta_prime
     rho = params.rho
     y = cfg.y_realization
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    draws = _Draws(rng)
+    horizon = cfg.horizon
+    u, e, n = _streams(np.random.Generator(np.random.PCG64(cfg.seed)))
 
     # Effort classes over the (tail-extended) precision range.
     effort_by_prec = np.empty(cap + 1)
@@ -185,7 +175,7 @@ def run(
     n_entry = len(entry_prec_values)
 
     def draw_entry() -> tuple[int, float]:
-        uu = draws.u()
+        uu = u()
         acc = 0.0
         j = n_entry - 1
         for k in range(n_entry):
@@ -195,7 +185,7 @@ def run(
                 break
         n0 = entry_prec_values[j]
         m, sd = entry_mean_sd[j]
-        return n0, (m + sd * draws.n() if sd > 0.0 else m)
+        return n0, (m + sd * n() if sd > 0.0 else m)
 
     # Agent state (plain lists: hot loop does scalar access).
     prec: list[int] = [0] * P
@@ -216,10 +206,11 @@ def run(
 
     counts = [len(p) for p in pools]
 
-    def move(a: int, new_c: int) -> None:
+    def move(a: int, new_c: int) -> bool:
+        """Put agent ``a`` in class ``new_c``; True if its class changed."""
         old = agent_cls[a]
         if old == new_c:
-            return
+            return False
         p = pos[a]
         last = pools[old].pop()
         if last != a:
@@ -230,12 +221,25 @@ def run(
         pools[new_c].append(a)
         counts[new_c] += 1
         agent_cls[a] = new_c
+        return True
 
-    def pick_searcher() -> int:
-        s1 = 0.0
+    reset_rate = eta * P
+    exit_rate = eta_prime * P
+
+    def rates() -> tuple[float, float, float]:
+        """S1, the meeting rate and the total event rate of the class counts."""
+        s1 = s2 = 0.0
         for c in range(n_cls):
-            s1 += class_values[c] * counts[c]
-        target = draws.u() * s1
+            v = class_values[c]
+            s1 += v * counts[c]
+            s2 += v * v * counts[c]
+        match_rate = (s1 * s1 - s2) / (2.0 * P)
+        if match_rate < 0.0:
+            match_rate = 0.0
+        return s1, match_rate, match_rate + reset_rate + exit_rate
+
+    def pick_searcher(s1: float) -> int:
+        target = u() * s1
         acc = 0.0
         c = n_cls - 1
         for k in range(n_cls):
@@ -243,20 +247,23 @@ def run(
             if target < acc:
                 c = k
                 break
-        idx = int(draws.u() * counts[c])
+        idx = int(u() * counts[c])
         if idx >= counts[c]:
             idx = counts[c] - 1
         return pools[c][idx]
 
     # Snapshot bookkeeping.
-    dt_rec = cfg.horizon / 50.0
-    rec_times = np.arange(0.0, cfg.horizon + dt_rec * 0.5, dt_rec)
-    if rec_times[-1] < cfg.horizon:
-        rec_times = np.append(rec_times, cfg.horizon)
+    dt_rec = horizon / 50.0
+    rec_times = np.arange(0.0, horizon + dt_rec * 0.5, dt_rec)
+    if rec_times[-1] < horizon:
+        rec_times = np.append(rec_times, horizon)
     histograms = np.zeros((rec_times.size, n_max + 2), dtype=np.int64)
     mean_sums = np.zeros((rec_times.size, n_max + 2))
     mean_square_sums = np.zeros((rec_times.size, n_max + 2))
+    # Snapshots taken in the loop, then a sentinel; the rest come after it.
+    stops = [x for x in rec_times.tolist() if x <= horizon] + [math.inf]
     rec_idx = 0
+    next_rec = stops[0]
 
     def snapshot(i: int) -> None:
         arr = np.minimum(np.asarray(prec), n_max + 1)
@@ -268,38 +275,27 @@ def run(
     n_events = n_matches = n_resets = n_exits = n_rejects = n_caps = 0
 
     t = 0.0
-    reset_rate = eta * P
-    exit_rate = eta_prime * P
+    s1, match_rate, lam = rates()  # recomputed only when a class count changes
     while True:
-        s1 = s2 = 0.0
-        for c in range(n_cls):
-            v = class_values[c]
-            s1 += v * counts[c]
-            s2 += v * v * counts[c]
-        match_rate = (s1 * s1 - s2) / (2.0 * P)
-        if match_rate < 0.0:
-            match_rate = 0.0
-        lam = match_rate + reset_rate + exit_rate
-        t_next = t + draws.e() / lam
+        t_next = t + e() / lam
 
-        while rec_idx < rec_times.size and rec_times[rec_idx] <= t_next:
-            if rec_times[rec_idx] > cfg.horizon:
-                break
+        while next_rec <= t_next:
             snapshot(rec_idx)
             rec_idx += 1
-        if t_next > cfg.horizon:
+            next_rec = stops[rec_idx]
+        if t_next > horizon:
             break
         t = t_next
         n_events += 1
 
-        slot = draws.u() * lam
+        slot = u() * lam
         if slot < match_rate:
             n_matches += 1
-            i = pick_searcher()
-            j = pick_searcher()
+            i = pick_searcher(s1)
+            j = pick_searcher(s1)
             while j == i:
                 n_rejects += 1
-                j = pick_searcher()
+                j = pick_searcher(s1)
             ni, nj = prec[i], prec[j]
             nn = ni + nj
             if nn > cap:
@@ -314,30 +310,33 @@ def run(
                     xx = mean[i]
                 else:
                     xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / gammas[nn]
-                for a in (i, j):
-                    move(a, cls_of_prec[nn])
-                    prec[a] = nn
-                    mean[a] = xx
+                prec[i] = prec[j] = nn
+                mean[i] = mean[j] = xx
+                c = cls_of_prec[nn]
+                if move(i, c) | move(j, c):  # "|", not "or": both agents must move
+                    s1, match_rate, lam = rates()
         elif slot < match_rate + reset_rate:
             n_resets += 1
-            a = int(draws.u() * P)
+            a = int(u() * P)
             if a == P:
                 a = P - 1
             n0, x0 = draw_entry()
             prec[a] = n0
             mean[a] = x0
-            move(a, cls_of_prec[n0])
+            if move(a, cls_of_prec[n0]):
+                s1, match_rate, lam = rates()
         else:
             n_exits += 1
-            a = int(draws.u() * P)
+            a = int(u() * P)
             if a == P:
                 a = P - 1
-            src = int(draws.u() * P)
+            src = int(u() * P)
             if src == P:
                 src = P - 1
             prec[a] = prec[src]
             mean[a] = mean[src]
-            move(a, agent_cls[src])
+            if move(a, agent_cls[src]):
+                s1, match_rate, lam = rates()
 
     while rec_idx < rec_times.size:
         snapshot(rec_idx)
@@ -378,17 +377,15 @@ def estimate_value(
     if not 0 <= entry_precision <= params.n_max:
         raise ValidationError(f"entry precision must lie in [0, {params.n_max}]")
     R = cfg.replications if cfg.replications is not None else cfg.population
-    if R < 1:
-        raise ValidationError("replications must be at least 1")
+    if not isinstance(R, Integral) or R < 1:
+        raise ValidationError("replications must be an integer of at least 1")
     if state is None:
         state = solve_stationary(policy, params)
+    elif state.policy.n_max != params.n_max:
+        raise ValidationError(f"state is on n_max = {state.policy.n_max}, not {params.n_max}")
     w = state.policy.efforts * state.mu.weights
     c_bar = float(w.sum())
-    if c_bar > 0:
-        jump_cum = np.cumsum(w) / c_bar
-    else:
-        jump_cum = None
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    jump_cum = (np.cumsum(w) / c_bar).tolist() if c_bar > 0 else None
     cost = params.effective_cost()
     r = params.r
     eta_prime = params.eta_prime
@@ -399,17 +396,17 @@ def estimate_value(
     k_of_prec = [cost.cost(float(eff[min(p, n_max)])) for p in range(cap + 1)]
     c_of_prec = [float(eff[min(p, n_max)]) for p in range(cap + 1)]
 
-    draws = _Draws(rng)
+    u, e, _ = _streams(np.random.Generator(np.random.PCG64(cfg.seed)))
     total = 0.0
     total_sq = 0.0
     for _ in range(R):
-        tau = draws.e() / eta_prime
+        tau = e() / eta_prime
         n = entry_precision
         t = 0.0
         util = 0.0
         while True:
             rate = c_of_prec[n] * c_bar
-            t_jump = t + draws.e() / rate if rate > 0.0 else math.inf
+            t_jump = t + e() / rate if rate > 0.0 else math.inf
             t_stop = tau if tau < t_jump else t_jump
             k = k_of_prec[n]
             if k != 0.0:
@@ -417,7 +414,7 @@ def estimate_value(
             if tau <= t_jump:
                 util += math.exp(-r * tau) * u_of_prec[n]
                 break
-            m = int(np.searchsorted(jump_cum, draws.u(), side="right"))
+            m = bisect_right(jump_cum, u())
             if m > n_max:
                 m = n_max
             n = min(n + m, cap)

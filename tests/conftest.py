@@ -23,6 +23,13 @@ else:
     set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "percolate-hypothesis")
 
 
+# The arrays and event counters of a ``SimOutput``, for whole-run comparisons.
+SIM_ARRAYS = ("times", "histograms", "mean_sums", "mean_square_sums", "final_precisions",
+              "final_means")
+SIM_COUNTERS = ("n_events", "n_matches", "n_resets", "n_exits", "n_pair_rejects",
+                "n_precision_caps")
+
+
 def make_scenario(**overrides) -> dict:
     """Baseline scenario dict; overrides are merged on top."""
     base = {

@@ -4,6 +4,9 @@ Everything here is deliberately written from first principles (joint-Gaussian
 covariance algebra, the per-precision balance recursion, scalar fixed points
 via brentq, exact rational arithmetic) rather than by calling the package, so
 the tests compare two genuinely different routes to the same numbers.
+The simulator loops at the end are the exception: they are the package's
+earlier event loops, kept verbatim so the rewritten loops can be held
+bit-identical to them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from percolate import SolverError
+from percolate.errors import ValidationError
+from percolate.model import ModelParams, Policy, cross_section_params, exit_utility, gamma_coeff
+from percolate.simulator import DRAW_BLOCK, SimConfig, SimOutput, ValueEstimate
+from percolate.stationary import MarketState, solve_stationary
 
 
 def gaussian_posterior(rho: float, n: int) -> tuple[np.ndarray, float]:
@@ -158,3 +165,337 @@ def exact_trigger_bound(rho: Fraction, c_hi: Fraction, eta_prime: Fraction,
         if c_hi * eta_prime * (r + eta_prime) * (0 - u_j) >= kappa:
             best = j
     return best
+
+
+# ---------------------------------------------------------------------------
+# Simulator event loops with per-draw buffer indexing
+# ---------------------------------------------------------------------------
+# The simulator as it stood before its streams became lazy block iterators:
+# the same draws in the same order, but every draw indexes a buffer, the
+# search sums are recomputed on every event, and each jump target is a scalar
+# np.searchsorted.  ``run_loop`` and ``estimate_value_loop`` must agree with
+# ``run`` and ``estimate_value`` bit for bit.
+
+class _Draws:
+    """Buffered draws from a seeded generator (deterministic refill order)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._u = rng.random(DRAW_BLOCK)
+        self._e = rng.standard_exponential(DRAW_BLOCK)
+        self._n = rng.standard_normal(DRAW_BLOCK)
+        self._iu = self._ie = self._in = 0
+
+    def u(self) -> float:
+        i = self._iu
+        if i == DRAW_BLOCK:
+            self._u = self._rng.random(DRAW_BLOCK)
+            i = 0
+        self._iu = i + 1
+        return float(self._u[i])
+
+    def e(self) -> float:
+        i = self._ie
+        if i == DRAW_BLOCK:
+            self._e = self._rng.standard_exponential(DRAW_BLOCK)
+            i = 0
+        self._ie = i + 1
+        return float(self._e[i])
+
+    def n(self) -> float:
+        i = self._in
+        if i == DRAW_BLOCK:
+            self._n = self._rng.standard_normal(DRAW_BLOCK)
+            i = 0
+        self._in = i + 1
+        return float(self._n[i])
+
+
+def run_loop(
+    policy: Policy,
+    params: ModelParams,
+    cfg: SimConfig,
+) -> SimOutput:
+    """Simulate the finite-population market under ``policy``."""
+    if cfg.population < 2:
+        raise ValidationError("population must be at least 2")
+    if cfg.horizon <= 0:
+        raise ValidationError("horizon must be positive")
+    policy.validate_bounds(params)
+
+    P = cfg.population
+    n_max = params.n_max
+    cap = 4 * n_max
+    eta = params.eta
+    eta_prime = params.eta_prime
+    rho = params.rho
+    y = cfg.y_realization
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    draws = _Draws(rng)
+
+    # Effort classes over the (tail-extended) precision range.
+    effort_by_prec = np.empty(cap + 1)
+    effort_by_prec[: n_max + 1] = policy.efforts
+    effort_by_prec[n_max + 1 :] = policy.tail_effort()
+    class_values = sorted(set(effort_by_prec.tolist()))
+    n_cls = len(class_values)
+    cls_of_prec = [class_values.index(effort_by_prec[p]) for p in range(cap + 1)]
+
+    # Pooling coefficients by precision.
+    gammas = [float(gamma_coeff(p, rho)) for p in range(2 * cap + 1)]
+
+    # Entry sampler: precision from pi, posterior mean conditioned on the state.
+    pi_w = params.pi.weights
+    entry_prec_values = [int(k) for k in np.flatnonzero(pi_w > 0)]
+    total_w = float(pi_w.sum())
+    entry_probs = [float(pi_w[k]) / total_w for k in entry_prec_values]
+    entry_mean_sd = []
+    for k in entry_prec_values:
+        m, v = cross_section_params(k, y, rho)
+        entry_mean_sd.append((m, math.sqrt(v)))
+    n_entry = len(entry_prec_values)
+
+    def draw_entry() -> tuple[int, float]:
+        uu = draws.u()
+        acc = 0.0
+        j = n_entry - 1
+        for k in range(n_entry):
+            acc += entry_probs[k]
+            if uu < acc:
+                j = k
+                break
+        n0 = entry_prec_values[j]
+        m, sd = entry_mean_sd[j]
+        return n0, (m + sd * draws.n() if sd > 0.0 else m)
+
+    # Agent state (plain lists: hot loop does scalar access).
+    prec: list[int] = [0] * P
+    mean: list[float] = [0.0] * P
+    agent_cls: list[int] = [0] * P
+
+    pools: list[list[int]] = [[] for _ in range(n_cls)]
+    pos: list[int] = [0] * P
+
+    for a in range(P):
+        n0, x0 = draw_entry()
+        prec[a] = n0
+        mean[a] = x0
+        c = cls_of_prec[n0]
+        agent_cls[a] = c
+        pos[a] = len(pools[c])
+        pools[c].append(a)
+
+    counts = [len(p) for p in pools]
+
+    def move(a: int, new_c: int) -> None:
+        old = agent_cls[a]
+        if old == new_c:
+            return
+        p = pos[a]
+        last = pools[old].pop()
+        if last != a:
+            pools[old][p] = last
+            pos[last] = p
+        counts[old] -= 1
+        pos[a] = counts[new_c]
+        pools[new_c].append(a)
+        counts[new_c] += 1
+        agent_cls[a] = new_c
+
+    def pick_searcher() -> int:
+        s1 = 0.0
+        for c in range(n_cls):
+            s1 += class_values[c] * counts[c]
+        target = draws.u() * s1
+        acc = 0.0
+        c = n_cls - 1
+        for k in range(n_cls):
+            acc += class_values[k] * counts[k]
+            if target < acc:
+                c = k
+                break
+        idx = int(draws.u() * counts[c])
+        if idx >= counts[c]:
+            idx = counts[c] - 1
+        return pools[c][idx]
+
+    # Snapshot bookkeeping.
+    dt_rec = cfg.horizon / 50.0
+    rec_times = np.arange(0.0, cfg.horizon + dt_rec * 0.5, dt_rec)
+    if rec_times[-1] < cfg.horizon:
+        rec_times = np.append(rec_times, cfg.horizon)
+    histograms = np.zeros((rec_times.size, n_max + 2), dtype=np.int64)
+    mean_sums = np.zeros((rec_times.size, n_max + 2))
+    mean_square_sums = np.zeros((rec_times.size, n_max + 2))
+    rec_idx = 0
+
+    def snapshot(i: int) -> None:
+        arr = np.minimum(np.asarray(prec), n_max + 1)
+        vals = np.asarray(mean)
+        histograms[i] = np.bincount(arr, minlength=n_max + 2)
+        mean_sums[i] = np.bincount(arr, weights=vals, minlength=n_max + 2)
+        mean_square_sums[i] = np.bincount(arr, weights=vals * vals, minlength=n_max + 2)
+
+    n_events = n_matches = n_resets = n_exits = n_rejects = n_caps = 0
+
+    t = 0.0
+    reset_rate = eta * P
+    exit_rate = eta_prime * P
+    while True:
+        s1 = s2 = 0.0
+        for c in range(n_cls):
+            v = class_values[c]
+            s1 += v * counts[c]
+            s2 += v * v * counts[c]
+        match_rate = (s1 * s1 - s2) / (2.0 * P)
+        if match_rate < 0.0:
+            match_rate = 0.0
+        lam = match_rate + reset_rate + exit_rate
+        t_next = t + draws.e() / lam
+
+        while rec_idx < rec_times.size and rec_times[rec_idx] <= t_next:
+            if rec_times[rec_idx] > cfg.horizon:
+                break
+            snapshot(rec_idx)
+            rec_idx += 1
+        if t_next > cfg.horizon:
+            break
+        t = t_next
+        n_events += 1
+
+        slot = draws.u() * lam
+        if slot < match_rate:
+            n_matches += 1
+            i = pick_searcher()
+            j = pick_searcher()
+            while j == i:
+                n_rejects += 1
+                j = pick_searcher()
+            ni, nj = prec[i], prec[j]
+            nn = ni + nj
+            if nn > cap:
+                nn = cap
+                n_caps += 1
+            if ni == 0 and nj == 0:
+                pass
+            else:
+                if ni == 0:
+                    xx = mean[j]
+                elif nj == 0:
+                    xx = mean[i]
+                else:
+                    xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / gammas[nn]
+                for a in (i, j):
+                    move(a, cls_of_prec[nn])
+                    prec[a] = nn
+                    mean[a] = xx
+        elif slot < match_rate + reset_rate:
+            n_resets += 1
+            a = int(draws.u() * P)
+            if a == P:
+                a = P - 1
+            n0, x0 = draw_entry()
+            prec[a] = n0
+            mean[a] = x0
+            move(a, cls_of_prec[n0])
+        else:
+            n_exits += 1
+            a = int(draws.u() * P)
+            if a == P:
+                a = P - 1
+            src = int(draws.u() * P)
+            if src == P:
+                src = P - 1
+            prec[a] = prec[src]
+            mean[a] = mean[src]
+            move(a, agent_cls[src])
+
+    while rec_idx < rec_times.size:
+        snapshot(rec_idx)
+        rec_idx += 1
+
+    return SimOutput(
+        times=rec_times,
+        histograms=histograms,
+        mean_sums=mean_sums,
+        mean_square_sums=mean_square_sums,
+        final_precisions=np.asarray(prec, dtype=np.int64),
+        final_means=np.asarray(mean, dtype=float),
+        n_events=n_events,
+        n_matches=n_matches,
+        n_resets=n_resets,
+        n_exits=n_exits,
+        n_pair_rejects=n_rejects,
+        n_precision_caps=n_caps,
+        config=cfg,
+    )
+
+
+def estimate_value_loop(
+    policy: Policy,
+    params: ModelParams,
+    cfg: SimConfig,
+    entry_precision: int = 1,
+    state: MarketState | None = None,
+) -> ValueEstimate:
+    """Monte Carlo estimate of the discounted value at ``entry_precision``.
+
+    The agent follows ``policy`` inside the stationary mean-field market that
+    the same policy induces (solved internally unless ``state`` is given):
+    meetings arrive at c * c_bar, partners are drawn from the effort-weighted
+    measure, exit occurs at eta', and flow cost accrues between events in
+    closed form.  Returns the sample mean with a 95% confidence half-width.
+    """
+    if not 0 <= entry_precision <= params.n_max:
+        raise ValidationError(f"entry precision must lie in [0, {params.n_max}]")
+    R = cfg.replications if cfg.replications is not None else cfg.population
+    if R < 1:
+        raise ValidationError("replications must be at least 1")
+    if state is None:
+        state = solve_stationary(policy, params)
+    w = state.policy.efforts * state.mu.weights
+    c_bar = float(w.sum())
+    if c_bar > 0:
+        jump_cum = np.cumsum(w) / c_bar
+    else:
+        jump_cum = None
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    cost = params.effective_cost()
+    r = params.r
+    eta_prime = params.eta_prime
+    n_max = params.n_max
+    cap = 8 * n_max
+    u_of_prec = [float(exit_utility(params, p)) for p in range(cap + 1)]
+    eff = policy.efforts
+    k_of_prec = [cost.cost(float(eff[min(p, n_max)])) for p in range(cap + 1)]
+    c_of_prec = [float(eff[min(p, n_max)]) for p in range(cap + 1)]
+
+    draws = _Draws(rng)
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(R):
+        tau = draws.e() / eta_prime
+        n = entry_precision
+        t = 0.0
+        util = 0.0
+        while True:
+            rate = c_of_prec[n] * c_bar
+            t_jump = t + draws.e() / rate if rate > 0.0 else math.inf
+            t_stop = tau if tau < t_jump else t_jump
+            k = k_of_prec[n]
+            if k != 0.0:
+                util -= k * (math.exp(-r * t) - math.exp(-r * t_stop)) / r
+            if tau <= t_jump:
+                util += math.exp(-r * tau) * u_of_prec[n]
+                break
+            m = int(np.searchsorted(jump_cum, draws.u(), side="right"))
+            if m > n_max:
+                m = n_max
+            n = min(n + m, cap)
+            t = t_jump
+        total += util
+        total_sq += util * util
+    mean = total / R
+    var = max(total_sq / R - mean * mean, 0.0) * R / max(R - 1, 1)
+    half = 1.96 * math.sqrt(var / R)
+    return ValueEstimate(mean=mean, half_width=half, replications=R)

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from percolate import (
-    ModelParams, Policy, SimConfig, SolverError, ValidationError, load_params, n_bar, run,
-    solve_value,
+    ModelParams, Policy, SimConfig, SolverError, ValidationError, estimate_value, load_params,
+    n_bar, run, solve_value,
 )
 from percolate.best_response import VALUE_TOL, _payoff_bound, bellman_operator
 from percolate.model import N_MAX_LIMIT
@@ -23,8 +24,8 @@ from percolate.stationary import (
     MASS_TOL, RESIDUAL_TOL, _feasibility_floor, balance_residual, candidate_measure, is_stable,
     solve_stationary,
 )
-from conftest import make_scenario
-from oracles import candidate_measure_loop
+from conftest import SIM_ARRAYS, SIM_COUNTERS, make_scenario
+from oracles import candidate_measure_loop, estimate_value_loop, run_loop
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -313,9 +314,38 @@ def test_idle_market_never_matches(case):
 @given(small_runs())
 def test_same_seed_reproduces_the_run_bit_for_bit(case):
     a, b = run(*case), run(*case)
-    for name in ("times", "histograms", "mean_sums", "mean_square_sums",
-                 "final_precisions", "final_means"):
+    for name in SIM_ARRAYS:
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    for name in ("n_events", "n_matches", "n_resets", "n_exits", "n_pair_rejects",
-                 "n_precision_caps"):
+    for name in SIM_COUNTERS:
         assert getattr(a, name) == getattr(b, name), name
+
+
+@st.composite
+def class_runs(draw):
+    """A ``small_runs`` market and run under a policy of one to four effort
+    classes spread over the grid, any state y, and a value estimate of at
+    most 300 replications from any entry precision."""
+    _, params, cfg = draw(small_runs())
+    values = draw(st.lists(st.floats(params.c_lo, params.c_hi), min_size=1, max_size=4, unique=True))
+    size = params.n_max + 1
+    policy = Policy(np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))))
+    cfg = replace(cfg, y_realization=draw(st.floats(-2.0, 2.0)),
+                  replications=draw(st.integers(1, 300)))
+    return policy, params, cfg, draw(st.integers(0, params.n_max))
+
+
+@PROPERTY
+@given(class_runs())
+def test_simulator_is_bit_identical_to_the_per_draw_loops(case):
+    policy, params, cfg, entry = case
+    new, old = run(policy, params, cfg), run_loop(policy, params, cfg)
+    for name in SIM_ARRAYS:
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    for name in SIM_COUNTERS:
+        assert getattr(new, name) == getattr(old, name), name
+    try:
+        state = solve_stationary(policy, params)
+    except SolverError:
+        return
+    assert estimate_value(policy, params, cfg, entry, state) == estimate_value_loop(
+        policy, params, cfg, entry, state)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from percolate import (
     solve_stationary,
 )
 from percolate.simulator import SimConfig, estimate_value, run
-from conftest import make_scenario
+from conftest import SIM_ARRAYS, SIM_COUNTERS, make_scenario
 
 
 def _params(**over):
@@ -187,3 +190,100 @@ def test_estimate_value_rejects_bad_entry_and_replications(entry, replications):
     with pytest.raises(ValidationError):
         estimate_value(Policy.trigger_policy(1, p), p, SimConfig(replications=replications),
                        entry_precision=entry)
+
+
+# ---------------------------------------------------------------------------
+# The random stream, pinned
+# ---------------------------------------------------------------------------
+# Recorded from the event loops that drew through per-draw buffer indexing
+# (``tests/oracles.py``).  Any change to the block size, the order of the
+# draws or the event logic moves these digests.
+
+PINNED_RUNS = {
+    # 780k u, 232k e and 121k n draws: every stream crosses a block refill.
+    "refill": (
+        {}, 3, SimConfig(population=20_000, horizon=5.0, seed=1),
+        (232221, 31822, 100542, 99857, 3, 0),
+        ("f4c07a190fe92f2a38880d998493900932787b09956039a117a1072c116ddb13",
+         "3c45fa6d60b9b106ebf0e9b946305494303328937ec18ff002f395c48bab7510",
+         "0de6e8e54ea4229fac0eeaa4b0a1b260be77afefd6e60868d763a3616fa9c911",
+         "5630afcd4e10e2d98f7b553887349b7248ef10d2ecb3cb593fbcd6d79655861d",
+         "90b61266beac9f62abe925658629b02bac62e79bafc7b9a0af9f1e7d26728c6a",
+         "b2cea9c8c83d953176ae63800ff283a1f6bff68120c17b40da99901be5a2ca33"),
+    ),
+    # Constant full effort on a 4-bin grid: thousands of pooled precisions hit the cap.
+    "caps": (
+        {"eta": 0.2, "n_max": 4}, None, SimConfig(population=2_000, horizon=10.0, seed=2),
+        (33801, 9977, 4030, 19794, 5, 6844),
+        ("756a3f4e803e0e63af4b63c66e0fd678c6cdda17bb3e71347b49f72cdbb3b283",
+         "46be87a32e6e59a1b8339654340c4c23cc5fdbbcee54f370a245f429441ced22",
+         "76fd86c2a759dd5c44965fd013dd9e92dd11e047c457c619180e76268e22b902",
+         "3a22ec4ce1bc2a6f963c54b41a54f0e3dbeefa65561fcabf42ee16c721b66e2b",
+         "2ae32328a96a39096865705a7e8fc2d6019accbcc6f333f2745c221eae0e571c",
+         "888a8dfd8a50b18c44905978d94229dbafd43b7d9a5560cd75e2c21f7651dce3"),
+    ),
+    # Two positive effort classes; entrants at precision 0 draw no normal variate.
+    "c_lo": (
+        {"c_lo": 0.2, "pi": {"0": 0.5, "2": 0.5}, "n_max": 16}, 3,
+        SimConfig(population=3_000, horizon=8.0, seed=3),
+        (56058, 8534, 23756, 23768, 2, 0),
+        ("0686219737fa043581c432909b07c4d28e69748f7230ec8904e7ad17b8ceb402",
+         "5b448c54df5e8ac3d39b7cd445fcbc50f363db5458ee76a0b59485898d883345",
+         "f36080733afb8eadcd7079a493d0aa32441e650ac17a83b042d8b93f6a4559ac",
+         "204bd6381cdc3a07627ee8eb5cfd8e798b3e9c14c78b0fa0c07b103a36747ebe",
+         "345d00eef90646a2aba3c336cc7e784853cd43e1c6e6d7dfc556a70ccaa34743",
+         "3698dabcec7b7e21580c6d7b7051d6eb321401b4579b53ee9e0a4eb78945db33"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_run_reproduces_the_pinned_stream(name):
+    over, trigger, cfg, counters, digests = PINNED_RUNS[name]
+    p = _params(**over)
+    policy = Policy.constant(1.0, p) if trigger is None else Policy.trigger_policy(trigger, p)
+    out = run(policy, p, cfg)
+    assert tuple(getattr(out, k) for k in SIM_COUNTERS) == counters
+    got = tuple(hashlib.sha256(np.ascontiguousarray(getattr(out, k)).tobytes()).hexdigest()
+                for k in SIM_ARRAYS)
+    assert dict(zip(SIM_ARRAYS, got)) == dict(zip(SIM_ARRAYS, digests))
+
+
+# (mean, half_width) by float.hex; 40k replications take 80k-101k e draws.
+PINNED_VALUES = {
+    0: ("-0x1.b68adc51c33f0p-1", "0x1.d57c5217f7e68p-10"),
+    1: ("-0x1.593a8ab6082e0p-1", "0x1.2e647605a740ep-10"),
+    2: ("-0x1.1c812448ecd06p-1", "0x1.b4bbf8391a1c3p-11"),
+}
+
+
+@pytest.mark.parametrize("entry", list(PINNED_VALUES))
+def test_estimate_value_reproduces_the_pinned_stream(entry):
+    p = _params()
+    est = estimate_value(Policy.trigger_policy(3, p), p, SimConfig(seed=17, replications=40_000),
+                         entry_precision=entry)
+    assert (est.mean.hex(), est.half_width.hex()) == PINNED_VALUES[entry]
+    assert est.replications == 40_000
+
+
+# ---------------------------------------------------------------------------
+# Invalid configurations through the Python API
+# ---------------------------------------------------------------------------
+
+_GRID8 = _params(n_max=8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pol, p: run(pol, p, SimConfig(population=100, horizon=math.nan)),
+    lambda pol, p: run(pol, p, SimConfig(population=100, horizon=math.inf)),
+    lambda pol, p: run(pol, p, SimConfig(population=100, horizon=1.0, y_realization=math.nan)),
+    lambda pol, p: run(pol, p, SimConfig(population=2.5, horizon=1.0)),
+    lambda pol, p: estimate_value(pol, p, SimConfig(replications=2.5)),
+    lambda pol, p: estimate_value(pol, p, SimConfig(replications=10), state=solve_stationary(
+        Policy.trigger_policy(1, _GRID8), _GRID8)),
+], ids=["horizon-nan", "horizon-inf", "y-nan", "population-2.5", "replications-2.5",
+        "state-on-another-grid"])
+def test_simulator_rejects_invalid_configuration(call):
+    p = _params(n_max=16)
+    with pytest.raises(ValidationError):
+        call(Policy.trigger_policy(1, p), p)
