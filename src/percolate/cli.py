@@ -11,9 +11,13 @@ montecarlo          finite-population run, or mean-field value estimate
 counterexample      derivative probe: more search below can shrink mass above
 sweep               parameter grid evaluated concurrently into tidy CSV
 
-All outputs embed (JSON) or reference (CSV sidecar) a run manifest carrying
-the command line, scenario hash, seed and tool version; volatile fields such as
-wall time live only in the sidecar so repeated runs are byte-identical.
+Each subcommand takes the parsed flags and the loaded scenario and returns
+its result; ``main`` alone loads the scenario, builds the run manifest and
+writes the output.  A JSON result embeds the manifest (command line, scenario
+hash, seed and tool version) and goes to ``--out`` or stdout; a CSV result
+(``sweep``, ``simulate-dynamics`` to a ``.csv``) goes to ``--out``.  Every
+written file gets a ``<out>.manifest.json`` sidecar holding the manifest plus
+the volatile wall time, so repeated runs write byte-identical outputs.
 Exit codes: 0 success, 2 invalid inputs, 3 solver failure.
 """
 
@@ -40,6 +44,9 @@ from .model import ModelParams, Policy, PrecisionMeasure, load_params, read_json
 from .simulator import SimConfig, estimate_value, run as run_sim
 from .stationary import fosd_compare, solve_stationary
 
+# A CSV result: (header, rows).
+Table = tuple[list[str], list[list]]
+
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
@@ -63,48 +70,26 @@ def _build_policy(spec: str, params: ModelParams) -> Policy:
     raise ValidationError(f"unknown policy spec {spec!r} (use trigger:N, const:c or list:path)")
 
 
-def _load(args: argparse.Namespace) -> ModelParams:
-    return load_params(args.config, n_max_override=getattr(args, "n_max", None))
-
-
-def _manifest(args: argparse.Namespace, params: ModelParams | None) -> dict:
-    return {
-        "tool": "percolate",
-        "version": __version__,
-        "command": getattr(args, "argv", sys.argv[1:]),
-        "config_sha256": params.digest() if params is not None else None,
-        "seed": getattr(args, "seed", None),
-    }
-
-
-def _write_sidecar(manifest: dict, path: Path, started: float) -> None:
-    """Write ``<path>.manifest.json``: the manifest plus the volatile wall time and outputs."""
-    sidecar = dict(manifest)
-    sidecar["wall_time_s"] = time.perf_counter() - started
-    sidecar["outputs"] = [str(path)]
-    Path(str(path) + ".manifest.json").write_text(
+def _emit(result: dict | Table, manifest: dict, out: str | None, started: float) -> None:
+    """Write a JSON result (to stdout without ``--out``) or a CSV ``Table``,
+    then the ``<out>.manifest.json`` sidecar: the manifest plus wall time and outputs."""
+    if isinstance(result, dict):
+        text = json.dumps({"manifest": manifest, "result": result}, indent=2, sort_keys=True)
+        if out is None:
+            print(text)
+            return
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    else:
+        header, rows = result
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    path = str(Path(out))
+    sidecar = dict(manifest, wall_time_s=time.perf_counter() - started, outputs=[path])
+    Path(path + ".manifest.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _emit_json(payload: dict, args: argparse.Namespace, started: float) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out is None:
-        print(text)
-        return
-    path = Path(out)
-    path.write_text(text + "\n", encoding="utf-8")
-    _write_sidecar(payload["manifest"], path, started)
-
-
-def _emit_csv(rows: list[list], header: list[str], manifest: dict, out: str, started: float) -> None:
-    path = Path(out)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    _write_sidecar(manifest, path, started)
 
 
 def _floats(arr) -> list[float]:
@@ -116,13 +101,11 @@ def _floats(arr) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve_stationary(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    params = _load(args)
+def _cmd_solve_stationary(args: argparse.Namespace, params: ModelParams) -> dict:
     policy = _build_policy(args.policy, params)
     state = solve_stationary(policy, params)
     loss = mass_loss_check(policy, params, state=state)
-    result = {
+    return {
         "c_bar": state.c_bar,
         "grid_mass": state.mu.grid_mass(),
         "tail_mass": state.mu.tail_mass,
@@ -130,13 +113,9 @@ def _cmd_solve_stationary(args: argparse.Namespace) -> int:
         "limit_mass": loss.limit_mass,
         "weights": _floats(state.mu.weights),
     }
-    _emit_json({"manifest": _manifest(args, params), "result": result}, args, started)
-    return 0
 
 
-def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    params = _load(args)
+def _cmd_simulate_dynamics(args: argparse.Namespace, params: ModelParams) -> dict | Table:
     policy = _build_policy(args.policy, params)
     if args.init == "pi":
         mu0 = params.pi
@@ -148,7 +127,6 @@ def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
     state = solve_stationary(policy, params)
     final_gap = traj.l1_distance(state.mu)
 
-    manifest = _manifest(args, params)
     if args.out is not None and args.out.endswith(".csv"):
         rows: list[list] = []
         for t, m in zip(traj.times, traj.measures):
@@ -156,9 +134,8 @@ def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
                 if w > 0.0:
                     rows.append([f"{t:.10g}", n, repr(float(w))])
             rows.append([f"{t:.10g}", "tail", repr(float(m.tail_mass))])
-        _emit_csv(rows, ["time", "precision", "weight"], manifest, args.out, started)
-        return 0
-    result = {
+        return ["time", "precision", "weight"], rows
+    return {
         "times": _floats(traj.times),
         "mass": _floats(traj.mass),
         "final_weights": _floats(traj.final().weights),
@@ -167,17 +144,13 @@ def _cmd_simulate_dynamics(args: argparse.Namespace) -> int:
         "clip_count": traj.clip_count,
         "clip_magnitude": traj.clip_magnitude,
     }
-    _emit_json({"manifest": manifest, "result": result}, args, started)
-    return 0
 
 
-def _cmd_best_response(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    params = _load(args)
+def _cmd_best_response(args: argparse.Namespace, params: ModelParams) -> dict:
     market = _build_policy(args.market, params)
     state = solve_stationary(market, params)
     br = solve_value(state, params)
-    result = {
+    return {
         "market_c_bar": state.c_bar,
         "trigger": br.trigger,
         "interval": list(br.interval) if br.interval else None,
@@ -188,17 +161,13 @@ def _cmd_best_response(args: argparse.Namespace) -> int:
         "values": _floats(br.value.values),
         "tail_value": br.value.tail_value,
     }
-    _emit_json({"manifest": _manifest(args, params), "result": result}, args, started)
-    return 0
 
 
-def _cmd_solve_equilibrium(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    params = _load(args)
+def _cmd_solve_equilibrium(args: argparse.Namespace, params: ModelParams) -> dict:
     report = find_equilibria(params)
     ranked = pareto_rank(report)
     support = [int(k) for k in params.pi.support()]
-    result = {
+    return {
         "triggers": report.triggers(),
         "n_bar": report.n_bar,
         "scan_bound": report.scan_bound,
@@ -219,39 +188,30 @@ def _cmd_solve_equilibrium(args: argparse.Namespace) -> int:
         ],
         "pareto_best": ranked[0].trigger if ranked else None,
     }
-    _emit_json({"manifest": _manifest(args, params), "result": result}, args, started)
-    return 0
 
 
-def _cmd_intervention(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    params = _load(args)
+def _cmd_intervention(args: argparse.Namespace, params: ModelParams) -> dict:
     baseline = find_equilibria(params)
     if args.kind == "subsidy":
-        treated, tax = apply_subsidy(params, args.delta, selection=args.selection)
+        treated, subsidy = apply_subsidy(params, args.delta), args.delta
     else:
-        treated = find_equilibria(apply_education(params, args.signals))
-        tax = 0.0
-    outcome = welfare_compare(baseline, treated, tax=tax, selection=args.selection)
+        treated, subsidy = find_equilibria(apply_education(params, args.signals)), 0.0
+    outcome = welfare_compare(baseline, treated, subsidy=subsidy, selection=args.selection)
     support = [int(k) for k in params.pi.support()]
-    result = {
+    return {
         "kind": args.kind,
-        "delta": getattr(args, "delta", None),
-        "signals": getattr(args, "signals", None),
-        "tax": tax,
+        "delta": args.delta,
+        "signals": args.signals,
+        "tax": outcome.tax,
         "selection": outcome.selection,
         "baseline_trigger": outcome.baseline_trigger,
         "treated_trigger": outcome.treated_trigger,
         "verdict": outcome.verdict,
         "welfare_delta_at_entry": {str(n): float(outcome.welfare_delta[n]) for n in support},
     }
-    _emit_json({"manifest": _manifest(args, params), "result": result}, args, started)
-    return 0
 
 
-def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    params = _load(args)
+def _cmd_montecarlo(args: argparse.Namespace, params: ModelParams) -> dict:
     policy = _build_policy(args.policy, params)
     sim_cfg = SimConfig(
         population=args.population,
@@ -265,7 +225,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         state = solve_stationary(policy, params)
         freq = out.frequencies()
         linf = float(np.max(np.abs(freq - state.mu.weights)))
-        result = {
+        return {
             "population": sim_cfg.population,
             "horizon": sim_cfg.horizon,
             "seed": sim_cfg.seed,
@@ -277,25 +237,19 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             "solver_weights": _floats(state.mu.weights),
             "max_frequency_gap": linf,
         }
-    else:
-        state = solve_stationary(policy, params)
-        est = estimate_value(policy, params, sim_cfg, entry_precision=args.entry, state=state)
-        br_value = solve_value(state, params).value.values[args.entry]
-        result = {
-            "entry_precision": args.entry,
-            "estimate": est.mean,
-            "half_width": est.half_width,
-            "replications": est.replications,
-            "solver_value": float(br_value),
-        }
-    _emit_json({"manifest": _manifest(args, params), "result": result}, args, started)
-    return 0
+    state = solve_stationary(policy, params)
+    est = estimate_value(policy, params, sim_cfg, entry_precision=args.entry, state=state)
+    br_value = solve_value(state, params).value.values[args.entry]
+    return {
+        "entry_precision": args.entry,
+        "estimate": est.mean,
+        "half_width": est.half_width,
+        "replications": est.replications,
+        "solver_value": float(br_value),
+    }
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    params = _load(args)
-
+def _cmd_counterexample(args: argparse.Namespace, params: ModelParams) -> dict:
     def two_rung(c1: float) -> Policy:
         # Search at c1 with one signal, at c2 with two, stop with three or more:
         # the minimal market where extra first-rung effort can thin the bin
@@ -324,7 +278,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     state_full = solve_stationary(full, params)
     state_red = solve_stationary(reduced, params)
     report = fosd_compare(state_red.nu(), state_full.nu())
-    result = {
+    return {
         "derivative_mass_above_2_wrt_c1": derivative,
         "derivative_average_effort_wrt_c1": cbar_derivative,
         "epsilon": args.eps,
@@ -334,8 +288,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         "first_violation_reduced": report.first_violation_a,
         "first_violation_full": report.first_violation_b,
     }
-    _emit_json({"manifest": _manifest(args, params), "result": result}, args, started)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +304,10 @@ def _sweep_worker(job: tuple) -> list:
         policy = _build_policy(policy_spec, params)
         state = solve_stationary(policy, params)
         metrics = [state.c_bar, state.mu.grid_mass(), state.mu.tail_mass]
-    elif task == "solve-equilibrium":
+    else:
         report = find_equilibria(params)
         triggers = report.triggers()
         metrics = [len(triggers), triggers[-1] if triggers else -1, report.n_bar]
-    else:
-        raise ValidationError(f"unknown sweep task {task!r}")
     cells = [_grid_cell(overrides[k]) for k in sorted(overrides)]
     return cells + [repr(float(m)) for m in metrics]
 
@@ -383,14 +333,10 @@ _SWEEP_METRIC_HEADERS = {
 }
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_sweep(args: argparse.Namespace, params: ModelParams) -> Table:
     if args.out is None:
         raise ValidationError("sweep writes CSV and requires --out")
     workers = _sweep_workers()
-    base = read_json(args.config, "scenario")
-    if not isinstance(base, dict):
-        raise ValidationError("scenario file must hold a JSON object")
     stripped = args.grid.lstrip()
     if stripped.startswith("{"):
         try:
@@ -408,6 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     combos: list[dict] = [{}]
     for k in keys:
         combos = [dict(c, **{k: v}) for c in combos for v in grid[k]]
+    base = params.to_dict()
     jobs = [(base, combo, args.task, args.policy, args.n_max) for combo in combos]
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -417,11 +364,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]
-
-    header = keys + _SWEEP_METRIC_HEADERS[args.task]
-    params = load_params(base, n_max_override=args.n_max)
-    _emit_csv(rows, header, _manifest(args, params), args.out, started)
-    return 0
+    return keys + _SWEEP_METRIC_HEADERS[args.task], rows
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +470,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = list(argv) if argv is not None else sys.argv[1:]
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        params = load_params(args.config, n_max_override=args.n_max)
+        result = args.func(args, params)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    manifest = {
+        "tool": "percolate",
+        "version": __version__,
+        "command": list(argv) if argv is not None else sys.argv[1:],
+        "config_sha256": params.digest(),
+        "seed": args.seed,
+    }
+    _emit(result, manifest, args.out, started)
+    return 0
 
 
 if __name__ == "__main__":

@@ -40,23 +40,16 @@ EDUCATION_RHO_GRID = (0.15, 0.2, 0.25, 0.3, 0.35)
 # Basic transformations
 # ---------------------------------------------------------------------------
 
-def apply_subsidy(
-    params: ModelParams,
-    delta: float,
-    selection: str = "pareto_best",
-) -> tuple[EquilibriumReport, float]:
-    """Add a proportional effort subsidy and price its balanced-budget tax.
+def apply_subsidy(params: ModelParams, delta: float) -> EquilibriumReport:
+    """Add a proportional effort subsidy and scan the treated market.
 
     Returns the equilibrium report of the treated market (its ``params`` are
-    the treated parameters) and the lump-sum entry tax
-    tau = delta * c_bar / eta evaluated at the selected treated equilibrium.
+    the treated parameters).  ``welfare_compare`` prices the balanced-budget
+    tax at the treated equilibrium it selects.
     """
     if delta < 0:
         raise ValidationError("subsidy must be nonnegative")
-    report = find_equilibria(params.with_(subsidy=params.subsidy + delta))
-    eq = _select(report, selection)
-    tax = delta * eq.state.c_bar / params.eta
-    return report, tax
+    return find_equilibria(params.with_(subsidy=params.subsidy + delta))
 
 
 def apply_education(params: ModelParams, signals: int) -> ModelParams:
@@ -95,6 +88,8 @@ def _select(report: EquilibriumReport, selection: str,
 class InterventionOutcome:
     """Entrant-welfare comparison between a baseline and a treated market.
 
+    ``tax`` is the balanced-budget entry tax delta * c_bar / eta of a subsidy
+    delta, at the selected treated equilibrium.
     ``welfare_delta[n]`` is V_treated(n) - tax - V_baseline(n).  The verdict
     aggregates the sign over the entry support: "improves" / "harms" when
     strict at every entry precision, else "ambiguous".
@@ -119,12 +114,17 @@ class InterventionOutcome:
 def welfare_compare(
     baseline: EquilibriumReport,
     treated: EquilibriumReport,
-    tax: float = 0.0,
+    subsidy: float = 0.0,
     selection: str = "pareto_best",
 ) -> InterventionOutcome:
-    """Compare entrant values at selected equilibria, net of the entry tax."""
+    """Compare entrant values at selected equilibria, net of the entry tax.
+
+    ``subsidy`` is the effort subsidy that ``treated`` adds to ``baseline``;
+    its tax subsidy * c_bar / eta is priced at the selected treated equilibrium.
+    """
     eq_b = _select(baseline, selection)
     eq_t = _select(treated, selection, anchor=eq_b.trigger)
+    tax = subsidy * eq_t.state.c_bar / treated.params.eta
     delta = eq_t.best_response.value.values - tax - eq_b.best_response.value.values
     support = baseline.params.pi.support()
     on_support = delta[support]
@@ -288,18 +288,18 @@ def find_subsidy_witness(n_max: int = 256) -> SubsidyWitness:
     last_error = "no subsidy level tried"
     for fraction in (0.3, 0.45, 0.6, 0.75, 0.9):
         delta = fraction * kappa_base
-        treated, tax = apply_subsidy(params_base, delta)
+        treated = apply_subsidy(params_base, delta)
         if not treated.has_active():
             last_error = f"delta={delta:.6g} failed to activate the market"
             continue
-        outcome = welfare_compare(baseline, treated, tax=tax)
+        outcome = welfare_compare(baseline, treated, subsidy=delta)
         if outcome.verdict != "improves":
             last_error = f"delta={delta:.6g} gave verdict {outcome.verdict!r}"
             continue
         return SubsidyWitness(
             params=params_base,
             delta=delta,
-            tax=tax,
+            tax=outcome.tax,
             boundary=boundary,
             condition_margin=_condition_margin(params_base, WITNESS_BLOCK),
             baseline=baseline,
@@ -374,7 +374,7 @@ def find_education_witness(n_max: int = 256) -> EducationWitness:
         if not baseline.has_active() or treated.has_active():
             last_error = f"rho={rho}: midpoint slope did not separate the markets"
             continue
-        outcome = welfare_compare(baseline, treated, tax=0.0)
+        outcome = welfare_compare(baseline, treated)
         pi_w = baseline.params.pi.weights
         entry_delta = float(np.dot(pi_w, outcome.welfare_delta))
         if entry_delta < -1e-10:

@@ -160,9 +160,16 @@ class CostSpec:
         return (k1 - k0) / (c1 - c0)
 
     def with_subsidy(self, delta: float) -> "CostSpec":
-        """Cost net of a proportional effort subsidy: K(c) - delta * c."""
+        """Cost net of a proportional effort subsidy: K(c) - delta * c.
+
+        The subsidy may not exceed the least marginal cost (kappa, or the
+        first slope of a convex table), else net cost would fall with effort.
+        """
         if delta == 0.0:
             return self
+        floor = self.kappa if self.kind == "linear" else self.marginal_right(self.points[0][0])
+        if delta > floor:
+            raise ValidationError(f"subsidy {delta!r} exceeds the marginal cost of effort {floor!r}")
         if self.kind == "linear":
             return CostSpec(kind="linear", kappa=self.kappa - delta)
         shifted = tuple((c, k - delta * c) for c, k in self.points)
@@ -465,10 +472,7 @@ class ModelParams:
 
     def effective_cost(self) -> CostSpec:
         """Cost net of the effort subsidy."""
-        c = self.cost.with_subsidy(self.subsidy)
-        if c.kind == "linear" and c.kappa < 0:
-            raise ValidationError("subsidy exceeds the marginal cost of effort")
-        return c
+        return self.cost.with_subsidy(self.subsidy)
 
     def check_effort(self, c: float) -> None:
         if not self.c_lo - 1e-12 <= c <= self.c_hi + 1e-12:

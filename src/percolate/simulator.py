@@ -128,6 +128,12 @@ def _streams(rng: np.random.Generator) -> tuple[Callable[[], float], ...]:
     return tuple(chain.from_iterable(blocks(*b)).__next__ for b in zip(firsts, fills))
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed that ``np.random.PCG64`` would refuse, before any draw."""
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def run(
     policy: Policy,
     params: ModelParams,
@@ -140,6 +146,7 @@ def run(
         raise ValidationError("horizon must be positive and finite")
     if not math.isfinite(cfg.y_realization):
         raise ValidationError("y_realization must be finite")
+    _check_seed(cfg.seed)
     policy.validate_bounds(params)
 
     P = cfg.population
@@ -374,8 +381,9 @@ def estimate_value(
     measure, exit occurs at eta', and flow cost accrues between events in
     closed form.  Returns the sample mean with a 95% confidence half-width.
     """
-    if not 0 <= entry_precision <= params.n_max:
-        raise ValidationError(f"entry precision must lie in [0, {params.n_max}]")
+    if not isinstance(entry_precision, Integral) or not 0 <= entry_precision <= params.n_max:
+        raise ValidationError(f"entry precision must be an integer in [0, {params.n_max}]")
+    _check_seed(cfg.seed)
     R = cfg.replications if cfg.replications is not None else cfg.population
     if not isinstance(R, Integral) or R < 1:
         raise ValidationError("replications must be an integer of at least 1")

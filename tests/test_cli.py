@@ -159,6 +159,46 @@ def test_intervention_subsidy_roundtrip(tmp_path):
     assert set(res["welfare_delta_at_entry"]) == {"1"}
 
 
+def test_matched_subsidy_taxes_the_matched_equilibrium(scenario_file, tmp_path):
+    # The treated market has triggers 0..3; the match for the baseline's
+    # trigger 1 searches at c_bar = 0, so no subsidy is paid and none is taxed
+    # (the Pareto-best treated trigger 3 would charge delta * c_bar / eta).
+    out = tmp_path / "matched.json"
+    rc = cli.main([
+        "intervention", "subsidy", "--config", scenario_file, "--delta", "0.02",
+        "--selection", "matched", "--out", str(out),
+    ])
+    assert rc == 0
+    res = _load(out)["result"]
+    assert res["baseline_trigger"] == res["treated_trigger"] == 1
+    assert res["tax"] == 0.0
+    assert res["welfare_delta_at_entry"] == {"1": 0.0}
+    assert res["verdict"] == "ambiguous"
+
+
+# Both used to fail inside CostSpec with a message about a negative slope.
+SUBSIDY_ABOVE_COST = {
+    "linear-delta": ({}, ["intervention", "subsidy", "--delta", "0.2"], "0.2", "0.1"),
+    "tabulated-field": (
+        {"cost": {"type": "tabulated", "points": [[0.0, 0.0], [0.5, 0.05], [1.0, 0.15]]},
+         "subsidy": 0.15},
+        ["solve-stationary", "--policy", "trigger:1"], "0.15", "0.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides,argv,subsidy,floor", list(SUBSIDY_ABOVE_COST.values()),
+                         ids=list(SUBSIDY_ABOVE_COST))
+def test_subsidy_above_marginal_cost_exits_2(tmp_path, capsys, overrides, argv, subsidy, floor):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(make_scenario(**overrides)))
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"subsidy {subsidy} exceeds the marginal cost of effort {floor}" in err
+    assert not out.exists()
+
+
 def test_intervention_educate_roundtrip(tmp_path):
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(make_scenario(cost={"type": "linear", "kappa": 0.02})))
@@ -299,6 +339,21 @@ def test_sweep_over_a_list_valued_field(scenario_file, tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert [json.loads(r["pi"]) for r in rows] == [[0.5, 0.5], [1.0]]
     assert all(float(r["c_bar"]) > 0 for r in rows)
+
+
+def test_sweep_rejects_an_invalid_base_before_any_grid_point(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERCOLATE_THREADS", "1")
+    calls = []
+    monkeypatch.setattr(cli, "_sweep_worker", lambda job: calls.append(job))
+    # The grid would replace the bad eta, but the base scenario is checked first.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_scenario(eta=-1)))
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--config", str(bad), "--grid", '{"eta": [0.5, 1.0]}',
+                   "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "-1"])

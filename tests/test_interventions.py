@@ -40,10 +40,11 @@ def education_path(params, grants: "list[int]") -> list:
 def test_subsidy_budget_identity():
     p = _params(cost={"type": "linear", "kappa": 0.05})
     delta = 0.01
-    treated_report, tax = apply_subsidy(p, delta)
+    treated_report = apply_subsidy(p, delta)
     treated = treated_report.params
     assert treated.subsidy == pytest.approx(delta)
     rep = find_equilibria(treated)
+    tax = welfare_compare(find_equilibria(p), treated_report, subsidy=delta).tax
     assert tax == pytest.approx(delta * rep.best().state.c_bar / p.eta, abs=1e-12)
     # effective slope falls by exactly the subsidy
     assert treated.effective_cost().marginal_right(0.5) == pytest.approx(
@@ -153,9 +154,9 @@ def test_welfare_compare_self_is_ambiguous():
 
 def test_welfare_compare_tax_shifts_verdict():
     rep = find_equilibria(_params(cost={"type": "linear", "kappa": 0.02}))
-    out = welfare_compare(rep, rep, tax=1e-6)
+    out = welfare_compare(rep, rep, subsidy=1e-6)
     assert out.verdict == "harms"
-    assert out.tax == 1e-6
+    assert out.tax == 1e-6 * rep.best().state.c_bar / rep.params.eta
 
 
 def test_selection_rules():

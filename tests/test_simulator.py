@@ -281,8 +281,14 @@ _GRID8 = _params(n_max=8)
     lambda pol, p: estimate_value(pol, p, SimConfig(replications=2.5)),
     lambda pol, p: estimate_value(pol, p, SimConfig(replications=10), state=solve_stationary(
         Policy.trigger_policy(1, _GRID8), _GRID8)),
+    lambda pol, p: estimate_value(pol, p, SimConfig(replications=10), entry_precision=1.5),
+    lambda pol, p: run(pol, p, SimConfig(population=100, horizon=1.0, seed=-1)),
+    lambda pol, p: run(pol, p, SimConfig(population=100, horizon=1.0, seed=2.5)),
+    lambda pol, p: estimate_value(pol, p, SimConfig(replications=10, seed=-1)),
+    lambda pol, p: estimate_value(pol, p, SimConfig(replications=10, seed=2.5)),
 ], ids=["horizon-nan", "horizon-inf", "y-nan", "population-2.5", "replications-2.5",
-        "state-on-another-grid"])
+        "state-on-another-grid", "entry-1.5", "run-seed-negative", "run-seed-2.5",
+        "value-seed-negative", "value-seed-2.5"])
 def test_simulator_rejects_invalid_configuration(call):
     p = _params(n_max=16)
     with pytest.raises(ValidationError):
