@@ -24,9 +24,8 @@ from .model import (
     exit_utility,
     gamma_coeff,
     load_params,
-    pool_posteriors,
 )
-from .stationary import MarketState, fosd_compare, mgf_check, solve_stationary, z_sequence
+from .stationary import MarketState, fosd_compare, solve_stationary
 from .dynamics import Trajectory, integrate, mass_loss_check
 from .best_response import BestResponse, minimal_search_test, n_bar, solve_value
 from .equilibrium import EquilibriumReport, correspondence, find_equilibria, pareto_rank
@@ -59,12 +58,9 @@ __all__ = [
     "exit_utility",
     "gamma_coeff",
     "load_params",
-    "pool_posteriors",
     "MarketState",
     "fosd_compare",
-    "mgf_check",
     "solve_stationary",
-    "z_sequence",
     "Trajectory",
     "integrate",
     "mass_loss_check",

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure
@@ -31,6 +31,20 @@ ODE_RTOL = 1e-8
 # Most observation steps (t_end / dt_out) one integration records; a finer
 # grid is an input error rather than an allocation failure.
 MAX_SNAPSHOTS = 100_000
+
+
+def __getattr__(name: str):
+    """Import scipy's ``solve_ivp`` on first use: only the measure flow needs scipy.
+
+    The first read of ``solve_ivp`` binds it into the module globals, so later
+    reads, and a caller that rebinds the name, see an ordinary attribute.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()["solve_ivp"] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +102,8 @@ def integrate(
         t_eval = np.append(t_eval, t_end)
 
     y0 = np.append(mu0.weights, mu0.tail_mass)
-    sol = solve_ivp(
+    # Through the module attribute: a bare name is unbound until the first read.
+    sol = sys.modules[__name__].solve_ivp(
         flow,
         (0.0, t_end),
         y0,

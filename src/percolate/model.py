@@ -57,25 +57,6 @@ def cond_variance(n: int | np.ndarray, rho: float) -> float | np.ndarray:
     return out
 
 
-def pool_posteriors(x: float, n: int, y: float, m: int, rho: float) -> tuple[float, int]:
-    """Combine two posterior means built from disjoint signal blocks.
-
-    Given posterior means x (from n signals) and y (from m signals), the pooled
-    posterior mean from the union is a gamma-weighted average and the counts add:
-
-        pooled = (gamma(n) x + gamma(m) y) / gamma(n + m),  count = n + m.
-
-    Requires n, m >= 1; zero-precision blocks carry no information and callers
-    handle them by adopting the other side's posterior directly.
-    """
-    if n < 1 or m < 1:
-        raise ValidationError(f"pool_posteriors requires positive signal counts, got n={n}, m={m}")
-    gn = gamma_coeff(n, rho)
-    gm = gamma_coeff(m, rho)
-    gnm = gamma_coeff(n + m, rho)
-    return (gn * x + gm * y) / gnm, n + m
-
-
 def cross_section_params(n: int, y: float, rho: float) -> tuple[float, float]:
     """Conditional law of a precision-n posterior mean given the state y.
 
@@ -229,13 +210,15 @@ class PrecisionMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValidationError("measure weights must be a 1-d array over precisions 0..n_max")
-        if w.size and float(w.min()) < -1e-12:
+        if not np.isfinite(w).all():
+            raise ValidationError("measure weights must be finite")
+        if float(w.min()) < -1e-12:
             raise ValidationError(f"measure weights must be nonnegative, got min {w.min()}")
         w = np.maximum(w, 0.0)
         object.__setattr__(self, "weights", w)
         w.setflags(write=False)
-        if self.tail_mass < -1e-15:
-            raise ValidationError(f"tail mass must be nonnegative, got {self.tail_mass}")
+        if not (math.isfinite(self.tail_mass) and self.tail_mass >= -1e-15):
+            raise ValidationError(f"tail mass must be finite and nonnegative, got {self.tail_mass}")
 
     @property
     def n_max(self) -> int:

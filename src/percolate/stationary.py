@@ -29,7 +29,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure, effort_weighted
@@ -212,10 +211,58 @@ ROOT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 MASS_TOL = 1e-8
 
-# The smallest tolerances brentq accepts: since g' >= 1, stopping at an
-# x-tolerance of ROOT_TOL can still leave |g| above ROOT_TOL.
+# The smallest tolerances scipy's brentq accepts: since g' >= 1, stopping at
+# an x-tolerance of ROOT_TOL can still leave |g| above ROOT_TOL.
 _XTOL = math.ulp(0.0)
 _RTOL = 4.0 * np.finfo(float).eps
+# brentq's default iteration cap; past it the last iterate is returned.
+_MAXITER = 100
+
+
+def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float:
+    """Root of ``f`` on [xa, xb] by Brent's method; fa = f(xa) and fb = f(xb) differ in sign.
+
+    A step-for-step port of scipy's ``brentq`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4) at tolerances _XTOL and
+    _RTOL, so it returns the same root after the same evaluations; the two
+    known end values are not evaluated again.  It keeps the iterate xcur, the
+    previous iterate xpre and the contrapoint xblk, where f has the other
+    sign.  The arithmetic is numpy float64 with IEEE semantics (a -inf gap
+    makes inf or NaN trial steps, which the acceptance test rejects in favour
+    of bisection), and each expression keeps the C operand order so that it
+    rounds the same way.
+    """
+    xpre, xcur, fpre, fcur = np.float64(xa), np.float64(xb), np.float64(fa), np.float64(fb)
+    xblk = fblk = spre = scur = np.float64(0.0)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAXITER):
+            # brentq compares sign bits; for nonzero, non-NaN values that is (f < 0).
+            if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (_XTOL + _RTOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                break
+            interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+            if interpolate:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if interpolate and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            fcur = np.float64(f(float(xcur)))
+    return float(xcur)
 
 
 def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
@@ -297,20 +344,18 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
     lo = _feasibility_floor(policy, params)
     # Any root is a grid effort mass, at most c_hi times a grid mass <= 1, so g(c_hi) >= 0.
     hi = max(params.c_hi, lo)
-    ends = {lo: gap(lo)}
-    if ends[lo] > ROOT_TOL:
+    g_lo = gap(lo)
+    if g_lo > ROOT_TOL:
         raise SolverError(
             f"no stationary average effort: the self-consistency gap is already positive "
-            f"({ends[lo]:.3e}) at the feasibility floor {lo:.6g}"
+            f"({g_lo:.3e}) at the feasibility floor {lo:.6g}"
         )
     root = lo
-    if ends[lo] < -ROOT_TOL:
-        ends[hi] = gap(hi)
+    if g_lo < -ROOT_TOL:
+        g_hi = gap(hi)
         root = hi
-        if ends[hi] > ROOT_TOL:
-            # brentq evaluates both ends again; they are already known.
-            root = brentq(lambda x: ends[x] if x in ends else gap(x), lo, hi,
-                          xtol=_XTOL, rtol=_RTOL, disp=False)
+        if g_hi > ROOT_TOL:
+            root = _brent(gap, lo, hi, g_lo, g_hi)
 
     # Also rejects a bracket with no sign change, whose root is then hi.
     mu_grid = candidate_measure(root, policy, params)
@@ -336,85 +381,6 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
             mass,
         )
     return mu, root
-
-
-# ---------------------------------------------------------------------------
-# Damping factors and the generating-function cross-check
-# ---------------------------------------------------------------------------
-
-def z_sequence(state: MarketState, params: ModelParams) -> np.ndarray:
-    """Damping factors z_k = sqrt(eta) C_k / (eta + C_k c_bar) of the effort-weighted recursion.
-
-    Defined for k >= 1 (z[0] is 0 and unused).  The sqrt(eta) factor expresses
-    the sequence in entry-rate units, where the replacement intensity is 1;
-    only then does the bound z < 1 hold.
-    """
-    C = state.policy.efforts
-    z = np.zeros(params.n_max + 1)
-    z[1:] = math.sqrt(params.eta) * C[1:] / (params.eta + C[1:] * state.c_bar)
-    return z
-
-
-@dataclass(frozen=True)
-class MgfPoint:
-    x: float
-    closed_form: float
-    direct_series: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.closed_form - self.direct_series)
-
-
-def mgf_check(
-    state: MarketState,
-    params: ModelParams,
-    x_points: "list[float] | np.ndarray",
-) -> list[MgfPoint]:
-    """Generating function of the effort-weighted measure: closed form vs series.
-
-    For a policy with a flat tail from index N and positive tail effort, the
-    generating function m(x) = sum_k nu_k x^k solves a quadratic whose closed
-    form (in entry-rate-normalized units, tilde = sqrt(eta)-scaled)
-
-        m~(x) = (1 - sqrt(1 - 4 z_N M(x))) / (2 z_N),
-        M(x)  = z_N * sum_{i>=2} pi_i x^i + pi_1 z_1 x
-                + sum_{i=2}^{N-1} x^i (z_i - z_N) (pi_i + (nu~ * nu~)_i),
-
-    is compared against direct summation of the series.  Requires no entry
-    mass at precision 0 and positive tail effort (otherwise the 2 z_N
-    denominator degenerates and only the direct series is meaningful).
-    """
-    if params.pi.weights[0] > 0.0:
-        raise ValidationError("closed form requires no entry mass at precision 0")
-    C = state.policy.efforts
-    n_flat = state.policy.flat_tail_index()
-    if C[-1] <= 0.0:
-        raise ValidationError("closed form degenerates with zero tail effort; use the direct series")
-
-    s = math.sqrt(params.eta)
-    z = z_sequence(state, params)
-    zN = z[n_flat]
-    nu = C * state.mu.weights
-    nu_t = nu / s
-    pi = params.pi.weights
-    conv_t = np.convolve(nu_t, nu_t)
-
-    out = []
-    for x in x_points:
-        x = float(x)
-        powers = x ** np.arange(params.n_max + 1)
-        mb2 = float(np.dot(pi[2:], powers[2:]))
-        M = zN * mb2 + pi[1] * z[1] * x
-        for i in range(2, n_flat):
-            M += powers[i] * (z[i] - zN) * (pi[i] + conv_t[i])
-        disc = 1.0 - 4.0 * zN * M
-        if disc < 0.0:
-            raise SolverError(f"generating-function branch undefined at x={x} (disc {disc:.3e})")
-        closed = s * (1.0 - math.sqrt(disc)) / (2.0 * zN)
-        direct = float(np.dot(nu[1:], powers[1:]))
-        out.append(MgfPoint(x=x, closed_form=closed, direct_series=direct))
-    return out
 
 
 # ---------------------------------------------------------------------------

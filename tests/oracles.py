@@ -12,6 +12,7 @@ bit-identical to them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,25 @@ def cross_section_moments(rho: float, n: int, y: float, draws: int, seed: int) -
     x = rho * y + np.sqrt(1.0 - rho * rho) * rng.standard_normal((draws, n))
     means = x @ b
     return float(means.mean()), float(means.var())
+
+
+def pool_posteriors(x: float, n: int, y: float, m: int, rho: float) -> tuple[float, int]:
+    """Combine two posterior means built from disjoint signal blocks.
+
+    Given posterior means x (from n signals) and y (from m signals), the pooled
+    posterior mean from the union is a gamma-weighted average and the counts add:
+
+        pooled = (gamma(n) x + gamma(m) y) / gamma(n + m),  count = n + m.
+
+    Requires n, m >= 1; zero-precision blocks carry no information and callers
+    handle them by adopting the other side's posterior directly.
+    """
+    if n < 1 or m < 1:
+        raise ValidationError(f"pool_posteriors requires positive signal counts, got n={n}, m={m}")
+    gn = gamma_coeff(n, rho)
+    gm = gamma_coeff(m, rho)
+    gnm = gamma_coeff(n + m, rho)
+    return (gn * x + gm * y) / gnm, n + m
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +120,89 @@ def candidate_measure_loop(c_bar: float, efforts: np.ndarray, pi: np.ndarray, et
             mu[k] = m
             nu[k] = efforts[k] * m
     return mu
+
+
+# ---------------------------------------------------------------------------
+# Damping factors and the generating-function cross-check
+# ---------------------------------------------------------------------------
+# Written from the closed form of the generating function, not from the
+# package's kernel: ``mgf_check`` reads only the solved measure and average
+# effort, so it checks ``candidate_measure`` independently.
+
+
+def z_sequence(state: MarketState, params: ModelParams) -> np.ndarray:
+    """Damping factors z_k = sqrt(eta) C_k / (eta + C_k c_bar) of the effort-weighted recursion.
+
+    Defined for k >= 1 (z[0] is 0 and unused).  The sqrt(eta) factor expresses
+    the sequence in entry-rate units, where the replacement intensity is 1;
+    only then does the bound z < 1 hold.
+    """
+    C = state.policy.efforts
+    z = np.zeros(params.n_max + 1)
+    z[1:] = math.sqrt(params.eta) * C[1:] / (params.eta + C[1:] * state.c_bar)
+    return z
+
+
+@dataclass(frozen=True)
+class MgfPoint:
+    x: float
+    closed_form: float
+    direct_series: float
+
+    @property
+    def gap(self) -> float:
+        return abs(self.closed_form - self.direct_series)
+
+
+def mgf_check(
+    state: MarketState,
+    params: ModelParams,
+    x_points: "list[float] | np.ndarray",
+) -> list[MgfPoint]:
+    """Generating function of the effort-weighted measure: closed form vs series.
+
+    For a policy with a flat tail from index N and positive tail effort, the
+    generating function m(x) = sum_k nu_k x^k solves a quadratic whose closed
+    form (in entry-rate-normalized units, tilde = sqrt(eta)-scaled)
+
+        m~(x) = (1 - sqrt(1 - 4 z_N M(x))) / (2 z_N),
+        M(x)  = z_N * sum_{i>=2} pi_i x^i + pi_1 z_1 x
+                + sum_{i=2}^{N-1} x^i (z_i - z_N) (pi_i + (nu~ * nu~)_i),
+
+    is compared against direct summation of the series.  Requires no entry
+    mass at precision 0 and positive tail effort (otherwise the 2 z_N
+    denominator degenerates and only the direct series is meaningful).
+    """
+    if params.pi.weights[0] > 0.0:
+        raise ValidationError("closed form requires no entry mass at precision 0")
+    C = state.policy.efforts
+    n_flat = state.policy.flat_tail_index()
+    if C[-1] <= 0.0:
+        raise ValidationError("closed form degenerates with zero tail effort; use the direct series")
+
+    s = math.sqrt(params.eta)
+    z = z_sequence(state, params)
+    zN = z[n_flat]
+    nu = C * state.mu.weights
+    nu_t = nu / s
+    pi = params.pi.weights
+    conv_t = np.convolve(nu_t, nu_t)
+
+    out = []
+    for x in x_points:
+        x = float(x)
+        powers = x ** np.arange(params.n_max + 1)
+        mb2 = float(np.dot(pi[2:], powers[2:]))
+        M = zN * mb2 + pi[1] * z[1] * x
+        for i in range(2, n_flat):
+            M += powers[i] * (z[i] - zN) * (pi[i] + conv_t[i])
+        disc = 1.0 - 4.0 * zN * M
+        if disc < 0.0:
+            raise SolverError(f"generating-function branch undefined at x={x} (disc {disc:.3e})")
+        closed = s * (1.0 - math.sqrt(disc)) / (2.0 * zN)
+        direct = float(np.dot(nu[1:], powers[1:]))
+        out.append(MgfPoint(x=x, closed_form=closed, direct_series=direct))
+    return out
 
 
 # ---------------------------------------------------------------------------

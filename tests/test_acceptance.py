@@ -25,7 +25,6 @@ import percolate.cli as cli
 from percolate import (
     find_equilibria,
     load_params,
-    mgf_check,
     pareto_rank,
     solve_stationary,
     solve_value,
@@ -38,7 +37,7 @@ from percolate.simulator import SimConfig, estimate_value, run
 from percolate.stationary import balance_residual, fosd_compare
 
 from conftest import make_scenario
-from oracles import exact_trigger_bound
+from oracles import exact_trigger_bound, mgf_check
 
 ETAS = (0.5, 1.0, 2.0)
 RHOS = (0.3, 0.5, 0.8)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -570,3 +574,13 @@ def test_manifest_records_the_invocation(scenario_file, tmp_path):
     assert cli.main(argv) == 0
     doc = json.loads(out.read_text())
     assert doc["manifest"]["command"] == argv
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # In a fresh interpreter: the test process has scipy loaded already.
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import percolate.cli, sys; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from percolate import (
     mass_loss_check,
     solve_stationary,
 )
+from percolate import dynamics
 from percolate.dynamics import MAX_SNAPSHOTS
 from percolate.stationary import balance_residual
 from conftest import make_scenario
@@ -94,6 +95,22 @@ def test_snapshot_grid_and_default_spacing():
     fine = integrate(p.pi, pol, p, t_end=10.0, dt_out=0.5)
     assert len(fine.times) == 21
     assert fine.final().total_mass() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_integrate_calls_solve_ivp_through_the_module_attribute(monkeypatch):
+    # A wrapper bound to ``percolate.dynamics.solve_ivp`` sees every integration.
+    calls = []
+    original = dynamics.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    p = _params(n_max=16)
+    traj = integrate(p.pi, Policy.trigger_policy(3, p), p, t_end=2.0)
+    assert calls == [(0.0, 2.0)]
+    assert traj.times[-1] == 2.0
 
 
 @pytest.mark.parametrize("t_end,dt_out", [

@@ -17,10 +17,9 @@ from percolate import (
     exit_utility,
     gamma_coeff,
     load_params,
-    pool_posteriors,
 )
 from conftest import make_scenario
-from oracles import gaussian_posterior
+from oracles import gaussian_posterior, pool_posteriors
 
 
 def test_every_exported_name_resolves():
@@ -222,6 +221,18 @@ def test_measure_constructors_validate():
     assert fm.weights[0] == 0.25
     with pytest.raises(ValidationError):
         PrecisionMeasure.from_mapping({9: 1.0}, 4)
+
+
+@pytest.mark.parametrize("weights,tail", [
+    ([float("nan"), 1.0], 0.0),
+    ([float("inf"), 1.0], 0.0),
+    ([0.5, 0.5], float("nan")),
+    ([0.5, 0.5], float("inf")),
+], ids=["nan-weight", "inf-weight", "nan-tail", "inf-tail"])
+def test_measure_rejects_non_finite_input(weights, tail):
+    # NaN compares false with every bound, so only an explicit finite check catches it.
+    with pytest.raises(ValidationError, match="finite"):
+        PrecisionMeasure(np.array(weights), tail_mass=tail)
 
 
 def test_effort_weighting():

@@ -20,9 +20,7 @@ from percolate import (
     fosd_compare,
     integrate,
     load_params,
-    mgf_check,
     solve_stationary,
-    z_sequence,
 )
 from percolate.stationary import (
     average_effort,
@@ -30,7 +28,13 @@ from percolate.stationary import (
     candidate_measure,
 )
 from conftest import make_scenario
-from oracles import candidate_measure_loop, three_bin_derivatives, three_bin_market
+from oracles import (
+    candidate_measure_loop,
+    mgf_check,
+    three_bin_derivatives,
+    three_bin_market,
+    z_sequence,
+)
 
 # Frozen values from the independent three-bin oracle (eta = 1, entries
 # (0.2, 0.6, 0.2) on precisions {1,2,3}, efforts (1, 1, 0, ...)).
