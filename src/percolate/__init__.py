@@ -28,7 +28,13 @@ from .model import (
 from .stationary import MarketState, fosd_compare, solve_stationary
 from .dynamics import Trajectory, integrate, mass_loss_check
 from .best_response import BestResponse, minimal_search_test, n_bar, solve_value
-from .equilibrium import EquilibriumReport, correspondence, find_equilibria, pareto_rank
+from .equilibrium import (
+    EquilibriumReport,
+    active_equilibrium_exists,
+    correspondence,
+    find_equilibria,
+    pareto_rank,
+)
 from .interventions import (
     Bisection,
     EducationWitness,
@@ -69,6 +75,7 @@ __all__ = [
     "n_bar",
     "solve_value",
     "EquilibriumReport",
+    "active_equilibrium_exists",
     "correspondence",
     "find_equilibria",
     "pareto_rank",

@@ -22,7 +22,6 @@ S_n - K'(c_lo), with S_n = sum_{m>=1} (V_{n+m} - V_n) nu_m, stays positive.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ import numpy as np
 from .errors import SolverError
 from .model import ModelParams, Policy, ValueFunction, exit_utility
 from .stationary import MarketState, solve_stationary
-
-logger = logging.getLogger(__name__)
 
 # True-error target of value iteration (the stop is scaled by the contraction
 # modulus) and the half-width of the band around zero read as exact
@@ -147,6 +144,11 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     Starts from the stop-searching continuation and iterates the operator
     until the sup-norm change, scaled by the contraction modulus, certifies a
     true error below ``VALUE_TOL``.
+
+    With linear cost, a switching sequence that never crosses zero on the
+    grid (searching pays at every precision) shows in the result as
+    ``trigger > n_max`` with ``policy.trigger`` None.  It is not logged: a
+    scan or a bisection meets it on hundreds of markets, so callers count it.
     """
     tail = _tail_values(params)
     w = state.policy.efforts * state.mu.weights
@@ -177,8 +179,6 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
         policy = Policy(efforts, trigger=hi if hi <= params.n_max else None)
         trig: int | None = hi
         interval: tuple[int, int] | None = (lo, hi)
-        if hi > params.n_max:
-            logger.warning("switching sequence never crosses zero on the grid")
     else:
         policy = Policy(bellman_operator(values, state, params, tail)[2])
         trig = None

@@ -3,8 +3,12 @@
 A trigger N is an equilibrium when the best response to the market that the
 trigger-N policy itself induces is again consistent with trigger N at every
 precision entrants can actually reach.  The map from market triggers to the
-range of optimal trigger indices is monotone, so all fixed points are found
-by a single descending scan from the search-payoff bound.
+range [lo(n), hi(n)] of optimal trigger indices is monotone: both ends are
+nondecreasing in n.  ``find_equilibria`` tabulates it by a descending scan
+of every trigger from the search-payoff bound to 0 and keeps the fixed
+points.  ``active_equilibrium_exists`` asks only whether an active one
+exists: hi(n) < n rules out every trigger in (hi(n), n], so its descending
+walk jumps from n straight to hi(n) (Tarski 1955; Milgrom & Roberts 1990).
 """
 
 from __future__ import annotations
@@ -95,6 +99,24 @@ class EquilibriumReport:
         return any(e.is_active() for e in self.equilibria)
 
 
+def scan_bounds(params: ModelParams) -> tuple[int, int]:
+    """``n_bar`` and the highest trigger a scan visits.
+
+    The scan starts at the larger of n_bar and its variant with the discount
+    ratio eta' / (r + eta'), which coincides with n_bar at r + eta' = 1; the
+    larger of the two is safe for any discounting.
+    """
+    bound = n_bar(params)
+    return bound, max(bound, _payoff_bound(
+        params, params.c_hi * params.eta_prime / (params.r + params.eta_prime)
+    ))
+
+
+def _require_linear_cost(params: ModelParams) -> None:
+    if params.effective_cost().kind != "linear":
+        raise ValidationError("equilibrium search assumes linear cost (bang-bang optimality)")
+
+
 def find_equilibria(params: ModelParams) -> EquilibriumReport:
     """Scan all trigger policies from the search-payoff bound down to 0.
 
@@ -104,14 +126,8 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
     and ``minimal_search`` carries ``minimal_search_test``'s independent
     verdict on everyone searching at c_lo.
     """
-    if params.effective_cost().kind != "linear":
-        raise ValidationError("equilibrium search assumes linear cost (bang-bang optimality)")
-    bound = n_bar(params)
-    # The variant with the discount ratio eta' / (r + eta') coincides with
-    # n_bar at r + eta' = 1; the larger of the two is safe for any discounting.
-    top = max(bound, _payoff_bound(
-        params, params.c_hi * params.eta_prime / (params.r + params.eta_prime)
-    ))
+    _require_linear_cost(params)
+    bound, top = scan_bounds(params)
     table: dict[int, tuple[int, int]] = {}
     found: list[CorrespondenceEntry] = []
     for n in range(top, -1, -1):
@@ -128,6 +144,34 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
         correspondence_table=table,
         minimal_search=minimal_search_test(params),
     )
+
+
+def active_equilibrium_exists(params: ModelParams) -> bool:
+    """Whether ``find_equilibria(params).has_active()``, without the full table.
+
+    Walks down from the same scan bound and returns True at the first active
+    fixed point.  At any other trigger n it goes on to min(hi(n), n - 1): no
+    trigger k in (hi(n), n) can be a fixed point, since hi(k) <= hi(n) < k
+    for a nondecreasing hi.  An inactive fixed point is walked past, not
+    returned.  The answer rests on that monotonicity, so a visited entry whose
+    ``lo`` or ``hi`` exceeds the previous (higher-trigger) entry's raises
+    ``SolverError``.  Linear cost only, as for ``find_equilibria``.
+    """
+    _require_linear_cost(params)
+    n = scan_bounds(params)[1]
+    above: CorrespondenceEntry | None = None
+    while n >= 0:
+        entry = correspondence(n, params)
+        if above is not None and (entry.lo > above.lo or entry.hi > above.hi):
+            raise SolverError(
+                f"correspondence not monotone: trigger {entry.trigger} gives {entry.interval}, "
+                f"trigger {above.trigger} gives {above.interval}"
+            )
+        if entry.is_fixed_point and entry.is_active():
+            return True
+        above = entry
+        n = min(entry.hi, n - 1)
+    return False
 
 
 def pareto_rank(report: EquilibriumReport) -> list[CorrespondenceEntry]:

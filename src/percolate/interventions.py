@@ -21,7 +21,12 @@ from functools import partial
 
 import numpy as np
 
-from .equilibrium import CorrespondenceEntry, EquilibriumReport, find_equilibria
+from .equilibrium import (
+    CorrespondenceEntry,
+    EquilibriumReport,
+    active_equilibrium_exists,
+    find_equilibria,
+)
 from .errors import SolverError, ValidationError
 from .model import CostSpec, ModelParams, PrecisionMeasure, exit_utility
 
@@ -163,14 +168,25 @@ class Bisection:
     evaluations: int
 
 
+class BoundaryNotFound(SolverError):
+    """No switch between active and inactive markets on the searched kappa range."""
+
+
 def _existence_boundary(make_params, lo: float, hi: float) -> Bisection:
-    """Bisect kappa between an active and an inactive market to ``WITNESS_BAND``."""
+    """Bisect kappa between an active and an inactive market to ``WITNESS_BAND``.
+
+    Each evaluation asks only whether the market at that kappa has an active
+    equilibrium, which ``active_equilibrium_exists`` answers by walking down
+    the monotone correspondence instead of tabulating every trigger.  A range
+    without a switch raises ``BoundaryNotFound``; any other ``SolverError``,
+    such as a non-monotone correspondence, comes from the solvers.
+    """
     evals = 0
 
     def active(x: float) -> bool:
         nonlocal evals
         evals += 1
-        return find_equilibria(make_params(x)).has_active()
+        return active_equilibrium_exists(make_params(x))
 
     if not active(lo):
         # Very cheap search can push every fixed-point trigger past the grid
@@ -186,7 +202,7 @@ def _existence_boundary(make_params, lo: float, hi: float) -> Bisection:
                 foothold = step
                 break
         if foothold is None:
-            raise SolverError(f"no active equilibrium found above kappa={lo:.6g}")
+            raise BoundaryNotFound(f"no active equilibrium found above kappa={lo:.6g}")
         lo = foothold
     grow = 0
     while active(hi):
@@ -194,7 +210,7 @@ def _existence_boundary(make_params, lo: float, hi: float) -> Bisection:
         hi *= 2.0
         grow += 1
         if grow > 12:
-            raise SolverError(f"active equilibrium persists up to kappa={hi:.6g}")
+            raise BoundaryNotFound(f"active equilibrium persists up to kappa={hi:.6g}")
     while hi - lo > WITNESS_BAND * hi:
         mid = 0.5 * (lo + hi)
         if active(mid):
@@ -359,7 +375,7 @@ def find_education_witness(n_max: int = 256) -> EducationWitness:
         try:
             b0 = _existence_boundary(make, start / 8.0, start)
             b1 = _existence_boundary(partial(make, public_signals=1), start / 16.0, start)
-        except SolverError as exc:
+        except BoundaryNotFound as exc:
             last_error = f"rho={rho}: {exc}"
             continue
         if b1.inactive >= b0.active:

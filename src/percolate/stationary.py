@@ -271,12 +271,17 @@ def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
     p0 = params.pi.weights[0]
     if c0 <= 0.0 or p0 <= 0.0:
         return 0.0
-    return max(0.0, (2.0 * c0 * math.sqrt(params.eta * p0) - params.eta) / c0)
+    # Divide only a positive numerator: then c0 > eta / (2 sqrt(eta p0)), and
+    # a subnormal c0 cannot overflow the quotient.
+    num = 2.0 * c0 * math.sqrt(params.eta * p0) - params.eta
+    return num / c0 if num > 0.0 else 0.0
 
 
-# A descending scan visits its triggers in the same order every time, so an
-# LRU smaller than one scan's markets would never hit; 1024 covers every
-# trigger of a scan up to n_max = 1023.
+# A full scan visits every trigger in the same descending order each time, so
+# an LRU smaller than one scan's markets would never hit; 1024 covers every
+# trigger of a scan up to n_max = 1023.  An existence walk visits a descending
+# subset of the same markets (they do not depend on the cost slope), so the
+# walks of one bisection mostly re-visit markets an earlier walk solved.
 _MEMO_SIZE = 1024
 _memo: OrderedDict[bytes, tuple[PrecisionMeasure, float]] = OrderedDict()
 _memo_lock = threading.Lock()

@@ -1,19 +1,42 @@
-"""Trigger fixed points: descent scan, correspondence monotonicity, ranking."""
+"""Trigger fixed points: descent scan, existence walk, correspondence monotonicity, ranking."""
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
 
+import percolate.equilibrium as equilibrium
+import percolate.interventions as interventions
 from percolate import (
+    SolverError,
     ValidationError,
+    active_equilibrium_exists,
+    find_education_witness,
     find_equilibria,
+    find_subsidy_witness,
     load_params,
     minimal_search_test,
     pareto_rank,
 )
-from percolate.equilibrium import correspondence, reachable_floor
+from percolate.equilibrium import (
+    CorrespondenceEntry,
+    correspondence,
+    reachable_floor,
+    scan_bounds,
+)
 from conftest import make_scenario
+from test_properties import PROPERTY, linear_markets
+
+# The 72 scenarios the benchmark's scan workload draws from.
+POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["scan"]
 
 
 def _params(**over):
@@ -154,8 +177,132 @@ def test_entry_floor_with_point_mass():
 # ---------------------------------------------------------------------------
 
 
-def test_strictly_convex_cost_requires_opt_in():
+@pytest.mark.parametrize("search", [find_equilibria, active_equilibrium_exists])
+def test_strictly_convex_cost_requires_opt_in(search):
     cost = {"type": "tabulated", "points": [[0.0, 0.0], [0.5, 0.04], [1.0, 0.2]]}
     p = _params(cost=cost)
     with pytest.raises(ValidationError):
-        find_equilibria(p)
+        search(p)
+
+
+# ---------------------------------------------------------------------------
+# Existence walk: has_active() by jumping down the monotone correspondence
+# ---------------------------------------------------------------------------
+
+
+def _count_correspondence(monkeypatch) -> list[int]:
+    """Record every trigger passed to ``correspondence`` through the module global."""
+    seen: list[int] = []
+    real = equilibrium.correspondence
+
+    def counted(n, params):
+        seen.append(n)
+        return real(n, params)
+
+    monkeypatch.setattr(equilibrium, "correspondence", counted)
+    return seen
+
+
+def test_walk_answers_has_active_on_the_pool(monkeypatch):
+    seen = _count_correspondence(monkeypatch)
+    walked = scanned = 0
+    answers = set()
+    for entry in POOL:
+        p = load_params(entry["scenario"])
+        before = len(seen)
+        got = active_equilibrium_exists(p)
+        walked += len(seen) - before
+        assert seen[before] == scan_bounds(p)[1]
+        report = find_equilibria(p)
+        scanned += len(report.correspondence_table)
+        assert got == report.has_active(), entry["scenario"]
+        answers.add(got)
+    assert answers == {True, False}
+    # The walk visited 377 of the 2,232 scanned triggers when it was written.
+    assert 5 * walked < scanned
+
+
+@PROPERTY
+@given(linear_markets())
+def test_walk_answers_has_active_on_random_markets(params):
+    try:
+        expected = find_equilibria(params).has_active()
+    except SolverError:
+        return  # a trigger the walk may jump over has no stationary solve
+    assert active_equilibrium_exists(params) == expected
+
+
+def test_walk_answers_has_active_at_every_witness_kappa(monkeypatch):
+    asked: list[tuple] = []
+    real = interventions.active_equilibrium_exists
+
+    def recorded(params):
+        answer = real(params)
+        asked.append((params, answer))
+        return answer
+
+    monkeypatch.setattr(interventions, "active_equilibrium_exists", recorded)
+    find_subsidy_witness(n_max=128)
+    find_education_witness(n_max=128)
+    assert len(asked) == 16 + 18 + 20
+    for params, answer in asked:
+        assert answer == find_equilibria(params).has_active(), params.cost.kappa
+
+
+def test_walk_jumps_to_hi_and_passes_an_inactive_fixed_point(monkeypatch):
+    # A monotone correspondence whose greatest fixed point, 5, does not
+    # search, and whose next one, 3, does.
+    seen: list[int] = []
+
+    def staircase(n, params):
+        seen.append(n)
+        end = 5 if n >= 5 else 3 if n >= 3 else 0
+        state = SimpleNamespace(c_bar=0.0 if n == 5 else 0.5)
+        return CorrespondenceEntry(trigger=n, lo=end, hi=end, state=state, best_response=None)
+
+    monkeypatch.setattr(equilibrium, "correspondence", staircase)
+    p = _params(cost={"type": "linear", "kappa": 0.05})
+    assert active_equilibrium_exists(p)
+    assert seen == [scan_bounds(p)[1], 5, 4, 3]
+
+
+def test_a_non_monotone_correspondence_raises_through_the_witness(monkeypatch):
+    real = equilibrium.correspondence
+    seen: list[int] = []
+
+    def bent(n, params):
+        # hi falls as the trigger rises: the walk jumps from the top to 0,
+        # where hi has risen.
+        seen.append(n)
+        return replace(real(n, params), lo=0, hi=scan_bounds(params)[1] - n)
+
+    monkeypatch.setattr(equilibrium, "correspondence", bent)
+    p = _params(cost={"type": "linear", "kappa": 0.02})
+    with pytest.raises(SolverError, match="^correspondence not monotone"):
+        active_equilibrium_exists(p)
+    assert seen == [scan_bounds(p)[1], 0]
+    seen.clear()
+    # The education witness must not read the failure as "no witness at this rho".
+    with pytest.raises(SolverError, match="^correspondence not monotone"):
+        find_education_witness(n_max=128)
+    assert len(seen) == 2
+
+
+def test_subsidy_witness_is_pinned(subsidy_witness):
+    w = subsidy_witness
+    b = w.boundary
+    assert (float(b.active).hex(), float(b.inactive).hex(), b.evaluations) == (
+        "0x1.8231628c14ef2p-5", "0x1.82373b20d95c4p-5", 16)
+    assert (float(w.delta).hex(), float(w.tax).hex()) == (
+        "0x1.5ba9e79a10184p-6", "0x1.2e3addead3d3ep-6")
+
+
+def test_education_witness_is_pinned(education_witness):
+    w = education_witness
+    b0, b1 = w.boundary_untreated, w.boundary_treated
+    assert (w.rho, b0.evaluations, b1.evaluations) == (0.15, 18, 20)
+    assert [float(x).hex() for x in (b0.active, b0.inactive, b1.active, b1.inactive)] == [
+        "0x1.a6080b249359cp-5", "0x1.a60fb06cdbb0ep-5",
+        "0x1.9937e2b9db159p-5", "0x1.993ed578f3500p-5",
+    ]
+    assert float(w.entry_utility_delta).hex() == "-0x1.247a2dcf26700p-10"

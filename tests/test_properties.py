@@ -165,8 +165,8 @@ def test_out_of_range_grid_is_rejected_before_allocation(n_max):
 
 
 @st.composite
-def solved_markets(draw):
-    """A solved stationary market under a trigger policy, with linear cost."""
+def linear_markets(draw):
+    """Parameters of a random market with linear cost on a grid of 4 to 64 bins."""
     n_max = draw(st.integers(4, 64))
     support = draw(st.lists(st.integers(0, min(5, n_max)), min_size=1, max_size=4, unique=True))
     raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
@@ -182,9 +182,14 @@ def solved_markets(draw):
         rho=draw(st.floats(0.1, 0.9)),
         cost={"type": "linear", "kappa": draw(st.floats(0.005, 0.5))},
     )
-    params = load_params(scenario)
-    policy = Policy.trigger_policy(draw(st.integers(0, n_max + 1)), params)
-    return params, policy
+    return load_params(scenario)
+
+
+@st.composite
+def solved_markets(draw):
+    """A market of ``linear_markets`` under a trigger policy."""
+    params = draw(linear_markets())
+    return params, Policy.trigger_policy(draw(st.integers(0, params.n_max + 1)), params)
 
 
 def _best_response(case):

@@ -403,10 +403,11 @@ def test_kernel_fails_where_the_recursion_fails_and_agrees_elsewhere():
     assert kinds == {"finite", "candidate measure diverges", "degenerate balance denominator"}
 
 
-@pytest.mark.parametrize("c_lo", [1e-6, 1e-9, 1e-200])
+@pytest.mark.parametrize("c_lo", [1e-6, 1e-9, 1e-200, 5e-324])
 def test_small_zero_bin_effort_keeps_the_entry_mass(c_lo):
     # The small root (b - sqrt(disc)) / (2 C_0^2) cancels to noise as C_0 -> 0
-    # (and to 0/0 once C_0^2 underflows); the conjugate form does not.
+    # (and to 0/0 once C_0^2 underflows); the conjugate form does not.  At a
+    # subnormal C_0 the feasibility floor must not divide by it either.
     p = _params(n_max=32, pi={"0": 0.5, "1": 0.5}, c_lo=c_lo)
     st = solve_stationary(Policy.trigger_policy(0, p), p)
     assert st.mu.weights[0] == pytest.approx(0.5, rel=1e-6)
