@@ -177,12 +177,19 @@ def test_entry_floor_with_point_mass():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("search", [find_equilibria, active_equilibrium_exists])
-def test_strictly_convex_cost_requires_opt_in(search):
-    cost = {"type": "tabulated", "points": [[0.0, 0.0], [0.5, 0.04], [1.0, 0.2]]}
-    p = _params(cost=cost)
+_STRICTLY_CONVEX = {"type": "tabulated", "points": [[0.0, 0.0], [0.5, 0.04], [1.0, 0.2]]}
+
+
+def test_strictly_convex_cost_requires_opt_in():
+    p = _params(cost=_STRICTLY_CONVEX)
     with pytest.raises(ValidationError):
-        search(p)
+        find_equilibria(p)
+
+
+def test_existence_walk_strictly_convex_cost_requires_opt_in():
+    p = _params(cost=_STRICTLY_CONVEX)
+    with pytest.raises(ValidationError):
+        active_equilibrium_exists(p)
 
 
 # ---------------------------------------------------------------------------
