@@ -261,34 +261,20 @@ class MinimalSearchReport:
 def minimal_search_test(params: ModelParams) -> MinimalSearchReport:
     """Check whether everyone searching at c_lo is an equilibrium.
 
-    Solves the constant-c_lo market, computes its value function by a
-    geometric (Neumann) iteration of the jump expectation truncated when the
-    increment falls below 1e-14, and compares the marginal meeting gain at
-    precision 1 against the marginal cost.
+    Solves the constant-c_lo market and values the floor policy against it
+    with ``solve_value`` restricted to the single effort c_lo (c_hi = c_lo),
+    then compares the marginal meeting gain at precision 1 against the
+    marginal cost.  A zero floor meets nobody, so its gain is 0 without a
+    value solve.
     """
     c0 = params.c_lo
     state = solve_stationary(Policy.constant(c0, params), params)
-    w = state.mu.weights  # probability weights: constant effort factors out
-    cost = params.effective_cost()
-    denom = params.r + params.eta_prime + c0 * c0
-    gain_factor = c0 * c0 / denom
-    u = exit_utility(params, np.arange(params.n_max + 1))
-    f = (params.eta_prime * u - cost.cost(c0)) / denom
-    tail = _tail_values(params)
-
-    values = f.copy()
-    for _ in range(100_000):
-        new = f + gain_factor * np.correlate(_padded(values, tail), w, mode="valid")
-        delta = float(np.max(np.abs(new - values)))
-        values = new
-        if delta < 1e-14:
-            break
-    else:
-        raise SolverError("minimal-search value iteration failed to converge")
-
-    padded = _padded(values, tail)
-    gain = c0 * float(np.dot(padded[2 : params.n_max + 2] - values[1], w[1:]))
-    threshold = cost.marginal_right(c0)
+    gain = 0.0
+    if c0 > 0.0:
+        values = solve_value(state, params.with_(c_hi=c0)).value.values
+        padded = _padded(values, _tail_values(params))
+        gain = c0 * float(np.dot(padded[2 : params.n_max + 2] - values[1], state.mu.weights[1:]))
+    threshold = params.effective_cost().marginal_right(c0)
     return MinimalSearchReport(
         gain=gain,
         threshold=threshold,

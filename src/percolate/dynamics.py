@@ -122,24 +122,16 @@ def integrate(
     # tolerance are discretization noise to clip and count; anything worse
     # signals a genuine defect in the flow.
     clip_floor = -1e3 * ODE_ATOL
-    for col in sol.y.T:
-        w = col[:-1].copy()
-        tail = float(col[-1])
-        neg = w < 0.0
+    for col in sol.y.T:  # grid weights, then the tail compartment
+        neg = col < 0.0
         if np.any(neg):
-            worst = float(w[neg].min())
+            worst = float(col[neg].min())
             if worst < clip_floor:
-                raise SolverError(f"measure flow produced negative weight {worst:.3e}")
+                raise SolverError(f"measure flow produced negative mass {worst:.3e}")
             clip_count += int(neg.sum())
             clip_magnitude = max(clip_magnitude, -worst)
-            w[neg] = 0.0
-        if tail < 0.0:
-            if tail < clip_floor:
-                raise SolverError(f"measure flow produced negative tail {tail:.3e}")
-            clip_count += 1
-            clip_magnitude = max(clip_magnitude, -tail)
-            tail = 0.0
-        measures.append(PrecisionMeasure(w, tail))
+            col = np.where(neg, 0.0, col)
+        measures.append(PrecisionMeasure(col[:-1], float(col[-1])))
     if clip_count:
         logger.info("clipped %d negative undershoots (worst %.2e)", clip_count, clip_magnitude)
 

@@ -123,8 +123,9 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
     Only linear cost is accepted: its best responses are bang-bang, so
     restricting the scan to triggers loses nothing, and any other cost raises
     ``ValidationError``.  Equilibria come out in increasing trigger order,
-    and ``minimal_search`` carries ``minimal_search_test``'s independent
-    verdict on everyone searching at c_lo.
+    and ``minimal_search`` carries ``minimal_search_test``'s verdict on
+    everyone searching at c_lo, read from the floor policy's own value
+    rather than from the table.
     """
     _require_linear_cost(params)
     bound, top = scan_bounds(params)

@@ -289,8 +289,8 @@ class Policy:
         e = np.asarray(self.efforts, dtype=float)
         object.__setattr__(self, "efforts", e)
         e.setflags(write=False)
-        if np.any(e < 0):
-            raise ValidationError("efforts must be nonnegative")
+        if not np.all(np.isfinite(e) & (e >= 0)):
+            raise ValidationError("efforts must be finite and nonnegative")
         if self.trigger is not None:
             n = int(self.trigger)
             if n < 0:
@@ -300,15 +300,6 @@ class Policy:
     @property
     def n_max(self) -> int:
         return self.efforts.size - 1
-
-    def flat_tail_index(self) -> int:
-        """Smallest N >= 1 with constant effort at all precisions >= N."""
-        e = self.efforts
-        n = e.size - 1
-        idx = n
-        while idx > 1 and e[idx - 1] == e[n]:
-            idx -= 1
-        return idx
 
     def tail_effort(self) -> float:
         return float(self.efforts[-1])
@@ -343,6 +334,10 @@ class Policy:
         return Policy(e)
 
     def validate_bounds(self, params: "ModelParams") -> None:
+        if self.efforts.size != params.n_max + 1:
+            raise ValidationError(
+                f"policy has {self.efforts.size} efforts, the grid needs n_max + 1 = {params.n_max + 1}"
+            )
         lo, hi = params.c_lo, params.c_hi
         if np.any(self.efforts < lo - 1e-12) or np.any(self.efforts > hi + 1e-12):
             raise ValidationError(f"efforts leave the admissible interval [{lo}, {hi}]")
@@ -443,8 +438,6 @@ class ModelParams:
         pi = self.pi
         if pi.weights.size != self.n_max + 1:
             raise ValidationError("entry measure grid does not match n_max")
-        if not np.all(np.isfinite(pi.weights)) or np.any(pi.weights < 0):
-            raise ValidationError("entry weights must be finite and nonnegative")
         if abs(pi.total_mass() - 1.0) > 1e-9:
             raise ValidationError(f"entry measure must have mass 1, got {pi.total_mass():.12f}")
         if pi.tail_mass != 0.0:

@@ -130,6 +130,16 @@ def candidate_measure_loop(c_bar: float, efforts: np.ndarray, pi: np.ndarray, et
 # effort, so it checks ``candidate_measure`` independently.
 
 
+def flat_tail_index(policy: Policy) -> int:
+    """Smallest N >= 1 with constant effort at all precisions >= N."""
+    e = policy.efforts
+    n = e.size - 1
+    idx = n
+    while idx > 1 and e[idx - 1] == e[n]:
+        idx -= 1
+    return idx
+
+
 def z_sequence(state: MarketState, params: ModelParams) -> np.ndarray:
     """Damping factors z_k = sqrt(eta) C_k / (eta + C_k c_bar) of the effort-weighted recursion.
 
@@ -176,7 +186,7 @@ def mgf_check(
     if params.pi.weights[0] > 0.0:
         raise ValidationError("closed form requires no entry mass at precision 0")
     C = state.policy.efforts
-    n_flat = state.policy.flat_tail_index()
+    n_flat = flat_tail_index(state.policy)
     if C[-1] <= 0.0:
         raise ValidationError("closed form degenerates with zero tail effort; use the direct series")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,7 @@ def test_no_search_beyond_the_bound():
 def test_minimal_search_with_zero_floor_is_equilibrium():
     rep = minimal_search_test(_params(c_lo=0.0))
     assert rep.gain == 0.0
+    assert math.copysign(1.0, rep.gain) == 1.0  # +0.0: the JSON never prints -0.0
     assert rep.is_equilibrium
     assert rep.c_bar == 0.0
 
@@ -215,9 +217,14 @@ def _policy_value_oracle(p):
     return vals, gain
 
 
+_TABULATED = {"type": "tabulated", "points": [[0.0, 0.0], [0.4, 0.02], [0.7, 0.08], [1.0, 0.2]]}
+
+
 def test_minimal_search_gain_matches_linear_system_oracle():
+    # The tabulated market takes solve_value's non-linear branch.
     for over in ({"c_lo": 0.1}, {"c_lo": 0.1, "cost": {"type": "linear", "kappa": 0.01}},
-                 {"c_lo": 0.2, "eta": 0.5}):
+                 {"c_lo": 0.2, "eta": 0.5}, {"c_lo": 0.1, "cost": _TABULATED},
+                 {"c_lo": 0.1, "subsidy": 0.05}):
         p = _params(n_max=48, **over)
         rep = minimal_search_test(p)
         _, gain = _policy_value_oracle(p)

@@ -10,16 +10,20 @@ from percolate import (
     CostSpec,
     Policy,
     PrecisionMeasure,
+    SimConfig,
     ValidationError,
     cond_variance,
     cross_section_params,
     effort_weighted,
     exit_utility,
     gamma_coeff,
+    integrate,
     load_params,
+    run,
+    solve_stationary,
 )
 from conftest import make_scenario
-from oracles import gaussian_posterior, pool_posteriors
+from oracles import flat_tail_index, gaussian_posterior, pool_posteriors
 
 
 def test_every_exported_name_resolves():
@@ -264,7 +268,7 @@ def test_policy_from_list_and_bounds():
     p = load_params(make_scenario(c_hi=1.5))
     pol = Policy.from_list([1.0, 0.5, 0.25], p)
     assert pol.efforts[1] == 1.0 and pol.efforts[3] == 0.25 and pol.efforts[60] == 0.25
-    assert pol.flat_tail_index() <= 3
+    assert flat_tail_index(pol) <= 3
     with pytest.raises(ValidationError):
         Policy.from_list([2.0], p)
 
@@ -273,6 +277,31 @@ def test_constant_policy():
     p = load_params(make_scenario(c_lo=0.0))
     pol = Policy.constant(0.0, p)
     assert pol.tail_effort() == 0.0 and np.all(pol.efforts == 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_policy_rejects_non_finite_efforts(bad):
+    # NaN compares false with every bound, so only an explicit finite check
+    # catches it; past the constructor it made `integrate` run without end.
+    # Only the constructor is called here.
+    e = np.full(17, 0.5)
+    e[3] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        Policy(e)
+
+
+@pytest.mark.parametrize("size", [16, 18])
+@pytest.mark.parametrize("entry", ["solve_stationary", "run", "integrate"])
+def test_entry_points_reject_efforts_of_the_wrong_length(entry, size):
+    p = load_params(make_scenario(n_max=16))
+    pol = Policy(np.full(size, 0.5))
+    call = {
+        "solve_stationary": lambda: solve_stationary(pol, p),
+        "run": lambda: run(pol, p, SimConfig(population=100, horizon=1.0)),
+        "integrate": lambda: integrate(p.pi, pol, p, t_end=1.0),
+    }[entry]
+    with pytest.raises(ValidationError, match="n_max"):
+        call()
 
 
 # ---------------------------------------------------------------------------
