@@ -8,13 +8,17 @@ with convolution overflow past the grid routed into an explicit tail
 compartment that decays at the replacement intensity.  Total mass (grid plus
 tail) then relaxes to 1, and the truncated system conserves mass up to the
 overflow that the tail compartment accounts for.
+
+The flow is integrated by ``solve_ivp``, a private step-for-step port of
+scipy's explicit Runge-Kutta 5(4) solver (``solve_ivp(method="RK45")`` with
+``t_eval``), so the package needs numpy alone and gives scipy's numbers bit
+for bit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +37,117 @@ ODE_RTOL = 1e-8
 MAX_SNAPSHOTS = 100_000
 
 
-def __getattr__(name: str):
-    """Import scipy's ``solve_ivp`` on first use: only the measure flow needs scipy.
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980) with Shampine's quartic dense output (Math. Comp. 46, 1986), as scipy
+# 1.17's RK45 writes it: nodes C, stages A, weights B, error weights E and
+# interpolant coefficients P.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+               [44/45, -56/15, 32/9, 0, 0], [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+               [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432], [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# Step controller: safety factor, bounds on the step-size ratio, and the error
+# exponent -1 / (error order + 1) of the embedded fourth-order estimate.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 5
 
-    The first read of ``solve_ivp`` binds it into the module globals, so later
-    reads, and a caller that rebinds the name, see an ordinary attribute.
+
+@dataclass(frozen=True, eq=False)
+class OdeResult:
+    """Solution on ``t_eval`` (``y`` is states x times) and the work that produced it."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+    accepted_steps: int
+    rejected_steps: int
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, t_eval, atol, rtol) -> OdeResult:
+    """Integrate y' = fun(t, y) forward over ``t_span`` and report y on ``t_eval``.
+
+    A step-for-step port of scipy 1.17's ``solve_ivp(method="RK45", t_eval=...)``
+    with no maximum step: the same initial step (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.4), step controller and dense output.  Every numpy call
+    keeps scipy's operands and order, so ``t``, ``y`` and ``nfev`` match scipy's
+    bit for bit.  A step below ten ulps of t fails, as in scipy; so does a NaN
+    first step, on which scipy never returns.
     """
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0).astype(float, copy=False)
+    t_eval = np.asarray(t_eval)
+    K = np.empty((_C.size + 1, y.size))
+    fy = fun(t, y)
+    # Initial step: an explicit Euler trial step estimates the second derivative.
+    interval = abs(t_bound - t)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    d2 = _rms((fun(t + h0, y + h0 * fy) - fy) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval)
 
-        globals()["solve_ivp"] = solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Empty leading pieces make the stacked result an array even if no step succeeds.
+    ts, ys = [t_eval[:0]], [np.empty((y.size, 0))]
+    i_eval = accepted = rejected = 0
+    success = True
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        # Retry until a step is accepted or too small to take.  A NaN step (from a
+        # non-finite first derivative) fails here, where scipy would loop forever.
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = fy
+            for s in range(1, _C.size):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = K[-1] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        else:
+            success = False
+            break
+        if error_norm == 0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        h_abs *= min(1, factor) if step_rejected else factor
+        accepted += 1
+        # Quartic interpolant on the accepted step, evaluated at the t_eval points it covers.
+        i_new = np.searchsorted(t_eval, t_new, side="right")
+        if i_new > i_eval:
+            p = np.cumprod(np.tile((t_eval[i_eval:i_new] - t) / h, (_P.shape[1], 1)), axis=0)
+            ys.append(h * np.dot(K.T.dot(_P), p) + y[:, None])
+            ts.append(t_eval[i_eval:i_new])
+            i_eval = i_new
+        t, y, fy = t_new, y_new, f_new
+    # Two evaluations choose the first step; each step tried takes six.
+    nfev = 2 + 6 * (accepted + rejected)
+    message = ("The solver successfully reached the end of the integration interval." if success
+               else "Required step size is less than spacing between numbers.")
+    return OdeResult(np.hstack(ts), np.hstack(ys), nfev, success, message, accepted, rejected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +159,10 @@ class Trajectory:
     mass: np.ndarray
     clip_count: int
     clip_magnitude: float
+    # Integrator work: right-hand-side evaluations, accepted and rejected steps.
+    rhs_evals: int
+    accepted_steps: int
+    rejected_steps: int
 
     def final(self) -> PrecisionMeasure:
         return self.measures[-1]
@@ -74,7 +181,7 @@ def integrate(
 ) -> Trajectory:
     """Integrate the measure flow from ``mu0`` to ``t_end``.
 
-    Uses an adaptive explicit Runge-Kutta (4,5) scheme at tight tolerances.
+    Uses ``solve_ivp``, the adaptive Dormand-Prince 5(4) scheme, at tight tolerances.
     Snapshots on the observation grid (every ``dt_out``, default t_end / 50,
     at most ``MAX_SNAPSHOTS`` steps) are checked for negativity: undershoots down to
     -1e3 * ODE_ATOL are clipped to zero and counted; anything worse raises.
@@ -98,20 +205,15 @@ def integrate(
         return np.append(res, overflow - params.eta * y[-1])
 
     t_eval = np.arange(0.0, t_end + dt_out * 0.5, dt_out)
+    # The half-step margin admits one point past t_end when dt_out does not divide it.
+    t_eval = t_eval[t_eval <= t_end]
     if t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)
 
     y0 = np.append(mu0.weights, mu0.tail_mass)
-    # Through the module attribute: a bare name is unbound until the first read.
-    sol = sys.modules[__name__].solve_ivp(
-        flow,
-        (0.0, t_end),
-        y0,
-        method="RK45",
-        t_eval=t_eval,
-        atol=ODE_ATOL,
-        rtol=ODE_RTOL,
-    )
+    # The bare global name, read at call time, so a rebinding of
+    # ``dynamics.solve_ivp`` (a tracing wrapper) sees every integration.
+    sol = solve_ivp(flow, (0.0, t_end), y0, t_eval=t_eval, atol=ODE_ATOL, rtol=ODE_RTOL)
     if not sol.success:
         raise SolverError(f"measure-flow integration failed: {sol.message}")
 
@@ -142,6 +244,9 @@ def integrate(
         mass=mass,
         clip_count=clip_count,
         clip_magnitude=clip_magnitude,
+        rhs_evals=sol.nfev,
+        accepted_steps=sol.accepted_steps,
+        rejected_steps=sol.rejected_steps,
     )
 
 

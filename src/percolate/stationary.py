@@ -336,15 +336,18 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
 
 def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float]:
     """Uncached stationary solve: (measure with tail mass, average effort)."""
+    # The candidate measure of every feasible trial, so the root's is not computed again.
+    measures: dict[float, PrecisionMeasure] = {}
 
     def gap(x: float) -> float:
         # An infeasible trial (no real zero-bin root, an exploding bin
         # denominator or diverging weights) means the candidate effort mass
         # blows past x, so the gap is effectively -inf and the root lies above.
         try:
-            return x - average_effort(candidate_measure(x, policy, params), policy)
+            measures[x] = candidate_measure(x, policy, params)
         except SolverError:
             return -math.inf
+        return x - average_effort(measures[x], policy)
 
     lo = _feasibility_floor(policy, params)
     # Any root is a grid effort mass, at most c_hi times a grid mass <= 1, so g(c_hi) >= 0.
@@ -362,8 +365,9 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
         if g_hi > ROOT_TOL:
             root = _brent(gap, lo, hi, g_lo, g_hi)
 
-    # Also rejects a bracket with no sign change, whose root is then hi.
-    mu_grid = candidate_measure(root, policy, params)
+    # Also rejects a bracket with no sign change, whose root is then hi.  An
+    # infeasible root was never stored, and raises here as it did in gap.
+    mu_grid = measures[root] if root in measures else candidate_measure(root, policy, params)
     g_root = root - average_effort(mu_grid, policy)
     if abs(g_root) > ROOT_TOL:
         raise SolverError(f"no stationary average effort: |g({root:.12g})| = {abs(g_root):.3e}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -45,6 +47,18 @@ def make_scenario(**overrides) -> dict:
     }
     base.update(overrides)
     return base
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the README's ``percolate ...`` shell examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["percolate"]:
+                commands.append(words[1:])
+    return commands
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 import percolate.cli as cli
 from percolate.errors import SolverError
 from percolate.model import N_MAX_LIMIT
-from conftest import make_scenario
+from conftest import make_scenario, readme_commands
 
 
 @pytest.fixture()
@@ -98,6 +98,9 @@ def test_simulate_dynamics_point_init(scenario_file, tmp_path):
     assert res["times"][-1] == 2.0
     assert len(res["final_weights"]) == 65
     assert res["mass"][-1] == pytest.approx(1.0, abs=1e-6)
+    # The integrator's work counts stay off the main output, which is byte-stable.
+    assert sorted(res) == ["clip_count", "clip_magnitude", "final_tail", "final_weights",
+                           "l1_gap_to_stationary", "mass", "times"]
     assert res["l1_gap_to_stationary"] > 0
 
 
@@ -576,7 +579,13 @@ def test_manifest_records_the_invocation(scenario_file, tmp_path):
     assert doc["manifest"]["command"] == argv
 
 
-def test_importing_the_cli_loads_no_scipy():
+# Runs the console script in an interpreter where any scipy import raises.
+NO_SCIPY = 'import sys; sys.modules["scipy"] = None; from percolate.cli import main; sys.exit(main())'
+# The README's Monte Carlo sizes, shrunk to keep each command under a second.
+README_SHRINK = {"100000": "2000", "200000": "2000", "50": "5"}
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path, monkeypatch):
     # In a fresh interpreter: the test process has scipy loaded already.
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -584,3 +593,22 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+    # Every README command runs on numpy alone.
+    (tmp_path / "scenario.json").write_text(json.dumps(make_scenario()))
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} >= {"simulate-dynamics", "montecarlo", "sweep"}
+    for argv in commands:
+        if argv[0] == "montecarlo":
+            argv = [README_SHRINK.get(word, word) for word in argv]
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])
+        if argv[0] == "simulate-dynamics":
+            flow_argv, flow_out = argv, argv[argv.index("--out") + 1]
+    # ... and the flow it writes is the one this (scipy-loaded) process writes.
+    (tmp_path / "in_process").mkdir()
+    monkeypatch.chdir(tmp_path / "in_process")
+    (tmp_path / "in_process" / "scenario.json").write_text(json.dumps(make_scenario()))
+    assert cli.main(flow_argv) == 0
+    assert (tmp_path / "in_process" / flow_out).read_bytes() == (tmp_path / flow_out).read_bytes()

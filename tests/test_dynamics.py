@@ -1,13 +1,18 @@
-"""Measure flow: conservation, fixed points, attraction, diagnostics."""
+"""Measure flow: conservation, fixed points, attraction, diagnostics, and the
+RK45 port against scipy's ``solve_ivp`` as the oracle."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from percolate import (
     Policy,
     PrecisionMeasure,
+    SolverError,
     ValidationError,
     integrate,
     load_params,
@@ -15,7 +20,7 @@ from percolate import (
     solve_stationary,
 )
 from percolate import dynamics
-from percolate.dynamics import MAX_SNAPSHOTS
+from percolate.dynamics import MAX_SNAPSHOTS, ODE_ATOL, ODE_RTOL
 from percolate.stationary import balance_residual
 from conftest import make_scenario
 
@@ -95,6 +100,9 @@ def test_snapshot_grid_and_default_spacing():
     fine = integrate(p.pi, pol, p, t_end=10.0, dt_out=0.5)
     assert len(fine.times) == 21
     assert fine.final().total_mass() == pytest.approx(1.0, abs=1e-9)
+    # A spacing that does not divide t_end still ends the grid at t_end.
+    coarse = integrate(p.pi, pol, p, t_end=20.0, dt_out=7.0)
+    assert coarse.times.tolist() == [0.0, 7.0, 14.0, 20.0]
 
 
 def test_integrate_calls_solve_ivp_through_the_module_attribute(monkeypatch):
@@ -111,6 +119,129 @@ def test_integrate_calls_solve_ivp_through_the_module_attribute(monkeypatch):
     traj = integrate(p.pi, Policy.trigger_policy(3, p), p, t_end=2.0)
     assert calls == [(0.0, 2.0)]
     assert traj.times[-1] == 2.0
+
+
+def _hold_to_scipy(monkeypatch) -> list:
+    """Make every integration also run scipy's RK45 on the same flow; returns (port, scipy) pairs."""
+    port = dynamics.solve_ivp
+    pairs = []
+
+    def both(fun, t_span, y0, t_eval, atol, rtol):
+        ours = port(fun, t_span, y0, t_eval=t_eval, atol=atol, rtol=rtol)
+        ref = scipy_solve_ivp(fun, t_span, y0, method="RK45", t_eval=t_eval, atol=atol,
+                              rtol=rtol)
+        pairs.append((ours, ref))
+        return ours
+
+    monkeypatch.setattr(dynamics, "solve_ivp", both)
+    return pairs
+
+
+def _assert_same_solution(ours, ref):
+    assert ours.success and ref.success
+    assert ours.t.tobytes() == ref.t.tobytes()
+    assert ours.y.shape == ref.y.shape and ours.y.tobytes() == ref.y.tobytes()
+    assert ours.nfev == ref.nfev
+
+
+def test_rk45_port_matches_scipy_on_the_criterion_2_flows(monkeypatch):
+    # Criterion 2's grid at n_max = 256, without rho: it enters neither the
+    # flow nor the stationary market, so each (eta, c_lo) flow is one flow.
+    pairs = _hold_to_scipy(monkeypatch)
+    for eta, c_lo in itertools.product((0.5, 1.0, 2.0), (0.0, 0.1)):
+        p = _params(eta=eta, c_lo=c_lo, n_max=256)
+        for trigger in range(1, 7):
+            pol = Policy.trigger_policy(trigger, p)
+            for mu0 in (p.pi, PrecisionMeasure.point_mass(5, p.n_max)):
+                integrate(mu0, pol, p, t_end=50.0 / eta)
+    assert len(pairs) == 72
+    for ours, ref in pairs:
+        _assert_same_solution(ours, ref)
+
+
+@pytest.mark.parametrize("n_max", [16, 64])
+def test_rk45_port_matches_scipy_on_small_markets(monkeypatch, n_max):
+    # Searchers at c_lo > 0 past the trigger, observation grids finer and
+    # coarser than the steps, and one flow that loses mass to the tail.
+    pairs = _hold_to_scipy(monkeypatch)
+    for eta, c_lo, trigger in itertools.product((0.5, 2.0), (0.1, 0.3), (1, 2, 5)):
+        p = _params(eta=eta, c_lo=c_lo, n_max=n_max)
+        pol = Policy.trigger_policy(trigger, p)
+        for mu0, dt_out in ((p.pi, 0.05), (PrecisionMeasure.point_mass(3, n_max), 7.0)):
+            integrate(mu0, pol, p, t_end=20.0, dt_out=dt_out)
+    p = _params(eta=0.05, c_lo=0.5, n_max=n_max)
+    integrate(p.pi, Policy.constant(1.0, p), p, t_end=60.0)
+    assert len(pairs) == 25
+    for ours, ref in pairs:
+        _assert_same_solution(ours, ref)
+
+
+def _nan_after(calls: int, fun):
+    """``fun``, until it has been called ``calls`` times; NaN everywhere after."""
+    count = itertools.count(1)
+
+    def wrapped(*args):
+        out = fun(*args)
+        return out if next(count) <= calls else np.full_like(out, np.nan)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("calls", [1, 2, 3, 20, 61])
+def test_rk45_port_fails_as_scipy_does_on_a_nan_right_hand_side(calls):
+    # Every step from the first NaN on is rejected until the step is too small.
+    y0 = np.array([1.0, 0.5, 0.0])
+    t_eval = np.linspace(0.0, 5.0, 11)
+    kwargs = {"t_eval": t_eval, "atol": ODE_ATOL, "rtol": ODE_RTOL}
+    ours = dynamics.solve_ivp(_nan_after(calls, lambda t, y: -y), (0.0, 5.0), y0, **kwargs)
+    ref = scipy_solve_ivp(_nan_after(calls, lambda t, y: -y), (0.0, 5.0), y0, method="RK45",
+                          **kwargs)
+    assert not ours.success and not ref.success
+    assert ours.message == ref.message
+    assert ours.nfev == ref.nfev
+    assert ours.t.tobytes() == np.asarray(ref.t, dtype=float).tobytes()
+    assert ours.nfev == 2 + 6 * (ours.accepted_steps + ours.rejected_steps)
+
+
+def test_rk45_port_fails_on_a_nan_first_derivative():
+    # scipy never returns here: its first step is NaN, and NaN < min_step is never true.
+    sol = dynamics.solve_ivp(lambda t, y: np.full_like(y, np.nan), (0.0, 1.0), np.ones(2),
+                             t_eval=np.array([0.0, 1.0]), atol=ODE_ATOL, rtol=ODE_RTOL)
+    assert not sol.success and sol.nfev == 2 and sol.accepted_steps == sol.rejected_steps == 0
+    assert sol.t.size == 0 and sol.y.shape == (2, 0)
+
+
+def test_integrate_raises_on_an_overflowing_start():
+    # Weights near the float maximum overflow the first drift evaluation to NaN.
+    p = _params(n_max=16)
+    w = np.zeros(p.n_max + 1)
+    w[1:3] = 1e300
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="integration failed"):
+        integrate(PrecisionMeasure(w), Policy.trigger_policy(3, p), p, t_end=1.0)
+
+
+def test_integrate_raises_when_the_flow_turns_nan(monkeypatch):
+    calls = itertools.count(1)
+
+    def residual(weights, policy, params):
+        res, overflow = balance_residual(weights, policy, params)
+        return (res if next(calls) <= 40 else np.full_like(res, np.nan)), overflow
+
+    monkeypatch.setattr(dynamics, "balance_residual", residual)
+    p = _params(n_max=16)
+    with pytest.raises(SolverError, match="measure-flow integration failed: Required step size"):
+        integrate(p.pi, Policy.trigger_policy(3, p), p, t_end=5.0)
+
+
+def test_trajectory_reports_the_integrator_work(monkeypatch):
+    pairs = _hold_to_scipy(monkeypatch)
+    p = _params(n_max=16)
+    traj = integrate(p.pi, Policy.trigger_policy(3, p), p, t_end=5.0)
+    ((ours, ref),) = pairs
+    assert traj.rhs_evals == ours.nfev == ref.nfev
+    assert traj.accepted_steps == ours.accepted_steps > 0
+    assert traj.rejected_steps == ours.rejected_steps >= 0
+    assert traj.rhs_evals == 2 + 6 * (traj.accepted_steps + traj.rejected_steps)
 
 
 @pytest.mark.parametrize("t_end,dt_out", [

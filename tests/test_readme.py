@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import percolate.cli as cli
+from conftest import readme_commands
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,13 +36,7 @@ def test_readme_python_blocks_run():
 
 
 def test_readme_commands_parse():
-    text = README.read_text(encoding="utf-8")
-    commands = []
-    for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL):
-        for line in block.replace("\\\n", " ").splitlines():
-            words = shlex.split(line)
-            if words[:1] == ["percolate"]:
-                commands.append(words[1:])
+    commands = readme_commands()
     assert {argv[0] for argv in commands} >= {"solve-stationary", "montecarlo", "sweep"}
     parser = cli.build_parser()
     for argv in commands:
