@@ -9,7 +9,8 @@ solve-equilibrium   all trigger equilibria with diagnostics
 intervention        subsidy or education run with welfare comparison
 montecarlo          finite-population run, or mean-field value estimate
 counterexample      derivative probe: more search below can shrink mass above
-sweep               parameter grid evaluated concurrently into tidy CSV
+sweep               parameter grid into tidy CSV; the points run in one process
+                    and share the stationary memo
 
 Each subcommand takes the parsed flags and the loaded scenario and returns
 its result; ``main`` alone loads the scenario, builds the run manifest and
@@ -27,7 +28,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -295,36 +295,11 @@ def _cmd_counterexample(args: argparse.Namespace, params: ModelParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_worker(job: tuple) -> list:
-    base, overrides, task, policy_spec, n_max = job
-    scenario = dict(base)
-    scenario.update(overrides)
-    params = load_params(scenario, n_max_override=n_max)
-    if task == "solve-stationary":
-        policy = _build_policy(policy_spec, params)
-        state = solve_stationary(policy, params)
-        metrics = [state.c_bar, state.mu.grid_mass(), state.mu.tail_mass]
-    else:
-        report = find_equilibria(params)
-        triggers = report.triggers()
-        metrics = [len(triggers), triggers[-1] if triggers else -1, report.n_bar]
-    cells = [_grid_cell(overrides[k]) for k in sorted(overrides)]
-    return cells + [repr(float(m)) for m in metrics]
-
-
 def _grid_cell(value) -> str:
     """CSV cell of a grid value: a number as its float repr, anything else as JSON."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return repr(float(value))
     return json.dumps(value, sort_keys=True)
-
-
-def _sweep_workers() -> int:
-    """Worker count from PERCOLATE_THREADS (unset or 0: up to 4, bounded by the CPUs)."""
-    raw = os.environ.get("PERCOLATE_THREADS", "0")
-    if not raw.strip().isdecimal():
-        raise ValidationError(f"PERCOLATE_THREADS must be a nonnegative integer, got {raw!r}")
-    return int(raw) or min(4, os.cpu_count() or 1)
 
 
 _SWEEP_METRIC_HEADERS = {
@@ -336,7 +311,6 @@ _SWEEP_METRIC_HEADERS = {
 def _cmd_sweep(args: argparse.Namespace, params: ModelParams) -> Table:
     if args.out is None:
         raise ValidationError("sweep writes CSV and requires --out")
-    workers = _sweep_workers()
     stripped = args.grid.lstrip()
     if stripped.startswith("{"):
         try:
@@ -355,15 +329,19 @@ def _cmd_sweep(args: argparse.Namespace, params: ModelParams) -> Table:
     for k in keys:
         combos = [dict(c, **{k: v}) for c in combos for v in grid[k]]
     base = params.to_dict()
-    jobs = [(base, combo, args.task, args.policy, args.n_max) for combo in combos]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-    else:
-        rows = [_sweep_worker(j) for j in jobs]
+    rows = []
+    # Points run in grid order in this process, so points that differ only in
+    # best-response fields (rho, cost, r, ...) share one memoized stationary solve.
+    for combo in combos:
+        point = load_params(dict(base, **combo), n_max_override=args.n_max)
+        if args.task == "solve-stationary":
+            state = solve_stationary(_build_policy(args.policy, point), point)
+            metrics = [state.c_bar, state.mu.grid_mass(), state.mu.tail_mass]
+        else:
+            report = find_equilibria(point)
+            triggers = report.triggers()
+            metrics = [len(triggers), triggers[-1] if triggers else -1, report.n_bar]
+        rows.append([_grid_cell(combo[k]) for k in keys] + [repr(float(m)) for m in metrics])
     return keys + _SWEEP_METRIC_HEADERS[args.task], rows
 
 

@@ -17,7 +17,6 @@ for bit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure
 from .stationary import MarketState, balance_residual, is_stable, solve_stationary
-
-logger = logging.getLogger(__name__)
 
 # Absolute and relative tolerances of the measure-flow integrator.
 ODE_ATOL = 1e-10
@@ -234,8 +231,6 @@ def integrate(
             clip_magnitude = max(clip_magnitude, -worst)
             col = np.where(neg, 0.0, col)
         measures.append(PrecisionMeasure(col[:-1], float(col[-1])))
-    if clip_count:
-        logger.info("clipped %d negative undershoots (worst %.2e)", clip_count, clip_magnitude)
 
     mass = np.array([m.total_mass() for m in measures])
     return Trajectory(

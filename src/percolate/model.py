@@ -81,6 +81,10 @@ def cross_section_params(n: int, y: float, rho: float) -> tuple[float, float]:
 # Cost of search effort
 # ---------------------------------------------------------------------------
 
+# The fields a scenario's ``cost`` object may hold, by cost type.
+_COST_FIELDS = {"linear": {"type", "kappa"}, "tabulated": {"type", "points"}}
+
+
 @dataclass(frozen=True, eq=False)
 class CostSpec:
     """Flow cost of search effort.
@@ -179,15 +183,18 @@ class CostSpec:
         if not isinstance(d, dict):
             raise ValidationError(f"cost must be an object, got {d!r}")
         kind = d.get("type", "linear")
+        if not isinstance(kind, str) or kind not in _COST_FIELDS:
+            raise ValidationError(f"unknown cost type {kind!r}")
+        unknown = set(d) - _COST_FIELDS[kind]
+        if unknown:
+            raise ValidationError(f"unknown {kind} cost fields: {sorted(unknown)}")
         if kind == "linear":
             return CostSpec(kind="linear", kappa=_real(d.get("kappa"), "kappa"))
-        if kind == "tabulated":
-            raw, seq = d.get("points"), (list, tuple)
-            if not isinstance(raw, seq) or not all(isinstance(p, seq) and len(p) == 2 for p in raw):
-                raise ValidationError("tabulated cost points must be a list of [effort, cost] pairs")
-            points = tuple((_real(c, "cost knot"), _real(k, "cost knot")) for c, k in raw)
-            return CostSpec(kind="tabulated", points=points)
-        raise ValidationError(f"unknown cost type {kind!r}")
+        raw, seq = d.get("points"), (list, tuple)
+        if not isinstance(raw, seq) or not all(isinstance(p, seq) and len(p) == 2 for p in raw):
+            raise ValidationError("tabulated cost points must be a list of [effort, cost] pairs")
+        points = tuple((_real(c, "cost knot"), _real(k, "cost knot")) for c, k in raw)
+        return CostSpec(kind="tabulated", points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +322,9 @@ class Policy:
 
     @staticmethod
     def constant(c: float, params: "ModelParams") -> "Policy":
-        params.check_effort(c)
-        return Policy(np.full(params.n_max + 1, float(c)))
+        policy = Policy(np.full(params.n_max + 1, float(c)))
+        policy.validate_bounds(params)
+        return policy
 
     @staticmethod
     def from_list(values: Sequence[float], params: "ModelParams") -> "Policy":
@@ -325,8 +333,8 @@ class Policy:
         vals = [_real(v, f"effort {i}") for i, v in enumerate(values, start=1)]
         if not vals:
             raise ValidationError("effort list must be nonempty")
-        for v in vals:
-            params.check_effort(v)
+        # Every given effort is checked, also those past the grid that are dropped.
+        _check_effort_range(np.asarray(vals), params)
         e = np.full(params.n_max + 1, vals[-1])
         upto = min(len(vals), params.n_max)
         e[1 : upto + 1] = vals[:upto]
@@ -338,9 +346,13 @@ class Policy:
             raise ValidationError(
                 f"policy has {self.efforts.size} efforts, the grid needs n_max + 1 = {params.n_max + 1}"
             )
-        lo, hi = params.c_lo, params.c_hi
-        if np.any(self.efforts < lo - 1e-12) or np.any(self.efforts > hi + 1e-12):
-            raise ValidationError(f"efforts leave the admissible interval [{lo}, {hi}]")
+        _check_effort_range(self.efforts, params)
+
+
+def _check_effort_range(efforts: np.ndarray, params: "ModelParams") -> None:
+    lo, hi = params.c_lo, params.c_hi
+    if np.any(efforts < lo - 1e-12) or np.any(efforts > hi + 1e-12):
+        raise ValidationError(f"efforts leave the admissible interval [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +462,6 @@ class ModelParams:
         """Cost net of the effort subsidy."""
         return self.cost.with_subsidy(self.subsidy)
 
-    def check_effort(self, c: float) -> None:
-        if not self.c_lo - 1e-12 <= c <= self.c_hi + 1e-12:
-            raise ValidationError(f"effort {c} outside [{self.c_lo}, {self.c_hi}]")
-
     def with_(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
 
@@ -521,6 +529,8 @@ def _parse_pi(raw, n_max: int) -> PrecisionMeasure:
                 n = int(k)
             except ValueError as exc:
                 raise ValidationError(f"pi precision {k!r} is not an integer") from exc
+            if n in mapping:
+                raise ValidationError(f"pi names precision {n} twice (key {k!r})")
             mapping[n] = _real(v, f"pi[{k!r}]")
         return PrecisionMeasure.from_mapping(mapping, n_max)
     if isinstance(raw, (list, tuple)):

@@ -8,11 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 import percolate.cli as cli
+from percolate import stationary
 from percolate.errors import SolverError
 from percolate.model import N_MAX_LIMIT
 from conftest import make_scenario, readme_commands
@@ -282,8 +284,7 @@ def test_policy_list_file(scenario_file, tmp_path):
     assert _load(out)["result"]["c_bar"] > 0
 
 
-def test_sweep_writes_csv(scenario_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("PERCOLATE_THREADS", "1")
+def test_sweep_writes_csv(scenario_file, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"eta": [0.5, 1.0], "rho": [0.3, 0.5]}))
     out = tmp_path / "sweep.csv"
@@ -302,8 +303,42 @@ def test_sweep_writes_csv(scenario_file, tmp_path, monkeypatch):
     assert all(0 <= float(r["tail_mass"]) < 0.1 for r in rows)
 
 
-def test_sweep_accepts_inline_grid(scenario_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("PERCOLATE_THREADS", "1")
+def test_sweep_shares_stationary_solves_across_grid_points(tmp_path, monkeypatch):
+    monkeypatch.delenv("PERCOLATE_THREADS", raising=False)
+    monkeypatch.setattr(stationary, "_memo", OrderedDict())
+    solved = []
+    real_solve = stationary._solve
+
+    def counted(policy, params):
+        solved.append(params.eta)
+        return real_solve(policy, params)
+
+    monkeypatch.setattr(stationary, "_solve", counted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(json.dumps(make_scenario()))
+    (argv,) = [argv for argv in readme_commands() if argv[0] == "sweep"]
+    policy = argv[argv.index("--policy") + 1]
+    assert cli.main(argv) == 0
+    # rho enters only the best response: the four points are two markets,
+    # each solved once, in this process.
+    assert solved == [0.5, 1.0]
+    with open(argv[argv.index("--out") + 1]) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["eta"], r["rho"]) for r in rows] == [
+        ("0.5", "0.3"), ("0.5", "0.5"), ("1.0", "0.3"), ("1.0", "0.5")
+    ]
+    for row in rows:
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps(make_scenario(eta=float(row["eta"]), rho=float(row["rho"]))))
+        stationary._memo.clear()
+        assert cli.main(["solve-stationary", "--config", str(point), "--policy", policy,
+                         "--out", str(tmp_path / "point_state.json")]) == 0
+        doc = _load(tmp_path / "point_state.json")
+        for key in ("c_bar", "grid_mass", "tail_mass"):
+            assert float(row[key]) == doc["result"][key], (row, key)
+
+
+def test_sweep_accepts_inline_grid(scenario_file, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main([
         "sweep", "--config", scenario_file, "--grid", '{"eta": [0.5, 1.0]}',
@@ -315,8 +350,7 @@ def test_sweep_accepts_inline_grid(scenario_file, tmp_path, monkeypatch):
     assert [r["eta"] for r in rows] == ["0.5", "1.0"]
 
 
-def test_sweep_honours_n_max(tmp_path, monkeypatch):
-    monkeypatch.setenv("PERCOLATE_THREADS", "1")
+def test_sweep_honours_n_max(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(make_scenario(c_lo=0.1)))
     flags = ["--config", str(scenario), "--policy", "trigger:3", "--n-max", "16"]
@@ -334,8 +368,7 @@ def test_sweep_honours_n_max(tmp_path, monkeypatch):
     assert sidecar["config_sha256"] == doc["manifest"]["config_sha256"]
 
 
-def test_sweep_over_a_list_valued_field(scenario_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("PERCOLATE_THREADS", "1")
+def test_sweep_over_a_list_valued_field(scenario_file, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main([
         "sweep", "--config", scenario_file, "--grid", '{"pi": [[0.5, 0.5], [1.0]]}',
@@ -349,9 +382,9 @@ def test_sweep_over_a_list_valued_field(scenario_file, tmp_path, monkeypatch):
 
 
 def test_sweep_rejects_an_invalid_base_before_any_grid_point(tmp_path, monkeypatch):
-    monkeypatch.setenv("PERCOLATE_THREADS", "1")
     calls = []
-    monkeypatch.setattr(cli, "_sweep_worker", lambda job: calls.append(job))
+    for solver in ("solve_stationary", "find_equilibria"):
+        monkeypatch.setattr(cli, solver, lambda *a, **k: calls.append(a))
     # The grid would replace the bad eta, but the base scenario is checked first.
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(make_scenario(eta=-1)))
@@ -361,58 +394,6 @@ def test_sweep_rejects_an_invalid_base_before_any_grid_point(tmp_path, monkeypat
     assert rc == 2
     assert calls == []
     assert not out.exists()
-
-
-@pytest.mark.parametrize("threads", ["abc", "-1"])
-def test_sweep_rejects_bad_thread_count_before_any_pool(scenario_file, tmp_path, monkeypatch, threads):
-    import concurrent.futures
-
-    def no_pool(*a, **k):
-        raise AssertionError("a worker pool was created")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("PERCOLATE_THREADS", threads)
-    out = tmp_path / "sweep.csv"
-    rc = cli.main([
-        "sweep", "--config", scenario_file, "--grid", '{"eta": [0.5, 1.0]}', "--out", str(out),
-    ])
-    assert rc == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("threads,expected", [("1000", 3), ("2", 2)])
-def test_sweep_starts_no_more_workers_than_grid_points(scenario_file, tmp_path, monkeypatch,
-                                                       threads, expected):
-    import concurrent.futures
-
-    started = []
-
-    class RecordingPool:
-        """Records the requested worker count and maps in this process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("PERCOLATE_THREADS", threads)
-    out = tmp_path / "sweep.csv"
-    rc = cli.main([
-        "sweep", "--config", scenario_file, "--grid", '{"eta": [0.5, 1.0, 2.0]}',
-        "--task", "solve-stationary", "--policy", "trigger:3", "--out", str(out),
-    ])
-    assert rc == 0
-    assert started == [expected]
-    with open(out) as fh:
-        assert len(list(csv.DictReader(fh))) == 3
 
 
 def test_sweep_requires_out(scenario_file, tmp_path):
@@ -434,10 +415,22 @@ def test_sweep_rejects_malformed_grids(scenario_file, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_invalid_config_exits_2(tmp_path):
+def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(make_scenario(rho=1.5)))
     assert cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"]) == 2
+    for overrides, named in [
+        ({"pi": {"1": 1.0, "01": 1.0}}, "precision 1 twice"),
+        ({"pi": {"1": 0.5, "01": 0.5}}, "precision 1 twice"),
+        ({"cost": {"type": "linear", "kappa": 0.1, "kapa": 0.5}}, "'kapa'"),
+        ({"cost": {"type": "linear", "kappa": 0.1, "points": 5}}, "'points'"),
+        ({"cost": {"type": "tabulated", "points": [[0, 0], [1, 0.1]], "kappa": 0.3}}, "'kappa'"),
+    ]:
+        bad.write_text(json.dumps(make_scenario(**overrides)))
+        capsys.readouterr()
+        rc = cli.main(["solve-stationary", "--config", str(bad), "--policy", "trigger:1"])
+        assert rc == 2, overrides
+        assert named in capsys.readouterr().err, overrides
 
 
 def test_non_finite_config_exits_2(tmp_path):

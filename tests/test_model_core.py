@@ -271,6 +271,10 @@ def test_policy_from_list_and_bounds():
     assert flat_tail_index(pol) <= 3
     with pytest.raises(ValidationError):
         Policy.from_list([2.0], p)
+    # An entry past the grid (n_max = 64) is dropped, but it must still be admissible.
+    assert Policy.from_list([0.5] * 65, p).efforts.size == 65
+    with pytest.raises(ValidationError):
+        Policy.from_list([0.5] * 64 + [2.0], p)
 
 
 def test_constant_policy():
@@ -327,6 +331,25 @@ def test_load_params_rejects_bad_inputs():
         load_params(make_scenario(pi=[0.5, 0.4]))  # mass 0.9
     with pytest.raises(ValidationError):
         load_params({**make_scenario(), "bogus": 1})
+    # "1" and "01" name one precision: the later weight must not replace the earlier.
+    with pytest.raises(ValidationError, match="precision 1 twice"):
+        load_params(make_scenario(pi={"1": 1.0, "01": 1.0}))  # total weight 2
+    with pytest.raises(ValidationError, match="precision 1 twice"):
+        load_params(make_scenario(pi={"1": 0.5, "01": 0.5}))
+
+
+@pytest.mark.parametrize(
+    "cost, key",
+    [
+        ({"type": "linear", "kappa": 0.1, "kapa": 0.5}, "kapa"),
+        ({"type": "linear", "kappa": 0.1, "points": 5}, "points"),
+        ({"type": "tabulated", "points": [[0, 0], [1, 0.1]], "kappa": 0.3}, "kappa"),
+    ],
+    ids=["linear-typo", "linear-points", "tabulated-kappa"],
+)
+def test_load_params_rejects_unknown_cost_fields(cost, key):
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        load_params(make_scenario(cost=cost))
 
 
 NAN, INF = float("nan"), float("inf")
