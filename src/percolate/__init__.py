@@ -20,14 +20,13 @@ from .model import (
     ValueFunction,
     cond_variance,
     cross_section_params,
-    effort_weighted,
     exit_utility,
     gamma_coeff,
     load_params,
 )
 from .stationary import MarketState, fosd_compare, solve_stationary
 from .dynamics import Trajectory, integrate, mass_loss_check
-from .best_response import BestResponse, minimal_search_test, n_bar, solve_value
+from .best_response import BestResponse, minimal_search_test, solve_value, trigger_bounds
 from .equilibrium import (
     EquilibriumReport,
     active_equilibrium_exists,
@@ -60,7 +59,6 @@ __all__ = [
     "ValueFunction",
     "cond_variance",
     "cross_section_params",
-    "effort_weighted",
     "exit_utility",
     "gamma_coeff",
     "load_params",
@@ -72,8 +70,8 @@ __all__ = [
     "mass_loss_check",
     "BestResponse",
     "minimal_search_test",
-    "n_bar",
     "solve_value",
+    "trigger_bounds",
     "EquilibriumReport",
     "active_equilibrium_exists",
     "correspondence",

@@ -22,7 +22,6 @@ S_n - K'(c_lo), with S_n = sum_{m>=1} (V_{n+m} - V_n) nu_m, stays positive.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +146,8 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
 
     With linear cost, a switching sequence that never crosses zero on the
     grid (searching pays at every precision) shows in the result as
-    ``trigger > n_max`` with ``policy.trigger`` None.  It is not logged: a
-    scan or a bisection meets it on hundreds of markets, so callers count it.
+    ``trigger > n_max``.  It is not logged: a scan or a bisection meets it on
+    hundreds of markets, so callers count it.
     """
     tail = _tail_values(params)
     w = state.policy.efforts * state.mu.weights
@@ -176,7 +175,7 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     if cost.kind == "linear":
         lo, hi = trigger_interval(switching, 0)
         efforts = np.where(switching >= -INDIFFERENCE_TOL, params.c_hi, params.c_lo)
-        policy = Policy(efforts, trigger=hi if hi <= params.n_max else None)
+        policy = Policy(efforts)
         trig: int | None = hi
         interval: tuple[int, int] | None = (lo, hi)
     else:
@@ -203,40 +202,33 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
 # Upper bound on optimal triggers
 # ---------------------------------------------------------------------------
 
-def _payoff_bound(params: ModelParams, scale: float) -> int:
-    """Largest precision n >= 1 with -scale * u(n) >= K'(c_lo), else 0.
+def trigger_bounds(params: ModelParams) -> tuple[int, int]:
+    """``(n_bar, scan_bound)``: the trigger bound and the highest trigger a scan visits.
 
-    ``scale`` bounds the payoff of one meeting per unit payoff gap.
-    Comparisons carry a relative slack of 1e-12 so exact-equality boundaries
-    are kept.  Zero marginal cost gives no finite bound and returns n_max.
-    """
-    kp = params.effective_cost().marginal_right(params.c_lo)
-    if kp <= 0.0:
-        return params.n_max
-    n = np.arange(1, params.n_max + 1)
-    gap = -exit_utility(params, n)
-    ok = np.flatnonzero(scale * gap >= kp - 1e-12 * max(1.0, kp))
-    return int(n[ok[-1]]) if ok.size else 0
-
-
-def n_bar(params: ModelParams) -> int:
-    """Largest precision at which searching can still pay.
-
-    Bounds the one-meeting gain by the full remaining payoff range and the
-    meeting rate by c_hi, giving the condition
+    One more meeting at precision n gains at most the payoff gap 0 - u(n),
+    where 0 is the least upper bound of the exit payoff u.  ``n_bar`` is the
+    largest n >= 1 with
 
         c_hi * eta' * (r + eta') * (0 - u(n)) >= K'(c_lo),
 
-    where 0 is the least upper bound of the exit payoff u.
-
-    Returns the largest n satisfying it (0 if none).  It bounds optimal
-    triggers only when r + eta' >= 1: with faster discounting the switching
-    sequence is bounded on the quotient scale c_hi * eta' / (r + eta'), and
-    ``find_equilibria`` scans up to the larger bound (``scan_bound``).
+    or 0 if none.  It bounds optimal triggers only when r + eta' >= 1: with
+    faster discounting the switching sequence is bounded on the quotient
+    scale c_hi * eta' / (r + eta'), so the scan bound is the larger of n_bar
+    and the same largest n on that scale; the two scales agree at
+    r + eta' = 1.  Comparisons carry a relative slack of 1e-12 so
+    exact-equality boundaries are kept.  Zero marginal cost gives no finite
+    bound, and both bounds are n_max.
     """
-    if params.effective_cost().marginal_right(params.c_lo) <= 0.0:
-        warnings.warn("marginal cost at c_lo is zero: no finite trigger bound", stacklevel=2)
-    return _payoff_bound(params, params.c_hi * params.eta_prime * (params.r + params.eta_prime))
+    kp = params.effective_cost().marginal_right(params.c_lo)
+    if kp <= 0.0:
+        return params.n_max, params.n_max
+    gap = -exit_utility(params, np.arange(1, params.n_max + 1))
+    floor = kp - 1e-12 * max(1.0, kp)
+    rate = params.c_hi * params.eta_prime
+    # The gap falls with n, so the precisions that pass form a prefix of 1..n_max.
+    bound = int(np.count_nonzero(rate * (params.r + params.eta_prime) * gap >= floor))
+    quotient = int(np.count_nonzero(rate / (params.r + params.eta_prime) * gap >= floor))
+    return bound, max(bound, quotient)
 
 
 # ---------------------------------------------------------------------------

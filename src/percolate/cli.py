@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import integrate, mass_loss_check
-from .best_response import n_bar, solve_value
+from .best_response import solve_value, trigger_bounds
 from .equilibrium import find_equilibria, pareto_rank
 from .errors import SolverError, ValidationError
 from .interventions import apply_education, apply_subsidy, welfare_compare
@@ -154,7 +154,7 @@ def _cmd_best_response(args: argparse.Namespace, params: ModelParams) -> dict:
         "market_c_bar": state.c_bar,
         "trigger": br.trigger,
         "interval": list(br.interval) if br.interval else None,
-        "n_bar": n_bar(params),
+        "n_bar": trigger_bounds(params)[0],
         "iterations": br.iterations,
         "final_sup_change": br.final_sup_change,
         "contraction_q": br.contraction_q,

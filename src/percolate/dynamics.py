@@ -32,6 +32,10 @@ ODE_RTOL = 1e-8
 # Most observation steps (t_end / dt_out) one integration records; a finer
 # grid is an input error rather than an allocation failure.
 MAX_SNAPSHOTS = 100_000
+# Most right-hand-side evaluations one integration may make.  RK45's step is
+# bounded by stability, so a stiff flow (large c_hi * c_bar * t_end) would
+# otherwise run for hours; past the cap it is a solver failure.
+MAX_RHS_EVALS = 100_000
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
@@ -182,6 +186,8 @@ def integrate(
     Snapshots on the observation grid (every ``dt_out``, default t_end / 50,
     at most ``MAX_SNAPSHOTS`` steps) are checked for negativity: undershoots down to
     -1e3 * ODE_ATOL are clipped to zero and counted; anything worse raises.
+    A flow that needs more than ``MAX_RHS_EVALS`` right-hand-side evaluations
+    raises ``SolverError``.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValidationError(f"t_end must be finite and positive, got {t_end}")
@@ -197,7 +203,16 @@ def integrate(
     if mu0.weights.size != params.n_max + 1:
         raise ValidationError("initial measure grid does not match n_max")
 
-    def flow(_t, y):
+    evals = 0
+
+    def flow(t, y):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_RHS_EVALS:
+            raise SolverError(
+                f"measure flow too stiff to integrate: {MAX_RHS_EVALS} right-hand-side "
+                f"evaluations reached only t = {t:.6g} of t_end = {t_end:.6g}"
+            )
         res, overflow = balance_residual(y[:-1], policy, params)
         return np.append(res, overflow - params.eta * y[-1])
 

@@ -5,7 +5,7 @@ trigger-N policy itself induces is again consistent with trigger N at every
 precision entrants can actually reach.  The map from market triggers to the
 range [lo(n), hi(n)] of optimal trigger indices is monotone: both ends are
 nondecreasing in n.  ``find_equilibria`` tabulates it by a descending scan
-of every trigger from the search-payoff bound to 0 and keeps the fixed
+of every trigger from ``trigger_bounds``' scan bound to 0 and keeps the fixed
 points.  ``active_equilibrium_exists`` asks only whether an active one
 exists: hi(n) < n rules out every trigger in (hi(n), n], so its descending
 walk jumps from n straight to hi(n) (Tarski 1955; Milgrom & Roberts 1990).
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from .best_response import (
     BestResponse,
     MinimalSearchReport,
-    _payoff_bound,
     minimal_search_test,
-    n_bar,
     solve_value,
+    trigger_bounds,
     trigger_interval,
 )
 from .errors import SolverError, ValidationError
@@ -99,26 +98,13 @@ class EquilibriumReport:
         return any(e.is_active() for e in self.equilibria)
 
 
-def scan_bounds(params: ModelParams) -> tuple[int, int]:
-    """``n_bar`` and the highest trigger a scan visits.
-
-    The scan starts at the larger of n_bar and its variant with the discount
-    ratio eta' / (r + eta'), which coincides with n_bar at r + eta' = 1; the
-    larger of the two is safe for any discounting.
-    """
-    bound = n_bar(params)
-    return bound, max(bound, _payoff_bound(
-        params, params.c_hi * params.eta_prime / (params.r + params.eta_prime)
-    ))
-
-
 def _require_linear_cost(params: ModelParams) -> None:
     if params.effective_cost().kind != "linear":
         raise ValidationError("equilibrium search assumes linear cost (bang-bang optimality)")
 
 
 def find_equilibria(params: ModelParams) -> EquilibriumReport:
-    """Scan all trigger policies from the search-payoff bound down to 0.
+    """Scan all trigger policies from the scan bound down to 0.
 
     Only linear cost is accepted: its best responses are bang-bang, so
     restricting the scan to triggers loses nothing, and any other cost raises
@@ -128,7 +114,7 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
     rather than from the table.
     """
     _require_linear_cost(params)
-    bound, top = scan_bounds(params)
+    bound, top = trigger_bounds(params)
     table: dict[int, tuple[int, int]] = {}
     found: list[CorrespondenceEntry] = []
     for n in range(top, -1, -1):
@@ -159,7 +145,7 @@ def active_equilibrium_exists(params: ModelParams) -> bool:
     ``SolverError``.  Linear cost only, as for ``find_equilibria``.
     """
     _require_linear_cost(params)
-    n = scan_bounds(params)[1]
+    n = trigger_bounds(params)[1]
     above: CorrespondenceEntry | None = None
     while n >= 0:
         entry = correspondence(n, params)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -25,8 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +261,15 @@ class PrecisionMeasure:
         return PrecisionMeasure(w)
 
 
-def effort_weighted(mu: PrecisionMeasure, policy: "Policy") -> PrecisionMeasure:
-    """Effort-weighted measure with weights C_k * mu_k; total mass is average effort.
-
-    Truncated tail mass does not contribute: agents beyond the grid are
-    excluded from the searching population (logged when non-negligible).
-    """
-    if mu.tail_mass > 1e-8:
-        logger.warning("effort weighting drops tail mass %.3e beyond the grid", mu.tail_mass)
-    return PrecisionMeasure(policy.efforts * mu.weights, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Search policies
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Search-effort profile over precisions 0..n_max.
-
-    ``trigger = N`` marks the two-level profile with effort c_hi at precisions
-    strictly below N and c_lo at N and above; the zero-precision effort also
-    follows that rule.  Expanded list policies carry ``trigger = None`` and
-    assign precision 0 the same effort as precision 1.
-    """
+    """Search-effort profile over precisions 0..n_max."""
 
     efforts: np.ndarray
-    trigger: int | None = None
 
     def __post_init__(self) -> None:
         e = np.asarray(self.efforts, dtype=float)
@@ -298,11 +277,6 @@ class Policy:
         e.setflags(write=False)
         if not np.all(np.isfinite(e) & (e >= 0)):
             raise ValidationError("efforts must be finite and nonnegative")
-        if self.trigger is not None:
-            n = int(self.trigger)
-            if n < 0:
-                raise ValidationError(f"trigger must be nonnegative, got {n}")
-            object.__setattr__(self, "trigger", n)
 
     @property
     def n_max(self) -> int:
@@ -318,7 +292,7 @@ class Policy:
             raise ValidationError(f"trigger must be nonnegative, got {n}")
         e = np.full(params.n_max + 1, params.c_lo)
         e[: min(n, params.n_max + 1)] = params.c_hi
-        return Policy(e, trigger=n)
+        return Policy(e)
 
     @staticmethod
     def constant(c: float, params: "ModelParams") -> "Policy":
@@ -328,31 +302,28 @@ class Policy:
 
     @staticmethod
     def from_list(values: Sequence[float], params: "ModelParams") -> "Policy":
-        """Expand efforts given for precisions 1..len(values); the tail repeats
-        the last value and precision 0 copies precision 1."""
+        """Expand efforts given for precisions 1..len(values), at most n_max of
+        them; the tail repeats the last value and precision 0 copies precision 1."""
         vals = [_real(v, f"effort {i}") for i, v in enumerate(values, start=1)]
         if not vals:
             raise ValidationError("effort list must be nonempty")
-        # Every given effort is checked, also those past the grid that are dropped.
-        _check_effort_range(np.asarray(vals), params)
+        if len(vals) > params.n_max:
+            raise ValidationError(f"effort list of length {len(vals)} exceeds n_max={params.n_max}")
         e = np.full(params.n_max + 1, vals[-1])
-        upto = min(len(vals), params.n_max)
-        e[1 : upto + 1] = vals[:upto]
+        e[1 : len(vals) + 1] = vals
         e[0] = vals[0]
-        return Policy(e)
+        policy = Policy(e)
+        policy.validate_bounds(params)
+        return policy
 
     def validate_bounds(self, params: "ModelParams") -> None:
         if self.efforts.size != params.n_max + 1:
             raise ValidationError(
                 f"policy has {self.efforts.size} efforts, the grid needs n_max + 1 = {params.n_max + 1}"
             )
-        _check_effort_range(self.efforts, params)
-
-
-def _check_effort_range(efforts: np.ndarray, params: "ModelParams") -> None:
-    lo, hi = params.c_lo, params.c_hi
-    if np.any(efforts < lo - 1e-12) or np.any(efforts > hi + 1e-12):
-        raise ValidationError(f"efforts leave the admissible interval [{lo}, {hi}]")
+        lo, hi = params.c_lo, params.c_hi
+        if np.any(self.efforts < lo - 1e-12) or np.any(self.efforts > hi + 1e-12):
+            raise ValidationError(f"efforts leave the admissible interval [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class SimConfig:
 class SimOutput:
     """Snapshots and event counts of one simulation run."""
 
-    times: np.ndarray
+    times: np.ndarray  # 51 evenly spaced snapshot times, from 0 to exactly the horizon
     histograms: np.ndarray  # (n_times, n_max + 2); last column counts beyond-grid agents
     mean_sums: np.ndarray  # per-snapshot, per-bin sums of posterior means
     mean_square_sums: np.ndarray  # per-snapshot, per-bin sums of squared posterior means
@@ -260,15 +260,12 @@ def run(
         return pools[c][idx]
 
     # Snapshot bookkeeping.
-    dt_rec = horizon / 50.0
-    rec_times = np.arange(0.0, horizon + dt_rec * 0.5, dt_rec)
-    if rec_times[-1] < horizon:
-        rec_times = np.append(rec_times, horizon)
+    rec_times = np.linspace(0.0, horizon, 51)
     histograms = np.zeros((rec_times.size, n_max + 2), dtype=np.int64)
     mean_sums = np.zeros((rec_times.size, n_max + 2))
     mean_square_sums = np.zeros((rec_times.size, n_max + 2))
-    # Snapshots taken in the loop, then a sentinel; the rest come after it.
-    stops = [x for x in rec_times.tolist() if x <= horizon] + [math.inf]
+    # Snapshot times, then a sentinel; the first event past the horizon takes those still due.
+    stops = rec_times.tolist() + [math.inf]
     rec_idx = 0
     next_rec = stops[0]
 
@@ -344,10 +341,6 @@ def run(
             mean[a] = mean[src]
             if move(a, agent_cls[src]):
                 s1, match_rate, lam = rates()
-
-    while rec_idx < rec_times.size:
-        snapshot(rec_idx)
-        rec_idx += 1
 
     return SimOutput(
         times=rec_times,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .model import ModelParams, Policy, PrecisionMeasure, effort_weighted
+from .model import ModelParams, Policy, PrecisionMeasure
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +49,11 @@ class MarketState:
     c_bar: float
 
     def nu(self) -> PrecisionMeasure:
-        """Effort-weighted stationary measure (total mass = average effort)."""
-        return effort_weighted(self.mu, self.policy)
+        """Effort-weighted stationary measure C_k * mu_k (total mass = average effort).
+
+        Tail mass past the grid does not search, so the result carries none.
+        """
+        return PrecisionMeasure(self.policy.efforts * self.mu.weights)
 
 
 # ---------------------------------------------------------------------------

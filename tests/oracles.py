@@ -433,10 +433,7 @@ def run_loop(
         return pools[c][idx]
 
     # Snapshot bookkeeping.
-    dt_rec = cfg.horizon / 50.0
-    rec_times = np.arange(0.0, cfg.horizon + dt_rec * 0.5, dt_rec)
-    if rec_times[-1] < cfg.horizon:
-        rec_times = np.append(rec_times, cfg.horizon)
+    rec_times = np.linspace(0.0, cfg.horizon, 51)
     histograms = np.zeros((rec_times.size, n_max + 2), dtype=np.int64)
     mean_sums = np.zeros((rec_times.size, n_max + 2))
     mean_square_sums = np.zeros((rec_times.size, n_max + 2))

@@ -29,7 +29,7 @@ from percolate import (
     solve_stationary,
     solve_value,
 )
-from percolate.best_response import n_bar
+from percolate.best_response import trigger_bounds
 from percolate.dynamics import integrate
 from percolate.interventions import _condition_margin
 from percolate.model import Policy, PrecisionMeasure, cross_section_params
@@ -166,7 +166,7 @@ def test_criterion_06_value_iteration_contracts_to_shape():
         assert set(np.unique(efforts)) <= {p.c_lo, p.c_hi}
         assert np.all(efforts[: br.trigger] == p.c_hi)
         assert np.all(efforts[br.trigger :] == p.c_lo)
-        bound = n_bar(p)
+        bound = trigger_bounds(p)[0]
         assert br.trigger <= bound
         assert np.all(efforts[min(bound, p.n_max) :] == p.c_lo)
 
@@ -174,7 +174,7 @@ def test_criterion_06_value_iteration_contracts_to_shape():
     oracle = exact_trigger_bound(
         Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1, 10), Fraction(1, 10)
     )
-    assert n_bar(spot) == oracle == 30
+    assert trigger_bounds(spot)[0] == oracle == 30
 
 
 def test_criterion_07_equilibrium_scan_and_active_witness():

@@ -15,9 +15,9 @@ from percolate import (
     find_equilibria,
     load_params,
     minimal_search_test,
-    n_bar,
     solve_stationary,
     solve_value,
+    trigger_bounds,
 )
 from percolate.best_response import bellman_operator, trigger_interval
 from conftest import make_scenario
@@ -143,7 +143,7 @@ def test_trigger_bound_spot_value_and_exact_oracle():
     oracle = exact_trigger_bound(Fraction(1, 2), Fraction(1), Fraction(1),
                                  Fraction(1, 10), Fraction(1, 10))
     assert oracle == 30
-    assert n_bar(p) == 30
+    assert trigger_bounds(p)[0] == 30
 
 
 @pytest.mark.parametrize("rho,kappa", [(0.25, 0.07), (0.5, 0.13), (0.6, 0.02)])
@@ -152,7 +152,7 @@ def test_trigger_bound_matches_exact_arithmetic(rho, kappa):
     oracle = exact_trigger_bound(Fraction(rho).limit_denominator(10**6),
                                  Fraction(1), Fraction(1), Fraction(1, 10),
                                  Fraction(kappa).limit_denominator(10**6))
-    assert n_bar(p) == oracle
+    assert trigger_bounds(p)[0] == oracle
 
 
 def test_optimal_trigger_can_exceed_n_bar_when_discounting_is_fast():
@@ -162,12 +162,12 @@ def test_optimal_trigger_can_exceed_n_bar_when_discounting_is_fast():
     p = _params(eta_prime=0.1, r=0.01, cost={"type": "linear", "kappa": 0.02})
     st = solve_stationary(Policy.constant(p.c_hi, p), p)
     br = solve_value(st, p)
-    assert n_bar(p) < br.trigger <= find_equilibria(p).scan_bound
+    assert trigger_bounds(p)[0] < br.trigger <= find_equilibria(p).scan_bound
 
 
 def test_no_search_beyond_the_bound():
     p = _params(c_lo=0.0)
-    bound = n_bar(p)
+    bound = trigger_bounds(p)[0]
     for trigger in (1, 4, 8, 40):
         st = solve_stationary(Policy.trigger_policy(trigger, p), p)
         br = solve_value(st, p)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import OrderedDict
 from pathlib import Path
 
@@ -524,6 +525,40 @@ def test_counterexample_step_below_resolution_exits_2(scenario_file, tmp_path, c
     assert cli.main(["counterexample", "--config", scenario_file, "--h", "1e-17",
                      "--out", str(out)]) == 2
     assert "--h" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_effort_list_longer_than_the_grid_exits_2(scenario_file, tmp_path, capsys):
+    # Entries past n_max used to be dropped: counterexample's three rungs ran
+    # as the all-search market [1, 1, 1] at n_max 2, and exited 0.
+    out = tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--config", scenario_file, "--n-max", "2",
+                     "--out", str(out)]) == 2
+    assert "exceeds n_max" in capsys.readouterr().err
+    assert not out.exists()
+    plist = tmp_path / "efforts.json"
+    plist.write_text(json.dumps([0.5, 0.5, 0.1, 0.2]))
+    assert cli.main(["solve-stationary", "--config", scenario_file, "--n-max", "4",
+                     "--policy", f"list:{plist}"]) == 0
+    assert cli.main(["solve-stationary", "--config", scenario_file, "--n-max", "3",
+                     "--policy", f"list:{plist}"]) == 2
+
+
+def test_stiff_measure_flow_exits_3_within_seconds(tmp_path, capsys):
+    # RK45's step is bounded by stability, so its work grows with c_hi * c_bar * t_end;
+    # without a cap this flow ran for about 100 s and 4 million evaluations.
+    scenario = tmp_path / "stiff.json"
+    scenario.write_text(json.dumps(make_scenario(
+        eta_prime=2.54, r=10.0, rho=0.9, c_lo=0.5, c_hi=1e6,
+        cost={"type": "linear", "kappa": 1.0}, pi=[1 / 3, 1 / 3, 1 / 3], n_max=3,
+    )))
+    out = tmp_path / "traj.json"
+    started = time.perf_counter()
+    rc = cli.main(["simulate-dynamics", "--config", str(scenario), "--policy", "trigger:2",
+                   "--t-end", "2", "--out", str(out)])
+    assert rc == 3
+    assert time.perf_counter() - started < 60.0
+    assert "too stiff" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,7 +20,7 @@ from percolate import (
     solve_stationary,
 )
 from percolate import dynamics
-from percolate.dynamics import MAX_SNAPSHOTS, ODE_ATOL, ODE_RTOL
+from percolate.dynamics import MAX_RHS_EVALS, MAX_SNAPSHOTS, ODE_ATOL, ODE_RTOL
 from percolate.stationary import balance_residual
 from conftest import make_scenario
 
@@ -242,6 +242,22 @@ def test_trajectory_reports_the_integrator_work(monkeypatch):
     assert traj.accepted_steps == ours.accepted_steps > 0
     assert traj.rejected_steps == ours.rejected_steps >= 0
     assert traj.rhs_evals == 2 + 6 * (traj.accepted_steps + traj.rejected_steps)
+
+
+def test_integrate_stops_past_the_evaluation_cap(monkeypatch):
+    p = _params(n_max=16)
+    pol = Policy.trigger_policy(3, p)
+    full = integrate(p.pi, pol, p, t_end=5.0)
+    assert full.rhs_evals < MAX_RHS_EVALS
+    # A cap at the flow's own count still lets it finish, with the same bytes.
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", full.rhs_evals)
+    capped = integrate(p.pi, pol, p, t_end=5.0)
+    assert capped.rhs_evals == full.rhs_evals
+    assert all(a.weights.tobytes() == b.weights.tobytes()
+               for a, b in zip(capped.measures, full.measures))
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", full.rhs_evals - 1)
+    with pytest.raises(SolverError, match="too stiff"):
+        integrate(p.pi, pol, p, t_end=5.0)
 
 
 @pytest.mark.parametrize("t_end,dt_out", [

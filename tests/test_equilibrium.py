@@ -28,8 +28,8 @@ from percolate.equilibrium import (
     CorrespondenceEntry,
     correspondence,
     reachable_floor,
-    scan_bounds,
 )
+from percolate.best_response import trigger_bounds
 from conftest import make_scenario
 from test_properties import PROPERTY, linear_markets
 
@@ -219,7 +219,7 @@ def test_walk_answers_has_active_on_the_pool(monkeypatch):
         before = len(seen)
         got = active_equilibrium_exists(p)
         walked += len(seen) - before
-        assert seen[before] == scan_bounds(p)[1]
+        assert seen[before] == trigger_bounds(p)[1]
         report = find_equilibria(p)
         scanned += len(report.correspondence_table)
         assert got == report.has_active(), entry["scenario"]
@@ -270,7 +270,7 @@ def test_walk_jumps_to_hi_and_passes_an_inactive_fixed_point(monkeypatch):
     monkeypatch.setattr(equilibrium, "correspondence", staircase)
     p = _params(cost={"type": "linear", "kappa": 0.05})
     assert active_equilibrium_exists(p)
-    assert seen == [scan_bounds(p)[1], 5, 4, 3]
+    assert seen == [trigger_bounds(p)[1], 5, 4, 3]
 
 
 def test_a_non_monotone_correspondence_raises_through_the_witness(monkeypatch):
@@ -281,13 +281,13 @@ def test_a_non_monotone_correspondence_raises_through_the_witness(monkeypatch):
         # hi falls as the trigger rises: the walk jumps from the top to 0,
         # where hi has risen.
         seen.append(n)
-        return replace(real(n, params), lo=0, hi=scan_bounds(params)[1] - n)
+        return replace(real(n, params), lo=0, hi=trigger_bounds(params)[1] - n)
 
     monkeypatch.setattr(equilibrium, "correspondence", bent)
     p = _params(cost={"type": "linear", "kappa": 0.02})
     with pytest.raises(SolverError, match="^correspondence not monotone"):
         active_equilibrium_exists(p)
-    assert seen == [scan_bounds(p)[1], 0]
+    assert seen == [trigger_bounds(p)[1], 0]
     seen.clear()
     # The education witness must not read the failure as "no witness at this rho".
     with pytest.raises(SolverError, match="^correspondence not monotone"):

@@ -8,13 +8,13 @@ import pytest
 import percolate
 from percolate import (
     CostSpec,
+    MarketState,
     Policy,
     PrecisionMeasure,
     SimConfig,
     ValidationError,
     cond_variance,
     cross_section_params,
-    effort_weighted,
     exit_utility,
     gamma_coeff,
     integrate,
@@ -243,7 +243,7 @@ def test_effort_weighting():
     p = load_params(make_scenario(pi={"1": 0.5, "2": 0.5}, n_max=8))
     pol = Policy.from_list([1.0, 0.5], p)
     mu = PrecisionMeasure.from_mapping({1: 0.6, 2: 0.4}, 8)
-    nu = effort_weighted(mu, pol)
+    nu = MarketState(mu=mu, policy=pol, c_bar=0.8).nu()
     assert nu.weights[1] == pytest.approx(0.6)
     assert nu.weights[2] == pytest.approx(0.2)
 
@@ -258,7 +258,6 @@ def test_trigger_policy_shape():
     pol = Policy.trigger_policy(3, p)
     e = pol.efforts
     assert e[0] == e[2] == 1.0 and e[3] == e[10] == 0.1
-    assert pol.trigger == 3
     assert pol.tail_effort() == 0.1
     zero = Policy.trigger_policy(0, p)
     assert np.all(zero.efforts == 0.1)
@@ -271,10 +270,12 @@ def test_policy_from_list_and_bounds():
     assert flat_tail_index(pol) <= 3
     with pytest.raises(ValidationError):
         Policy.from_list([2.0], p)
-    # An entry past the grid (n_max = 64) is dropped, but it must still be admissible.
-    assert Policy.from_list([0.5] * 65, p).efforts.size == 65
+    # At most one entry per grid precision 1..n_max (n_max = 64).
+    assert Policy.from_list([0.5] * 64, p).efforts.size == 65
+    with pytest.raises(ValidationError, match="exceeds n_max"):
+        Policy.from_list([0.5] * 65, p)
     with pytest.raises(ValidationError):
-        Policy.from_list([0.5] * 64 + [2.0], p)
+        Policy.from_list([0.5] * 63 + [2.0], p)
 
 
 def test_constant_policy():

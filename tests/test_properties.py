@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from percolate import (
     ModelParams, Policy, SimConfig, SolverError, ValidationError, estimate_value, load_params,
-    n_bar, run, solve_value,
+    run, solve_value, trigger_bounds,
 )
-from percolate.best_response import VALUE_TOL, _payoff_bound, bellman_operator
+from percolate.best_response import VALUE_TOL, bellman_operator
 from percolate.model import N_MAX_LIMIT
 from percolate.stationary import (
     MASS_TOL, RESIDUAL_TOL, _feasibility_floor, balance_residual, candidate_measure, is_stable,
@@ -223,11 +223,10 @@ def test_linear_cost_optimum_is_a_trigger_within_the_bound(case):
     assert br.trigger is not None
     assert np.all(efforts[: br.trigger] == params.c_hi)
     assert np.all(efforts[br.trigger :] == params.c_lo)
-    # n_bar bounds the trigger only when r + eta' >= 1; the quotient-scale
-    # bound covers faster discounting, and the scan runs to the larger.  A
-    # bound clipped to n_max says only that searching may pay past the grid.
-    bound = max(n_bar(params), _payoff_bound(
-        params, params.c_hi * params.eta_prime / (params.r + params.eta_prime)))
+    # n_bar bounds the trigger only when r + eta' >= 1; the scan bound also
+    # covers faster discounting.  A bound clipped to n_max says only that
+    # searching may pay past the grid.
+    bound = trigger_bounds(params)[1]
     assert bound == params.n_max or br.trigger <= bound
 
 

@@ -146,6 +146,17 @@ def test_precision_cap_is_counted_and_binned():
     assert np.all(out.histograms.sum(axis=1) == 2_000)
 
 
+@pytest.mark.parametrize("horizon", [13.7, 0.9])
+def test_snapshot_times_end_exactly_at_the_horizon(horizon):
+    # The grid was once built by stepping horizon / 50: at 13.7 it ended with
+    # two snapshots 2e-15 apart, and at 0.9 its last time lay past the horizon.
+    p = _params(n_max=16)
+    out = run(Policy.trigger_policy(2, p), p, SimConfig(population=200, horizon=horizon, seed=5))
+    assert out.times.size == out.histograms.shape[0] == 51
+    assert np.all(np.diff(out.times) > 0.0)
+    assert out.times[0] == 0.0 and out.times[-1] == horizon
+
+
 # ---------------------------------------------------------------------------
 # Value estimate against an exact policy-value computation
 # ---------------------------------------------------------------------------
