@@ -13,7 +13,10 @@ Beyond the grid the value is closed by the stop-searching continuation
 (eta' u(n) - K(c_lo)) / (r + eta'), raised to the value at n_max where that
 is larger: the true value increases in precision, so this is still a lower
 bound, and the closed operator maps increasing values to increasing values
-even when searching pays past the grid.
+even when searching pays past the grid.  ``solve_value`` builds the
+operator's fixed terms once per solve (the tail, the market's effort
+weights, and each candidate effort's numerator constant and denominator), so
+an iteration is one correlation and the candidate maximum.
 
 With linear cost the inner maximization is bang-bang and the optimal policy
 is a trigger: effort c_hi exactly while the switching sequence
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .model import ModelParams, Policy, ValueFunction, exit_utility
+from .model import CostSpec, ModelParams, Policy, ValueFunction, exit_utility
 from .stationary import MarketState, solve_stationary
 
 # True-error target of value iteration (the stop is scaled by the contraction
@@ -41,46 +44,71 @@ INDIFFERENCE_TOL = 1e-9
 # Bellman operator
 # ---------------------------------------------------------------------------
 
-def _tail_values(params: ModelParams) -> np.ndarray:
-    """Stop-searching continuation (eta' u(j) - K(c_lo)) / (r + eta') for j = 0..2 n_max."""
-    j = np.arange(2 * params.n_max + 1)
-    u = exit_utility(params, j)
+def _tail_values(params: ModelParams, u: float | np.ndarray) -> float | np.ndarray:
+    """Stop-searching continuation (eta' u - K(c_lo)) / (r + eta') at exit payoffs u."""
     k_lo = params.effective_cost().cost(params.c_lo)
     return (params.eta_prime * u - k_lo) / (params.r + params.eta_prime)
 
 
-def _padded(values: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Grid values extended past the grid by the stop-searching continuation, floored at V_{n_max}."""
-    return np.concatenate([values, np.maximum(tail[values.size :], values[-1])])
+@dataclass(frozen=True, eq=False)
+class _FixedTerms:
+    """What the Bellman operator reads that stays fixed over one value iteration.
+
+    ``terms`` holds, per candidate effort c in increasing order, the numerator
+    constant eta' u - K(c) over the grid and the denominator c c_bar + r + eta'.
+    ``pad`` is the operator's scratch buffer for the padded values.
+    """
+
+    tail: np.ndarray
+    w: np.ndarray
+    c_bar: float
+    cost: CostSpec
+    terms: tuple[tuple[float, np.ndarray, float], ...]
+    pad: np.ndarray
+
+
+def _fixed_terms(state: MarketState, params: ModelParams) -> _FixedTerms:
+    w = state.policy.efforts * state.mu.weights
+    c_bar = float(w.sum())
+    u = exit_utility(params, np.arange(2 * params.n_max + 1))
+    tail = _tail_values(params, u)
+    u = u[: params.n_max + 1]
+    cost = params.effective_cost()
+    terms = tuple(
+        (c, params.eta_prime * u - cost.cost(float(c)), c * c_bar + params.r + params.eta_prime)
+        for c in cost.candidate_efforts(params.c_lo, params.c_hi)
+    )
+    return _FixedTerms(tail, w, c_bar, cost, terms, np.empty(tail.size))
 
 
 def bellman_operator(
     values: np.ndarray,
     state: MarketState,
     params: ModelParams,
-    tail: np.ndarray | None = None,
+    fixed: _FixedTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One application of the best-response operator.
 
     Returns (updated values, jump expectation Y, maximizing efforts) where
-    Y_n = sum_{m>=0} V_{n+m} nu_m uses the tail continuation past the grid.
-    Ties in the inner maximization resolve to the larger effort.
+    Y_n = sum_{m>=0} V_{n+m} nu_m uses the tail continuation past the grid,
+    floored at V_{n_max}.  Ties in the inner maximization resolve to the
+    larger effort.  ``fixed`` holds the terms that do not depend on
+    ``values``; without it they are built from ``state`` and ``params``.
     """
-    if tail is None:
-        tail = _tail_values(params)
-    w = state.policy.efforts * state.mu.weights
-    c_bar = float(w.sum())
-    u = exit_utility(params, np.arange(params.n_max + 1))
-    cost = params.effective_cost()
-
-    y = np.correlate(_padded(values, tail), w, mode="valid")
-    best = np.full(params.n_max + 1, -np.inf)
-    arg = np.full(params.n_max + 1, params.c_lo)
-    for c in cost.candidate_efforts(params.c_lo, params.c_hi):
-        f = (params.eta_prime * u - cost.cost(float(c)) + c * y) / (
-            c * c_bar + params.r + params.eta_prime
-        )
-        arg = np.where(f >= best, float(c), arg)
+    if fixed is None:
+        fixed = _fixed_terms(state, params)
+    n = values.size
+    pad = fixed.pad
+    pad[:n] = values
+    np.maximum(fixed.tail[n:], values[-1], out=pad[n:])
+    y = np.correlate(pad, fixed.w, mode="valid")
+    # The first candidate is c_lo: it starts the running maximum.
+    (c_lo, num, den), *rest = fixed.terms
+    best = (num + c_lo * y) / den
+    arg = np.full(y.size, c_lo)
+    for c, num, den in rest:
+        f = (num + c * y) / den
+        np.copyto(arg, c, where=f >= best)
         np.maximum(f, best, out=best)
     return best, y, arg
 
@@ -149,18 +177,17 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     ``trigger > n_max``.  It is not logged: a scan or a bisection meets it on
     hundreds of markets, so callers count it.
     """
-    tail = _tail_values(params)
-    w = state.policy.efforts * state.mu.weights
-    c_bar = float(w.sum())
+    fixed = _fixed_terms(state, params)
+    c_bar = fixed.c_bar
     q = params.c_hi * c_bar / (params.c_hi * c_bar + params.r + params.eta_prime)
     stop = VALUE_TOL * (1.0 - q) / q if q > 0.0 else VALUE_TOL
 
-    values = tail[: params.n_max + 1].copy()
+    values = fixed.tail[: params.n_max + 1].copy()
     deltas: list[float] = []
     y = np.zeros(params.n_max + 1)
     for it in range(1, 100_000):
-        new, y, _ = bellman_operator(values, state, params, tail)
-        delta = float(np.max(np.abs(new - values)))
+        new, y, _ = bellman_operator(values, state, params, fixed)
+        delta = float(np.abs(new - values).max())
         deltas.append(delta)
         values = new
         if delta <= stop:
@@ -168,7 +195,7 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     else:
         raise SolverError("value iteration failed to converge")
 
-    cost = params.effective_cost()
+    cost = fixed.cost
     s = y - c_bar * values
     switching = s - cost.marginal_right(params.c_lo)
 
@@ -179,7 +206,7 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
         trig: int | None = hi
         interval: tuple[int, int] | None = (lo, hi)
     else:
-        policy = Policy(bellman_operator(values, state, params, tail)[2])
+        policy = Policy(bellman_operator(values, state, params, fixed)[2])
         trig = None
         interval = None
 
@@ -264,8 +291,10 @@ def minimal_search_test(params: ModelParams) -> MinimalSearchReport:
     gain = 0.0
     if c0 > 0.0:
         values = solve_value(state, params.with_(c_hi=c0)).value.values
-        padded = _padded(values, _tail_values(params))
-        gain = c0 * float(np.dot(padded[2 : params.n_max + 2] - values[1], state.mu.weights[1:]))
+        # V_{1+m} for m = 1..n_max; V_{n_max+1} is padded as the operator pads it.
+        past = np.maximum(_tail_values(params, exit_utility(params, params.n_max + 1)), values[-1])
+        jumped = np.append(values[2:], past)
+        gain = c0 * float(np.dot(jumped - values[1], state.mu.weights[1:]))
     threshold = params.effective_cost().marginal_right(c0)
     return MinimalSearchReport(
         gain=gain,

@@ -250,6 +250,9 @@ def _cmd_montecarlo(args: argparse.Namespace, params: ModelParams) -> dict:
 
 
 def _cmd_counterexample(args: argparse.Namespace, params: ModelParams) -> dict:
+    if params.n_max < 3:
+        raise ValidationError(f"counterexample needs n_max >= 3, got n_max={params.n_max}")
+
     def two_rung(c1: float) -> Policy:
         # Search at c1 with one signal, at c2 with two, stop with three or more:
         # the minimal market where extra first-rung effort can thin the bin

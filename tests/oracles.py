@@ -464,8 +464,6 @@ def run_loop(
         t_next = t + draws.e() / lam
 
         while rec_idx < rec_times.size and rec_times[rec_idx] <= t_next:
-            if rec_times[rec_idx] > cfg.horizon:
-                break
             snapshot(rec_idx)
             rec_idx += 1
         if t_next > cfg.horizon:
@@ -519,10 +517,6 @@ def run_loop(
             prec[a] = prec[src]
             mean[a] = mean[src]
             move(a, agent_cls[src])
-
-    while rec_idx < rec_times.size:
-        snapshot(rec_idx)
-        rec_idx += 1
 
     return SimOutput(
         times=rec_times,

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from percolate import (
     CostSpec,
     Policy,
+    SolverError,
     exit_utility,
     find_equilibria,
     load_params,
@@ -19,7 +21,13 @@ from percolate import (
     solve_value,
     trigger_bounds,
 )
-from percolate.best_response import bellman_operator, trigger_interval
+from percolate.best_response import (
+    VALUE_TOL,
+    _fixed_terms,
+    _tail_values,
+    bellman_operator,
+    trigger_interval,
+)
 from conftest import make_scenario
 from oracles import exact_trigger_bound
 
@@ -101,6 +109,73 @@ def test_bellman_operator_preserves_monotonicity_and_order():
     w = v + rng.uniform(0.0, 0.5)
     tw, _, _ = bellman_operator(w, st, p)
     assert np.all(tw >= tv - 1e-12)
+
+
+@hst.composite
+def value_markets(draw):
+    """A small market with linear or tabulated cost, a subsidy, public signals and a trigger."""
+    n_max = draw(hst.integers(2, 24))
+    support = draw(hst.lists(hst.integers(1, min(4, n_max)), min_size=1, max_size=4, unique=True))
+    if draw(hst.booleans()):
+        support.append(0)
+    raw = draw(hst.lists(hst.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    pi = {str(k): w / sum(raw) for k, w in zip(support, raw)}
+    c_lo = draw(hst.sampled_from([0.0, 0.1, 0.3]))
+    c_hi = c_lo + draw(hst.floats(0.05, 1.5))
+    slopes = sorted(draw(hst.lists(hst.floats(0.01, 0.3), min_size=2, max_size=4)))
+    if draw(hst.booleans()):
+        cost = {"type": "linear", "kappa": slopes[0]}
+    else:
+        # Convex knots on [0, c_hi]: the interior ones add candidate efforts.
+        knots = np.linspace(0.0, c_hi, len(slopes) + 1)
+        heights = np.concatenate([[0.0], np.cumsum(np.diff(knots) * slopes)])
+        points = [[float(c), float(k)] for c, k in zip(knots, heights)]
+        cost = {"type": "tabulated", "points": points}
+    params = load_params(make_scenario(
+        n_max=n_max, pi=pi, c_lo=c_lo, c_hi=c_hi, cost=cost,
+        eta=draw(hst.floats(0.05, 3.0)), eta_prime=draw(hst.floats(0.2, 2.0)),
+        r=draw(hst.floats(0.01, 1.0)), public_signals=draw(hst.integers(0, 3)),
+        subsidy=slopes[0] * draw(hst.sampled_from([0.0, 0.5, 0.99])),
+    ))
+    return params, draw(hst.integers(0, n_max + 1)), draw(hst.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(value_markets())
+def test_fixed_terms_built_once_change_no_bits(case):
+    params, trigger, seed = case
+    try:
+        state = solve_stationary(Policy.trigger_policy(trigger, params), params)
+    except SolverError:
+        return
+    n = params.n_max + 1
+    start = _tail_values(params, exit_utility(params, np.arange(n)))
+    # The three-argument call builds the fixed terms on every call; built once,
+    # they are reused across calls, the padded-values buffer included.
+    fixed = _fixed_terms(state, params)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        v = start + rng.normal(size=n)
+        once = bellman_operator(v, state, params, fixed)
+        each = bellman_operator(v, state, params)
+        assert [a.tobytes() for a in once] == [a.tobytes() for a in each]
+
+    # solve_value against value iteration on the three-argument operator.
+    c_bar = float((state.policy.efforts * state.mu.weights).sum())
+    q = params.c_hi * c_bar / (params.c_hi * c_bar + params.r + params.eta_prime)
+    stop = VALUE_TOL * (1.0 - q) / q if q > 0.0 else VALUE_TOL
+    values = start
+    deltas = []
+    for _ in range(100_000):
+        new = bellman_operator(values, state, params)[0]
+        deltas.append(float(np.max(np.abs(new - values))).hex())
+        values = new
+        if float.fromhex(deltas[-1]) <= stop:
+            break
+    br = solve_value(state, params)
+    assert br.value.values.tobytes() == values.tobytes()
+    assert [d.hex() for d in br.deltas] == deltas
+    assert br.contraction_q.hex() == q.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -531,17 +531,23 @@ def test_counterexample_step_below_resolution_exits_2(scenario_file, tmp_path, c
 def test_effort_list_longer_than_the_grid_exits_2(scenario_file, tmp_path, capsys):
     # Entries past n_max used to be dropped: counterexample's three rungs ran
     # as the all-search market [1, 1, 1] at n_max 2, and exited 0.
+    # counterexample checks the grid itself, so its message names n_max, not
+    # its three rungs, an effort list the user never gave.
     out = tmp_path / "ce.json"
     assert cli.main(["counterexample", "--config", scenario_file, "--n-max", "2",
                      "--out", str(out)]) == 2
-    assert "exceeds n_max" in capsys.readouterr().err
+    assert "counterexample needs n_max >= 3, got n_max=2" in capsys.readouterr().err
     assert not out.exists()
+    assert cli.main(["counterexample", "--config", scenario_file, "--n-max", "3",
+                     "--out", str(out)]) == 0
     plist = tmp_path / "efforts.json"
     plist.write_text(json.dumps([0.5, 0.5, 0.1, 0.2]))
     assert cli.main(["solve-stationary", "--config", scenario_file, "--n-max", "4",
                      "--policy", f"list:{plist}"]) == 0
+    capsys.readouterr()
     assert cli.main(["solve-stationary", "--config", scenario_file, "--n-max", "3",
                      "--policy", f"list:{plist}"]) == 2
+    assert "effort list of length 4 exceeds n_max=3" in capsys.readouterr().err
 
 
 def test_stiff_measure_flow_exits_3_within_seconds(tmp_path, capsys):
