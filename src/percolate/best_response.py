@@ -141,10 +141,6 @@ class BestResponse:
     def iterations(self) -> int:
         return len(self.deltas)
 
-    @property
-    def final_sup_change(self) -> float:
-        return self.deltas[-1]
-
 
 def trigger_interval(switching: np.ndarray, n_min: int) -> tuple[int, int]:
     """Range of trigger indices consistent with a nonincreasing switching sequence.
@@ -184,8 +180,7 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
 
     values = fixed.tail[: params.n_max + 1].copy()
     deltas: list[float] = []
-    y = np.zeros(params.n_max + 1)
-    for it in range(1, 100_000):
+    for _ in range(99_999):
         new, y, _ = bellman_operator(values, state, params, fixed)
         delta = float(np.abs(new - values).max())
         deltas.append(delta)
@@ -210,12 +205,8 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
         trig = None
         interval = None
 
-    # 0.0 - K rather than -K: a zero cost must give +0.0, not -0.0.
-    vf = ValueFunction(values=values, tail_value=float(
-        (0.0 - cost.cost(params.c_lo)) / (params.r + params.eta_prime)
-    ))
     return BestResponse(
-        value=vf,
+        value=ValueFunction(values=values, tail_value=_tail_values(params, 0.0)),
         policy=policy,
         trigger=trig,
         interval=interval,

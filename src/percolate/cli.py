@@ -156,7 +156,7 @@ def _cmd_best_response(args: argparse.Namespace, params: ModelParams) -> dict:
         "interval": list(br.interval) if br.interval else None,
         "n_bar": trigger_bounds(params)[0],
         "iterations": br.iterations,
-        "final_sup_change": br.final_sup_change,
+        "final_sup_change": br.deltas[-1],
         "contraction_q": br.contraction_q,
         "values": _floats(br.value.values),
         "tail_value": br.value.tail_value,
@@ -336,7 +336,7 @@ def _cmd_sweep(args: argparse.Namespace, params: ModelParams) -> Table:
     # Points run in grid order in this process, so points that differ only in
     # best-response fields (rho, cost, r, ...) share one memoized stationary solve.
     for combo in combos:
-        point = load_params(dict(base, **combo), n_max_override=args.n_max)
+        point = load_params(dict(base, **combo))
         if args.task == "solve-stationary":
             state = solve_stationary(_build_policy(args.policy, point), point)
             metrics = [state.c_bar, state.mu.grid_mass(), state.mu.tail_mass]

@@ -35,10 +35,7 @@ PARETO_TOL = 1e-10
 
 def reachable_floor(params: ModelParams) -> int:
     """Smallest precision an entrant can hold (minimum of the entry support)."""
-    support = params.pi.support()
-    if support.size == 0:
-        raise ValidationError("entry measure has empty support")
-    return int(support[0])
+    return int(params.pi.support()[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -248,7 +248,6 @@ class SubsidyWitness:
     delta: float
     tax: float
     boundary: Bisection
-    condition_margin: float
     baseline: EquilibriumReport
     treated: EquilibriumReport
     outcome: InterventionOutcome
@@ -317,7 +316,6 @@ def find_subsidy_witness(n_max: int = 256) -> SubsidyWitness:
             delta=delta,
             tax=outcome.tax,
             boundary=boundary,
-            condition_margin=_condition_margin(params_base, WITNESS_BLOCK),
             baseline=baseline,
             treated=treated,
             outcome=outcome,

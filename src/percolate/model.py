@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -45,13 +45,12 @@ def gamma_coeff(k: int | np.ndarray, rho: float) -> float | np.ndarray:
 def cond_variance(n: int | np.ndarray, rho: float) -> float | np.ndarray:
     """Posterior variance of the state given n exchangeable signals.
 
-    v(n) = (1 - rho^2) / (1 + rho^2 (n - 1)), with v(0) = 1.
+    v(n) = (1 - rho^2) / gamma(n) = (1 - rho^2) / (1 + rho^2 (n - 1)).  No
+    branch is needed at n = 0: gamma(0) is computed as 1 + rho^2 * (-1.0),
+    which is exactly the numerator 1 - rho^2, nonzero for rho < 1, so v(0)
+    is exactly the prior variance 1.0.
     """
-    n_arr = np.asarray(n, dtype=float)
-    out = np.where(n_arr == 0.0, 1.0, (1.0 - rho * rho) / (1.0 + rho * rho * (n_arr - 1.0)))
-    if np.isscalar(n) or n_arr.ndim == 0:
-        return float(out)
-    return out
+    return (1.0 - rho * rho) / gamma_coeff(n, rho)
 
 
 def cross_section_params(n: int, y: float, rho: float) -> tuple[float, float]:
@@ -425,6 +424,12 @@ class ModelParams:
             raise ValidationError(f"entry measure must have mass 1, got {pi.total_mass():.12f}")
         if pi.tail_mass != 0.0:
             raise ValidationError("entry measure cannot carry tail mass")
+        if self.cost.kind == "tabulated":
+            lo, hi = self.cost.points[0][0], self.cost.points[-1][0]
+            if self.c_lo < lo - 1e-12 or self.c_hi > hi + 1e-12:
+                raise ValidationError(
+                    f"tabulated cost knots [{lo}, {hi}] do not cover [c_lo, c_hi] = [{self.c_lo}, {self.c_hi}]"
+                )
         self.effective_cost()  # validates that the subsidy keeps cost admissible
 
     # -- derived quantities --------------------------------------------------
@@ -437,20 +442,10 @@ class ModelParams:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        pi = {str(k): float(self.pi.weights[k]) for k in self.pi.support()}
-        return {
-            "eta": self.eta,
-            "eta_prime": self.eta_prime,
-            "r": self.r,
-            "rho": self.rho,
-            "c_lo": self.c_lo,
-            "c_hi": self.c_hi,
-            "cost": self.cost.to_dict(),
-            "pi": pi,
-            "n_max": self.n_max,
-            "public_signals": self.public_signals,
-            "subsidy": self.subsidy,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["cost"] = self.cost.to_dict()
+        out["pi"] = {str(k): float(self.pi.weights[k]) for k in self.pi.support()}
+        return out
 
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
@@ -472,10 +467,7 @@ def exit_utility(params: ModelParams, n: int | np.ndarray) -> float | np.ndarray
 # Scenario (de)serialization
 # ---------------------------------------------------------------------------
 
-_SCENARIO_FIELDS = {
-    "eta", "eta_prime", "r", "rho", "c_lo", "c_hi", "cost", "pi",
-    "n_max", "public_signals", "subsidy",
-}
+_SCENARIO_FIELDS = {f.name for f in fields(ModelParams)}
 
 
 def _real(value, name: str) -> float:
@@ -528,8 +520,8 @@ def read_json(path: str | Path, what: str):
 def load_params(source: dict | str | Path, n_max_override: int | None = None) -> ModelParams:
     """Build ModelParams from a scenario dict or a JSON file path.
 
-    Recognized fields: eta, eta_prime, r, rho, c_lo, c_hi, cost, pi, n_max,
-    public_signals, subsidy.  ``pi`` is either a list of weights for
+    Recognized fields are those of ``ModelParams``, whose defaults fill every
+    field the scenario leaves out.  ``pi`` is either a list of weights for
     precisions 1..len or a mapping from precision (0 allowed) to weight.
     """
     if isinstance(source, (str, Path)):
@@ -541,22 +533,18 @@ def load_params(source: dict | str | Path, n_max_override: int | None = None) ->
     unknown = set(raw) - _SCENARIO_FIELDS
     if unknown:
         raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
-    n_max = _integer(raw.get("n_max", 256), "n_max")
+    # Counts are integers, the other numbers reals; cost and pi are parsed below.
+    given = {
+        f.name: (_integer if f.type == "int" else _real)(raw[f.name], f.name)
+        for f in fields(ModelParams)
+        if f.name in raw and f.name not in ("cost", "pi")
+    }
     if n_max_override is not None:
-        n_max = int(n_max_override)
+        given["n_max"] = int(n_max_override)
+    n_max = given.get("n_max", ModelParams.n_max)
     _check_n_max(n_max)
-    cost = CostSpec.from_dict(raw["cost"]) if "cost" in raw else CostSpec()
-    pi = _parse_pi(raw["pi"], n_max) if "pi" in raw else PrecisionMeasure.point_mass(1, n_max)
-    return ModelParams(
-        eta=_real(raw.get("eta", 1.0), "eta"),
-        eta_prime=_real(raw.get("eta_prime", 1.0), "eta_prime"),
-        r=_real(raw.get("r", 0.1), "r"),
-        rho=_real(raw.get("rho", 0.5), "rho"),
-        c_lo=_real(raw.get("c_lo", 0.0), "c_lo"),
-        c_hi=_real(raw.get("c_hi", 1.0), "c_hi"),
-        cost=cost,
-        pi=pi,
-        n_max=n_max,
-        public_signals=_integer(raw.get("public_signals", 0), "public_signals"),
-        subsidy=_real(raw.get("subsidy", 0.0), "subsidy"),
-    )
+    if "cost" in raw:
+        given["cost"] = CostSpec.from_dict(raw["cost"])
+    if "pi" in raw:
+        given["pi"] = _parse_pi(raw["pi"], n_max)
+    return ModelParams(**given)

@@ -24,7 +24,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from numbers import Integral
 
 import numpy as np
@@ -179,17 +179,11 @@ def run(
     for k in entry_prec_values:
         m, v = cross_section_params(k, y, rho)
         entry_mean_sd.append((m, math.sqrt(v)))
-    n_entry = len(entry_prec_values)
+    # The last entry precision takes every u at or past the others' cumulative mass.
+    entry_cum = list(accumulate(entry_probs[:-1]))
 
     def draw_entry() -> tuple[int, float]:
-        uu = u()
-        acc = 0.0
-        j = n_entry - 1
-        for k in range(n_entry):
-            acc += entry_probs[k]
-            if uu < acc:
-                j = k
-                break
+        j = bisect_right(entry_cum, u())
         n0 = entry_prec_values[j]
         m, sd = entry_mean_sd[j]
         return n0, (m + sd * n() if sd > 0.0 else m)
@@ -254,10 +248,7 @@ def run(
             if target < acc:
                 c = k
                 break
-        idx = int(u() * counts[c])
-        if idx >= counts[c]:
-            idx = counts[c] - 1
-        return pools[c][idx]
+        return pools[c][int(u() * counts[c])]
 
     # Snapshot bookkeeping.
     rec_times = np.linspace(0.0, horizon, 51)
@@ -305,25 +296,21 @@ def run(
             if nn > cap:
                 nn = cap
                 n_caps += 1
-            if ni == 0 and nj == 0:
-                pass
+            # A precision-0 agent holds mean 0.0, so two of them leave the state as it was.
+            if ni == 0:
+                xx = mean[j]
+            elif nj == 0:
+                xx = mean[i]
             else:
-                if ni == 0:
-                    xx = mean[j]
-                elif nj == 0:
-                    xx = mean[i]
-                else:
-                    xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / gammas[nn]
-                prec[i] = prec[j] = nn
-                mean[i] = mean[j] = xx
-                c = cls_of_prec[nn]
-                if move(i, c) | move(j, c):  # "|", not "or": both agents must move
-                    s1, match_rate, lam = rates()
+                xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / gammas[nn]
+            prec[i] = prec[j] = nn
+            mean[i] = mean[j] = xx
+            c = cls_of_prec[nn]
+            if move(i, c) | move(j, c):  # "|", not "or": both agents must move
+                s1, match_rate, lam = rates()
         elif slot < match_rate + reset_rate:
             n_resets += 1
             a = int(u() * P)
-            if a == P:
-                a = P - 1
             n0, x0 = draw_entry()
             prec[a] = n0
             mean[a] = x0
@@ -331,12 +318,9 @@ def run(
                 s1, match_rate, lam = rates()
         else:
             n_exits += 1
+            # u < 1, so int(u * P) < P for every P up to 2**53 and no index needs a clamp.
             a = int(u() * P)
-            if a == P:
-                a = P - 1
             src = int(u() * P)
-            if src == P:
-                src = P - 1
             prec[a] = prec[src]
             mean[a] = mean[src]
             if move(a, agent_cls[src]):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -287,7 +286,6 @@ def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
 # walks of one bisection mostly re-visit markets an earlier walk solved.
 _MEMO_SIZE = 1024
 _memo: OrderedDict[bytes, tuple[PrecisionMeasure, float]] = OrderedDict()
-_memo_lock = threading.Lock()
 
 
 def _market_key(policy: Policy, params: ModelParams) -> bytes:
@@ -323,16 +321,13 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     """
     policy.validate_bounds(params)
     key = _market_key(policy, params)
-    with _memo_lock:
-        hit = _memo.get(key)
-        if hit is not None:
-            _memo.move_to_end(key)
-    if hit is None:
-        hit = _solve(policy, params)
-        with _memo_lock:
-            _memo[key] = hit
-            if len(_memo) > _MEMO_SIZE:
-                _memo.popitem(last=False)
+    hit = _memo.get(key)
+    if hit is not None:
+        _memo.move_to_end(key)
+    else:
+        hit = _memo[key] = _solve(policy, params)
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
     mu, c_bar = hit
     return MarketState(mu=mu, policy=policy, c_bar=c_bar)
 
@@ -412,8 +407,6 @@ class FosdReport:
     b_dominates: bool
     first_violation_a: int | None
     first_violation_b: int | None
-    max_gap: float
-    tol: float
 
     @property
     def relation(self) -> str:
@@ -430,9 +423,7 @@ def fosd_compare(a: PrecisionMeasure, b: PrecisionMeasure, tol: float = 1e-12) -
     """First-order comparison by tail sums over every precision threshold."""
     if a.weights.size != b.weights.size:
         raise ValidationError("measures live on different grids")
-    ta = a.tail_sums()
-    tb = b.tail_sums()
-    diff = ta - tb
+    diff = a.tail_sums() - b.tail_sums()
     viol_a = np.flatnonzero(diff < -tol)
     viol_b = np.flatnonzero(diff > tol)
     return FosdReport(
@@ -440,6 +431,4 @@ def fosd_compare(a: PrecisionMeasure, b: PrecisionMeasure, tol: float = 1e-12) -
         b_dominates=viol_b.size == 0,
         first_violation_a=int(viol_a[0]) if viol_a.size else None,
         first_violation_b=int(viol_b[0]) if viol_b.size else None,
-        max_gap=float(np.max(np.abs(diff))),
-        tol=tol,
     )

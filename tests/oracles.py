@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles (joint-Gaussian
 covariance algebra, the per-precision balance recursion, scalar fixed points
 via brentq, exact rational arithmetic) rather than by calling the package, so
 the tests compare two genuinely different routes to the same numbers.
-The simulator loops at the end are the exception: they are the package's
-earlier event loops, kept verbatim so the rewritten loops can be held
-bit-identical to them.
+The simulator loops at the end and ``cond_variance_branching`` are the
+exception: they are the package's earlier code, kept verbatim so the
+rewritten code can be held bit-identical to it.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ def gaussian_posterior(rho: float, n: int) -> tuple[np.ndarray, float]:
     cross = np.full(n, rho)
     b = np.linalg.solve(cov, cross)
     return b, 1.0 - float(cross @ b)
+
+
+def cond_variance_branching(n, rho: float):
+    """The package's earlier ``cond_variance``, which sets v(0) = 1 by a branch."""
+    n_arr = np.asarray(n, dtype=float)
+    out = np.where(n_arr == 0.0, 1.0, (1.0 - rho * rho) / (1.0 + rho * rho * (n_arr - 1.0)))
+    if np.isscalar(n) or n_arr.ndim == 0:
+        return float(out)
+    return out
 
 
 def cross_section_moments(rho: float, n: int, y: float, draws: int, seed: int) -> tuple[float, float]:

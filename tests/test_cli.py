@@ -369,6 +369,29 @@ def test_sweep_honours_n_max(tmp_path):
     assert sidecar["config_sha256"] == doc["manifest"]["config_sha256"]
 
 
+def test_sweep_grid_over_n_max_overrides_the_n_max_flag(tmp_path, monkeypatch):
+    """--n-max sets the base scenario's grid; a grid over n_max then sets each row's."""
+    monkeypatch.setattr(stationary, "_memo", OrderedDict())
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(make_scenario()))
+    flags = ["--config", str(scenario), "--policy", "const:0.9"]
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--n-max", "16", "--grid", '{"n_max": [8, 32]}',
+                     "--task", "solve-stationary", "--out", str(out)] + flags) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["n_max"] for row in rows] == ["8.0", "32.0"]
+    state = tmp_path / "state.json"
+    for row in rows:
+        n_max = int(float(row["n_max"]))
+        stationary._memo.clear()
+        assert cli.main(["solve-stationary", "--n-max", str(n_max), "--out", str(state)] + flags) == 0
+        doc = _load(state)
+        assert len(doc["result"]["weights"]) == n_max + 1
+        for key in ("c_bar", "grid_mass", "tail_mass"):
+            assert float(row[key]) == doc["result"][key], (n_max, key)
+
+
 def test_sweep_over_a_list_valued_field(scenario_file, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main([
@@ -426,6 +449,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         ({"cost": {"type": "linear", "kappa": 0.1, "kapa": 0.5}}, "'kapa'"),
         ({"cost": {"type": "linear", "kappa": 0.1, "points": 5}}, "'points'"),
         ({"cost": {"type": "tabulated", "points": [[0, 0], [1, 0.1]], "kappa": 0.3}}, "'kappa'"),
+        ({"cost": {"type": "tabulated", "points": [[0, 0], [0.5, 0.05]]}}, "do not cover"),
     ]:
         bad.write_text(json.dumps(make_scenario(**overrides)))
         capsys.readouterr()

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import percolate
 from percolate import (
     CostSpec,
     MarketState,
+    ModelParams,
     Policy,
     PrecisionMeasure,
     SimConfig,
@@ -23,7 +25,7 @@ from percolate import (
     solve_stationary,
 )
 from conftest import make_scenario
-from oracles import flat_tail_index, gaussian_posterior, pool_posteriors
+from oracles import cond_variance_branching, flat_tail_index, gaussian_posterior, pool_posteriors
 
 
 def test_every_exported_name_resolves():
@@ -54,6 +56,31 @@ def test_cond_variance_vectorized_and_edge():
     assert out[0] == 1.0
     assert out[1] == pytest.approx(0.75)
     assert float(cond_variance(0, 0.9)) == 1.0
+
+
+RHO_TOP = float(np.nextafter(1.0, 0.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    rho=st.one_of(st.sampled_from([0.0, 0.5, RHO_TOP]), st.floats(0.0, RHO_TOP)),
+    ns=st.lists(st.integers(0, 2**40), max_size=30),
+)
+def test_cond_variance_matches_the_branching_form(rho, ns):
+    """The branch-free form equals the earlier np.where form bit for bit.
+
+    gamma(0) = 1 + rho^2 * (-1.0) rounds exactly as 1 - rho^2 does, so v(0)
+    is (1 - rho^2) / (1 - rho^2) = 1.0 for every rho < 1, the largest included.
+    """
+    n = np.array([0, *ns])
+    for arg in (n, n.astype(float)):
+        assert cond_variance(arg, rho).tobytes() == cond_variance_branching(arg, rho).tobytes()
+    for k in (0, *ns[:3]):
+        for arg in (k, np.int64(k), np.array(k)):
+            v = cond_variance(arg, rho)
+            assert type(v) is float
+            assert v.hex() == cond_variance_branching(arg, rho).hex()
+    assert cond_variance(0, rho) == 1.0
 
 
 def test_gamma_coeff_values():
@@ -337,6 +364,12 @@ def test_load_params_rejects_bad_inputs():
         load_params(make_scenario(pi={"1": 1.0, "01": 1.0}))  # total weight 2
     with pytest.raises(ValidationError, match="precision 1 twice"):
         load_params(make_scenario(pi={"1": 0.5, "01": 0.5}))
+    # The knots must cover [c_lo, c_hi], with the slack CostSpec.cost allows:
+    # c_hi = 1 lies past the last knot here, and c_lo = 0 below the first.
+    for points in ([[0, 0], [0.5, 0.05]], [[0.1, 0.01], [1, 0.1]]):
+        with pytest.raises(ValidationError, match="do not cover"):
+            load_params(make_scenario(cost={"type": "tabulated", "points": points}))
+    load_params(make_scenario(cost={"type": "tabulated", "points": [[1e-13, 0], [1 - 1e-13, 0.1]]}))
 
 
 @pytest.mark.parametrize(
@@ -418,6 +451,10 @@ def test_digest_is_stable_and_discriminating():
     c = load_params(make_scenario(eta=2.0))
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+def test_an_empty_scenario_is_the_dataclass_default():
+    assert load_params({}).digest() == ModelParams().digest()
 
 
 def test_n_max_override():

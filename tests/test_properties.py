@@ -159,6 +159,44 @@ def test_out_of_range_grid_is_rejected_before_allocation(n_max):
         ModelParams(n_max=n_max)
 
 
+@st.composite
+def full_scenarios(draw):
+    """A valid scenario that sets every field: linear or tabulated cost, ``pi`` as
+    a list or as a mapping that may charge precision 0, subsidy and public signals."""
+    n_max = draw(st.integers(2, 64))
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=min(5, n_max)))
+        pi = [w / sum(raw) for w in raw]
+    else:
+        support = draw(st.lists(st.integers(0, min(5, n_max)), min_size=1, max_size=4, unique=True))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+        pi = {str(k): w / sum(raw) for k, w in zip(support, raw)}
+    c_lo = draw(st.floats(0.0, 1.0))
+    c_hi = draw(st.floats(max(c_lo, 0.01), c_lo + 2.0))
+    slopes = sorted(draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        cost = {"type": "linear", "kappa": slopes[0]}
+    else:
+        knots = np.linspace(0.0, c_hi, len(slopes) + 1)
+        heights = np.concatenate([[0.0], np.cumsum(np.diff(knots) * slopes)])
+        cost = {"type": "tabulated", "points": [[float(c), float(k)] for c, k in zip(knots, heights)]}
+    return {
+        "eta": draw(st.floats(0.05, 5.0)), "eta_prime": draw(st.floats(0.05, 5.0)),
+        "r": draw(st.floats(0.01, 1.0)), "rho": draw(st.floats(0.0, 0.99)),
+        "c_lo": c_lo, "c_hi": c_hi, "cost": cost, "pi": pi, "n_max": n_max,
+        "public_signals": draw(st.integers(0, 5)),
+        "subsidy": slopes[0] * draw(st.sampled_from([0.0, 0.5, 0.99])),
+    }
+
+
+@PROPERTY
+@given(full_scenarios())
+def test_scenario_round_trips_through_to_dict(scenario):
+    params = load_params(scenario)
+    assert load_params(params.to_dict()).digest() == params.digest()
+    assert load_params(params.to_dict()).to_dict() == params.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # Best response on random linear-cost markets
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from __future__ import annotations
 import argparse
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import percolate.cli as cli
+from percolate import ModelParams
 from conftest import readme_commands
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,3 +58,17 @@ def test_readme_synopsis_names_only_common_flags():
     for name, sub in subcommands.choices.items():
         defined = {s for a in sub._actions for s in a.option_strings}
         assert flags <= defined, (name, sorted(flags - defined))
+
+
+def test_readme_field_table_defaults_are_the_dataclass_defaults():
+    text = README.read_text(encoding="utf-8")
+    (table,) = re.findall(r"^\| field .*?\n\n", text, re.M | re.S)
+    cells = dict(re.findall(r"^\| `(\w+)`\s*\| (.+?)\s+\|", table, re.M))
+    assert list(cells) == [f.name for f in fields(ModelParams)]
+    default = ModelParams()
+    assert default.cost.kind == "linear"
+    assert cells.pop("cost") == f"linear, `κ = {default.cost.kappa!r}`"
+    assert default.pi.support().tolist() == [1]
+    assert cells.pop("pi") == "point mass at 1"
+    for name, cell in cells.items():
+        assert cell == f"`{getattr(default, name)!r}`", name

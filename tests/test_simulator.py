@@ -277,6 +277,22 @@ def test_estimate_value_reproduces_the_pinned_stream(entry):
     assert est.replications == 40_000
 
 
+def test_a_uniform_below_one_never_indexes_past_the_end():
+    """``run`` picks agents and pool slots as int(u * P) with no clamp at P.
+
+    Every uniform u < 1 is at most nextafter(1, 0) = 1 - 2**-53, and rounding
+    is monotone, so int(u * P) <= int(nextafter(1, 0) * P).  For an integer
+    1 <= P <= 2**53 that product rounds below P: P * 2**-53 is more than half
+    a unit in the last place below P, or exactly one such unit when P is a
+    power of two.  So the index is always below P.
+    """
+    top = float(np.nextafter(1.0, 0.0))
+    assert all(int(top * p) < p for p in range(1, 10**6 + 1))
+    rng = np.random.default_rng(0)
+    for p in rng.integers(1, 2**53, size=100_000, endpoint=True).tolist() + [2**53 - 1, 2**53]:
+        assert int(top * p) < p, p
+
+
 # ---------------------------------------------------------------------------
 # Invalid configurations through the Python API
 # ---------------------------------------------------------------------------
