@@ -12,6 +12,13 @@ such a run the generating function of nu is a root of a quadratic, whose
 coefficients come from power-series Newton doubling); the trial is then fixed
 by Brent's method on the self-consistency gap.
 
+On a market whose efforts on 1..n_max are one value c > 0 below a trigger n
+and 0 from n on (the c_lo = 0 trigger policies), the gap needs no candidate
+measure: the run's generating function is a Catalan series in the single
+scalar a = c / (eta + c * shift), so a trial costs one column of a table
+S(n, m) built once per entry distribution and one dot product.  Only the
+root's measure is then solved run-wise, and every acceptance check reads it.
+
 Mass entering at precision 0 is supported: the convolution includes the
 l = 0 and l = n terms, which moves the zero-precision balance from a linear
 to a quadratic equation and shifts every denominator by the zero-bin effort.
@@ -41,11 +48,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class MarketState:
-    """A policy together with its stationary measure and average effort."""
+    """A policy together with its stationary measure and average effort.
+
+    ``gap_evals`` counts the self-consistency gap evaluations of the solve,
+    closed-form and kernel trials alike; a memo hit carries the stored count.
+    """
 
     mu: PrecisionMeasure
     policy: Policy
     c_bar: float
+    gap_evals: int = 0
 
     def nu(self) -> PrecisionMeasure:
         """Effort-weighted stationary measure C_k * mu_k (total mass = average effort).
@@ -90,6 +102,23 @@ def _solve_run(a: np.ndarray, s: int, e: int, gain: float, source: np.ndarray) -
             r = np.concatenate((r, 2.0 * gain * np.convolve(r[:grow], ar)[:grow]))
 
 
+def _zero_bin(c_bar: float, c0: float, p0: float, eta: float) -> float:
+    """Weight of precision 0 at trial average effort ``c_bar``; SolverError if infeasible."""
+    if not (c0 > 0.0 and p0 > 0.0):
+        return float(p0)
+    b = eta + c0 * c_bar
+    disc = b * b - 4.0 * c0 * c0 * eta * p0
+    if disc < 0.0:
+        if disc > -1e-12 * b * b:
+            disc = 0.0
+        else:
+            raise SolverError(
+                f"trial average effort {c_bar:.6g} infeasible for the zero-precision balance "
+                f"(discriminant {disc:.3e})"
+            )
+    return float(2.0 * eta * p0 / (b + math.sqrt(disc)))
+
+
 def candidate_measure(
     c_bar: float,
     policy: Policy,
@@ -129,21 +158,7 @@ def candidate_measure(
     mu = np.zeros(n_max + 1)
 
     c0 = C[0]
-    if c0 > 0.0 and pi[0] > 0.0:
-        b = eta + c0 * c_bar
-        disc = b * b - 4.0 * c0 * c0 * eta * pi[0]
-        if disc < 0.0:
-            if disc > -1e-12 * b * b:
-                disc = 0.0
-            else:
-                raise SolverError(
-                    f"trial average effort {c_bar:.6g} infeasible for the zero-precision balance "
-                    f"(discriminant {disc:.3e})"
-                )
-        mu[0] = 2.0 * eta * pi[0] / (b + math.sqrt(disc))
-    else:
-        mu[0] = pi[0]
-
+    mu[0] = _zero_bin(c_bar, c0, pi[0], eta)
     shift = c_bar - 2.0 * c0 * mu[0]
     source = eta * pi
     # Effort-weighted weights of precisions >= 1; index 0 stays zero.
@@ -201,6 +216,85 @@ def balance_residual(
 def is_stable(policy: Policy, params: ModelParams) -> bool:
     """Sufficient condition eta >= C_tail * c_hi under which no mass escapes to infinity."""
     return params.eta >= policy.tail_effort() * params.c_hi - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Closed-form effort mass of a trigger market
+# ---------------------------------------------------------------------------
+
+# The table of S(n, m) for one pi at a time: (pi bytes, table, lowest precision
+# of pi').  It depends on pi alone, so every trigger of a scan, every existence
+# walk and every bisection cost slope reads the same table; it is rebuilt for a
+# new pi or a trigger past its size, and holds rows only up to the largest trigger.
+_run_table: tuple[bytes, np.ndarray, int] | None = None
+
+
+def _run_sums(pi: np.ndarray, n: int) -> np.ndarray:
+    """S(n, m) for the m >= 0 with S(n, m) > 0, for a trigger n >= 2.
+
+    S(n, m) = sum_{k<n} [x^k] pi'(x)^(m+1), with pi' = pi without its zero
+    bin.  pi'^(m+1) vanishes below x^(k1 (m+1)), k1 the lowest precision of
+    pi', so S(n, m) > 0 exactly for m < (n-1) // k1.  Row j of the table
+    holds S(j+1, .).
+    """
+    global _run_table
+    key = pi.tobytes()
+    if _run_table is None or _run_table[0] != key or _run_table[1].shape[0] < n:
+        p = pi[:n].copy()
+        p[0] = 0.0
+        powers = np.zeros((n - 1, n))  # powers[m, k] = [x^k] pi'(x)^(m+1)
+        powers[0] = p
+        for m in range(1, n - 1):
+            powers[m, m + 1 :] = np.convolve(powers[m - 1, m:], p[1 : n - m])[: n - m - 1]
+        k1 = np.flatnonzero(pi[1:])
+        _run_table = (key, np.ascontiguousarray(np.cumsum(powers, axis=1).T),
+                      int(k1[0]) + 1 if k1.size else n)
+    _, table, k1 = _run_table
+    return table[n - 1, : (n - 1) // k1]
+
+
+def _closed_form_mass(policy: Policy, params: ModelParams):
+    """Grid effort mass of the candidate measure as a function of the trial, or None.
+
+    Defined when the efforts on 1..n_max are one value c > 0 on [1, n) and 0
+    on [n, n_max] with n <= n_max (n = 1 leaves only the zero bin searching).
+    The zero bin gives c0 mu_0.  On the run [1, n) the effort-weighted series
+    solves A = a (eta pi' + A^2) with a = c / (eta + c shift), so
+    A = sum_m Cat_m a^(2m+1) (eta pi')^(m+1) and the run's mass is
+    eta a sum_m Cat_m (eta a^2)^m S(n, m) (Duffie & Manso 2007).  A trial
+    ``candidate_measure`` rejects as infeasible, or with a non-finite sum,
+    has mass +inf.
+    """
+    e = policy.efforts[1:]
+    n = 1 + int(np.count_nonzero(e))
+    if n > e.size or not np.all(e[: n - 1] == e[0]):
+        return None
+    c, c0 = float(e[0]), float(policy.efforts[0])
+    eta, p0 = params.eta, params.pi.weights[0]
+    sums = _run_sums(params.pi.weights, n) if n > 1 else np.empty(0)
+    m = np.arange(sums.size - 1)
+    ratios = 2.0 * (2 * m + 1) / (m + 2)  # Cat_{m+1} / Cat_m
+
+    def mass(x: float) -> float:
+        try:
+            mu0 = _zero_bin(x, c0, p0, eta)
+        except SolverError:
+            return math.inf
+        if n == 1:
+            return c0 * mu0
+        den = eta + c * (x - 2.0 * c0 * mu0)
+        if den <= 1e-14:
+            return math.inf
+        a = c / den
+        head = float(sums[0]) if sums.size else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            catalan = np.cumprod(ratios * (eta * a * a))
+            # The outer a as c / den, as the kernel's last division makes it.
+            run = c * (eta * (head + float(np.dot(catalan, sums[1:])))) / den
+        total = c0 * mu0 + run
+        return total if math.isfinite(total) else math.inf
+
+    return mass
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +379,7 @@ def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
 # subset of the same markets (they do not depend on the cost slope), so the
 # walks of one bisection mostly re-visit markets an earlier walk solved.
 _MEMO_SIZE = 1024
-_memo: OrderedDict[bytes, tuple[PrecisionMeasure, float]] = OrderedDict()
+_memo: OrderedDict[bytes, tuple[PrecisionMeasure, float, int]] = OrderedDict()
 
 
 def _market_key(policy: Policy, params: ModelParams) -> bytes:
@@ -306,9 +400,11 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     trial effort.  Brent's method solves it to machine precision on [floor,
     max(c_hi, floor)], the floor being the smallest trial with a real
     zero-precision balance, and the root must meet |g| <= ROOT_TOL; a trial
-    whose weights diverge counts as g = -inf.  The solved state is validated
-    against the balance residual and, in the stable regime eta >= C_tail *
-    c_hi, against mass conservation.
+    whose weights diverge counts as g = -inf.  On a c_lo = 0 trigger market
+    each trial is the effort mass of ``_closed_form_mass`` and only the
+    root's candidate measure is solved.  The
+    |g| bound, the balance residual and, in the stable regime eta >= C_tail *
+    c_hi, mass conservation are checked on the root's candidate measure.
 
     Solves are memoized per process (least recently used, ``_MEMO_SIZE``
     markets) on what the solve reads: eta, c_hi, n_max, the entry weights and
@@ -328,19 +424,24 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
         hit = _memo[key] = _solve(policy, params)
         if len(_memo) > _MEMO_SIZE:
             _memo.popitem(last=False)
-    mu, c_bar = hit
-    return MarketState(mu=mu, policy=policy, c_bar=c_bar)
+    mu, c_bar, gap_evals = hit
+    return MarketState(mu=mu, policy=policy, c_bar=c_bar, gap_evals=gap_evals)
 
 
-def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float]:
-    """Uncached stationary solve: (measure with tail mass, average effort)."""
-    # The candidate measure of every feasible trial, so the root's is not computed again.
+def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float, int]:
+    """Uncached stationary solve: (measure with tail mass, average effort, gap evaluations)."""
+    # The candidate measure of every feasible kernel trial, so the root's is not computed again.
     measures: dict[float, PrecisionMeasure] = {}
+    trials: list[float] = []
+    closed_form = _closed_form_mass(policy, params)
 
     def gap(x: float) -> float:
         # An infeasible trial (no real zero-bin root, an exploding bin
         # denominator or diverging weights) means the candidate effort mass
         # blows past x, so the gap is effectively -inf and the root lies above.
+        trials.append(x)
+        if closed_form is not None:  # the root's measure is solved below
+            return x - closed_form(x)
         try:
             measures[x] = candidate_measure(x, policy, params)
         except SolverError:
@@ -387,7 +488,7 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
             "stationary mass %.6f < 1: replacement intensity below the escape threshold",
             mass,
         )
-    return mu, root
+    return mu, root, len(trials)
 
 
 # ---------------------------------------------------------------------------

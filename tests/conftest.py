@@ -7,6 +7,7 @@ import shlex
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Hypothesis mines literals from every loaded package module; loading the CLI
@@ -47,6 +48,11 @@ def make_scenario(**overrides) -> dict:
     }
     base.update(overrides)
     return base
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Number of float64 steps between two finite floats of the same sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
 def readme_commands() -> list[list[str]]:

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import percolate.best_response as best_response
 import percolate.equilibrium as equilibrium
 import percolate.interventions as interventions
+import percolate.stationary as stationary
 from percolate import (
     SolverError,
     ValidationError,
@@ -30,7 +32,7 @@ from percolate.equilibrium import (
     reachable_floor,
 )
 from percolate.best_response import trigger_bounds
-from conftest import make_scenario
+from conftest import make_scenario, ulps_apart
 from test_properties import PROPERTY, linear_markets
 
 # The 72 scenarios the benchmark's scan workload draws from.
@@ -301,7 +303,29 @@ def test_subsidy_witness_is_pinned(subsidy_witness):
     assert (float(b.active).hex(), float(b.inactive).hex(), b.evaluations) == (
         "0x1.8231628c14ef2p-5", "0x1.82373b20d95c4p-5", 16)
     assert (float(w.delta).hex(), float(w.tax).hex()) == (
-        "0x1.5ba9e79a10184p-6", "0x1.2e3addead3d3ep-6")
+        "0x1.5ba9e79a10184p-6", "0x1.2e3addead3d3dp-6")
+    # The run-wise kernel gap gave ...3d3ep-6; the closed-form gap of the
+    # c_lo = 0 trigger markets moves the tax by rounding only.
+    assert ulps_apart(w.tax, float.fromhex("0x1.2e3addead3d3ep-6")) <= 4
+
+
+def test_subsidy_witness_gap_evaluations_are_bounded(monkeypatch):
+    # Summed over distinct markets, so a warm memo counts the same: a hit
+    # carries its solve's count.  It counts closed-form trials, which no
+    # wrapper of candidate_measure sees.
+    states = {}
+    real = stationary.solve_stationary
+
+    def recorded(policy, params):
+        state = real(policy, params)
+        states[stationary._market_key(policy, params)] = state
+        return state
+
+    for module in (equilibrium, best_response):
+        monkeypatch.setattr(module, "solve_stationary", recorded)
+    interventions.find_subsidy_witness(n_max=128)
+    assert len(states) == 126
+    assert sum(state.gap_evals for state in states.values()) <= 1293
 
 
 def test_education_witness_is_pinned(education_witness):
@@ -312,4 +336,8 @@ def test_education_witness_is_pinned(education_witness):
         "0x1.a6080b249359cp-5", "0x1.a60fb06cdbb0ep-5",
         "0x1.9937e2b9db159p-5", "0x1.993ed578f3500p-5",
     ]
-    assert float(w.entry_utility_delta).hex() == "-0x1.247a2dcf26700p-10"
+    assert float(w.entry_utility_delta).hex() == "-0x1.247a2dcf26500p-10"
+    # The run-wise kernel gap gave ...26700p-10.  The delta is a difference of
+    # two values, so the closed-form gap's rounding moves it by about 1e-13 relative.
+    old = float.fromhex("-0x1.247a2dcf26700p-10")
+    assert abs(w.entry_utility_delta - old) <= 1e-12 * abs(old)

@@ -21,10 +21,10 @@ from percolate import (
 from percolate.best_response import VALUE_TOL, bellman_operator
 from percolate.model import N_MAX_LIMIT
 from percolate.stationary import (
-    MASS_TOL, RESIDUAL_TOL, _feasibility_floor, balance_residual, candidate_measure, is_stable,
-    solve_stationary,
+    MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _brent, _closed_form_mass, _feasibility_floor, average_effort,
+    balance_residual, candidate_measure, is_stable, solve_stationary,
 )
-from conftest import SIM_ARRAYS, SIM_COUNTERS, make_scenario
+from conftest import SIM_ARRAYS, SIM_COUNTERS, make_scenario, ulps_apart
 from oracles import candidate_measure_loop, estimate_value_loop, run_loop
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -118,6 +118,64 @@ def test_kernel_matches_per_precision_recursion(case):
         return
     weights = candidate_measure(trial, policy, params).weights
     np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form gap of c_lo = 0 trigger markets against the kernel gap
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def trigger_markets(draw):
+    """A c_lo = 0 trigger market on at most 256 bins, entry mass at 0 or not, and trial fractions."""
+    n_max = draw(st.integers(2, 256))
+    support = draw(st.lists(st.integers(1, min(8, n_max)), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        support.append(0)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    pi = {str(k): w / sum(raw) for k, w in zip(support, raw)}
+    c_hi = draw(st.floats(0.01, 2.0))
+    eta = draw(st.floats(0.05, 5.0))
+    params = load_params(make_scenario(n_max=n_max, pi=pi, c_lo=0.0, c_hi=c_hi, eta=eta))
+    trigger = draw(st.integers(1, n_max))
+    trials = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return params, Policy.trigger_policy(trigger, params), trials
+
+
+@settings(PROPERTY, max_examples=300)
+@given(trigger_markets())
+def test_closed_form_gap_matches_the_kernel_gap(case):
+    params, policy, trials = case
+    mass = _closed_form_mass(policy, params)
+    assert mass is not None
+
+    def kernel_gap(x: float) -> float:
+        try:
+            return x - average_effort(candidate_measure(x, policy, params), policy)
+        except SolverError:
+            return -math.inf
+
+    def closed_gap(x: float) -> float:
+        return x - mass(x)
+
+    lo = _feasibility_floor(policy, params)
+    hi = max(params.c_hi, lo)
+    for u in trials:
+        x = lo + u * (hi - lo)
+        g, closed = kernel_gap(x), closed_gap(x)
+        assert not math.isnan(closed)
+        if math.isfinite(g):  # a feasible trial: the masses x - g agree
+            assert abs(closed - g) <= 1e-13 * (x - g), x
+    g_lo, g_hi = kernel_gap(lo), kernel_gap(hi)
+    if not (g_lo < -ROOT_TOL and g_hi > ROOT_TOL):
+        return  # the solve takes an end of the bracket, no Brent iteration
+    root = _brent(closed_gap, lo, hi, closed_gap(lo), closed_gap(hi))
+    assert ulps_apart(root, _brent(kernel_gap, lo, hi, g_lo, g_hi)) <= 4
+    try:
+        state = solve_stationary(policy, params)
+    except SolverError:
+        return  # rejected on the kernel measure at the root, as before
+    assert state.c_bar == root
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
