@@ -356,9 +356,10 @@ class ValueFunction:
 # Model parameters
 # ---------------------------------------------------------------------------
 
-# Largest accepted grid truncation.  Solver work grows with n_max squared,
-# so far larger grids are out of reach anyway; checking up front turns an
-# absurd value into an input error instead of a failed allocation.
+# Largest accepted grid truncation.  Solver work grows with n_max squared
+# (the stationary closed form's table stops at a fixed trigger size), so far
+# larger grids are out of reach anyway; checking up front turns an absurd
+# value into an input error instead of a failed allocation.
 N_MAX_LIMIT = 2**16
 
 

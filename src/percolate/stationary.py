@@ -12,12 +12,15 @@ such a run the generating function of nu is a root of a quadratic, whose
 coefficients come from power-series Newton doubling); the trial is then fixed
 by Brent's method on the self-consistency gap.
 
-On a market whose efforts on 1..n_max are one value c > 0 below a trigger n
-and 0 from n on (the c_lo = 0 trigger policies), the gap needs no candidate
-measure: the run's generating function is a Catalan series in the single
-scalar a = c / (eta + c * shift), so a trial costs one column of a table
-S(n, m) built once per entry distribution and one dot product.  Only the
-root's measure is then solved run-wise, and every acceptance check reads it.
+On a market whose efforts on 1..n_max are one value c > 0 below a trigger
+n <= _CLOSED_FORM_MAX_TRIGGER and 0 from n on (the c_lo = 0 trigger
+policies), the gap needs no candidate measure: the run's generating function
+is a Catalan series in the single scalar a = c / (eta + c * shift), so a
+trial costs one column of a table S(n, m) built once per entry distribution
+and one dot product.  Only the root's measure is then solved run-wise, and
+every acceptance check reads it.  Larger triggers, whose O(n^3) table costs
+more than the kernel trials it saves, and entry distributions whose S(n, m)
+underflow keep the kernel gap.
 
 Mass entering at precision 0 is supported: the convolution includes the
 l = 0 and l = n terms, which moves the zero-precision balance from a linear
@@ -222,62 +225,79 @@ def is_stable(policy: Policy, params: ModelParams) -> bool:
 # Closed-form effort mass of a trigger market
 # ---------------------------------------------------------------------------
 
-# The table of S(n, m) for one pi at a time: (pi bytes, table, lowest precision
-# of pi').  It depends on pi alone, so every trigger of a scan, every existence
-# walk and every bisection cost slope reads the same table; it is rebuilt for a
-# new pi or a trigger past its size, and holds rows only up to the largest trigger.
-_run_table: tuple[bytes, np.ndarray, int] | None = None
+# The largest trigger that takes the closed form.  Its table costs O(n^3) time
+# and n^2 floats once per pi; past this size building it costs more than the
+# ten or so kernel trials of one solve.  Measured on a 2-core Xeon, a cold
+# solve at trigger = n_max = 128 takes 1.7-2.5 ms with the table against
+# 2.5-2.6 ms without; at 160 the table already loses, at 256 by 1.5-2.7x.
+_CLOSED_FORM_MAX_TRIGGER = 128
+
+# The table of S(n, m) for one pi at a time: (pi bytes, table).  It depends on
+# pi alone, so every trigger of a scan, every existence walk and every
+# bisection cost slope reads the same table; it is rebuilt for a new pi or a
+# trigger past its size, and holds rows and columns only up to the largest trigger.
+_run_table: tuple[bytes, np.ndarray] | None = None
 
 
 def _run_sums(pi: np.ndarray, n: int) -> np.ndarray:
-    """S(n, m) for the m >= 0 with S(n, m) > 0, for a trigger n >= 2.
+    """S(n, m) for m = 0..n-2, for a trigger 2 <= n <= _CLOSED_FORM_MAX_TRIGGER.
 
     S(n, m) = sum_{k<n} [x^k] pi'(x)^(m+1), with pi' = pi without its zero
-    bin.  pi'^(m+1) vanishes below x^(k1 (m+1)), k1 the lowest precision of
-    pi', so S(n, m) > 0 exactly for m < (n-1) // k1.  Row j of the table
-    holds S(j+1, .).
+    bin; it vanishes for m >= n-1.  Column k of the table holds S(k+1, .).
     """
     global _run_table
     key = pi.tobytes()
-    if _run_table is None or _run_table[0] != key or _run_table[1].shape[0] < n:
+    if _run_table is None or _run_table[0] != key or _run_table[1].shape[1] < n:
         p = pi[:n].copy()
         p[0] = 0.0
         powers = np.zeros((n - 1, n))  # powers[m, k] = [x^k] pi'(x)^(m+1)
         powers[0] = p
         for m in range(1, n - 1):
             powers[m, m + 1 :] = np.convolve(powers[m - 1, m:], p[1 : n - m])[: n - m - 1]
-        k1 = np.flatnonzero(pi[1:])
-        _run_table = (key, np.ascontiguousarray(np.cumsum(powers, axis=1).T),
-                      int(k1[0]) + 1 if k1.size else n)
-    _, table, k1 = _run_table
-    return table[n - 1, : (n - 1) // k1]
+        _run_table = (key, np.cumsum(powers, axis=1, out=powers))
+    return _run_table[1][: n - 1, n - 1]
 
 
 def _closed_form_mass(policy: Policy, params: ModelParams):
     """Grid effort mass of the candidate measure as a function of the trial, or None.
 
     Defined when the efforts on 1..n_max are one value c > 0 on [1, n) and 0
-    on [n, n_max] with n <= n_max (n = 1 leaves only the zero bin searching).
-    The zero bin gives c0 mu_0.  On the run [1, n) the effort-weighted series
-    solves A = a (eta pi' + A^2) with a = c / (eta + c shift), so
-    A = sum_m Cat_m a^(2m+1) (eta pi')^(m+1) and the run's mass is
-    eta a sum_m Cat_m (eta a^2)^m S(n, m) (Duffie & Manso 2007).  A trial
-    ``candidate_measure`` rejects as infeasible, or with a non-finite sum,
-    has mass +inf.
+    on [n, n_max] with n <= min(n_max, _CLOSED_FORM_MAX_TRIGGER) (n = 1
+    leaves only the zero bin searching).  The zero bin gives c0 mu_0.  On the
+    run [1, n) the effort-weighted series solves A = a (eta pi' + A^2) with
+    a = c / (eta + c shift), so A = sum_m Cat_m a^(2m+1) (eta pi')^(m+1) and
+    the run's mass is eta a sum_m Cat_m (eta a^2)^m S(n, m) (Duffie & Manso
+    2007).  A trial ``candidate_measure`` rejects as infeasible, or with a
+    non-finite sum, has mass +inf.
     """
     e = policy.efforts[1:]
     n = 1 + int(np.count_nonzero(e))
-    if n > e.size or not np.all(e[: n - 1] == e[0]):
+    if n > min(e.size, _CLOSED_FORM_MAX_TRIGGER) or not np.all(e[: n - 1] == e[0]):
         return None
     c, c0 = float(e[0]), float(policy.efforts[0])
-    eta, p0 = params.eta, params.pi.weights[0]
-    sums = _run_sums(params.pi.weights, n) if n > 1 else np.empty(0)
+    pi, eta = params.pi.weights, params.eta
+    # pi'^(m+1) starts at x^(k1 (m+1)), k1 the lowest precision of pi', so
+    # S(n, m) > 0 exactly for m < rows = (n-1) // k1.
+    lowest = np.flatnonzero(pi[1:n])
+    rows = (n - 1) // (int(lowest[0]) + 1) if lowest.size else 0
+    sums = _run_sums(pi, n)[:rows] if rows else np.zeros(1)
+    # S(n, m) decreases in m.  If its last positive value underflowed (a small
+    # pi' to a high power), terms the kernel keeps would be lost or rounded
+    # coarsely, so such a market keeps the kernel gap.
+    if rows and sums[-1] < np.finfo(float).tiny:
+        return None
+    # S(n, m) = mant_m 2^(expo_m).  The exponent steps ride in the Catalan
+    # ratios Cat_{m+1} / Cat_m as exact powers of two, so the running product
+    # tracks the terms themselves and overflows only when a term does, while
+    # every term rounds as Cat_m (eta a^2)^m S(n, m) would.
+    mant, expo = np.frexp(sums)
+    scale = 2.0 ** int(expo[0])  # exact: S(n, 0) is normal
     m = np.arange(sums.size - 1)
-    ratios = 2.0 * (2 * m + 1) / (m + 2)  # Cat_{m+1} / Cat_m
+    ratios = np.ldexp(2.0 * (2 * m + 1) / (m + 2), np.diff(expo))
 
     def mass(x: float) -> float:
         try:
-            mu0 = _zero_bin(x, c0, p0, eta)
+            mu0 = _zero_bin(x, c0, pi[0], eta)
         except SolverError:
             return math.inf
         if n == 1:
@@ -286,11 +306,13 @@ def _closed_form_mass(policy: Policy, params: ModelParams):
         if den <= 1e-14:
             return math.inf
         a = c / den
-        head = float(sums[0]) if sums.size else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             catalan = np.cumprod(ratios * (eta * a * a))
+            # The m = 0 term is added last: inside the dot product it would
+            # change np.dot's summation order and move roots by a few ulps.
+            scaled = mant[0] + float(np.dot(catalan, mant[1:]))
             # The outer a as c / den, as the kernel's last division makes it.
-            run = c * (eta * (head + float(np.dot(catalan, sums[1:])))) / den
+            run = c * (eta * (scaled * scale)) / den
         total = c0 * mu0 + run
         return total if math.isfinite(total) else math.inf
 
@@ -432,14 +454,15 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
     """Uncached stationary solve: (measure with tail mass, average effort, gap evaluations)."""
     # The candidate measure of every feasible kernel trial, so the root's is not computed again.
     measures: dict[float, PrecisionMeasure] = {}
-    trials: list[float] = []
+    evals = 0
     closed_form = _closed_form_mass(policy, params)
 
     def gap(x: float) -> float:
         # An infeasible trial (no real zero-bin root, an exploding bin
         # denominator or diverging weights) means the candidate effort mass
         # blows past x, so the gap is effectively -inf and the root lies above.
-        trials.append(x)
+        nonlocal evals
+        evals += 1
         if closed_form is not None:  # the root's measure is solved below
             return x - closed_form(x)
         try:
@@ -488,7 +511,7 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
             "stationary mass %.6f < 1: replacement intensity below the escape threshold",
             mass,
         )
-    return mu, root, len(trials)
+    return mu, root, evals
 
 
 # ---------------------------------------------------------------------------

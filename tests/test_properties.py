@@ -21,8 +21,9 @@ from percolate import (
 from percolate.best_response import VALUE_TOL, bellman_operator
 from percolate.model import N_MAX_LIMIT
 from percolate.stationary import (
-    MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _brent, _closed_form_mass, _feasibility_floor, average_effort,
-    balance_residual, candidate_measure, is_stable, solve_stationary,
+    _CLOSED_FORM_MAX_TRIGGER, MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _brent, _closed_form_mass,
+    _feasibility_floor, average_effort, balance_residual, candidate_measure, is_stable,
+    solve_stationary,
 )
 from conftest import SIM_ARRAYS, SIM_COUNTERS, make_scenario, ulps_apart
 from oracles import candidate_measure_loop, estimate_value_loop, run_loop
@@ -127,7 +128,10 @@ def test_kernel_matches_per_precision_recursion(case):
 
 @st.composite
 def trigger_markets(draw):
-    """A c_lo = 0 trigger market on at most 256 bins, entry mass at 0 or not, and trial fractions."""
+    """A c_lo = 0 trigger market on at most 256 bins, entry mass at 0 or not, and trial fractions.
+
+    The trigger is at most _CLOSED_FORM_MAX_TRIGGER, the largest that takes the closed form.
+    """
     n_max = draw(st.integers(2, 256))
     support = draw(st.lists(st.integers(1, min(8, n_max)), min_size=1, max_size=4, unique=True))
     if draw(st.booleans()):
@@ -137,7 +141,7 @@ def trigger_markets(draw):
     c_hi = draw(st.floats(0.01, 2.0))
     eta = draw(st.floats(0.05, 5.0))
     params = load_params(make_scenario(n_max=n_max, pi=pi, c_lo=0.0, c_hi=c_hi, eta=eta))
-    trigger = draw(st.integers(1, n_max))
+    trigger = draw(st.integers(1, min(n_max, _CLOSED_FORM_MAX_TRIGGER)))
     trials = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
     return params, Policy.trigger_policy(trigger, params), trials
 

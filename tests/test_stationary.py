@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 import warnings
 from collections import OrderedDict
 
@@ -419,6 +420,39 @@ def test_readme_market_solves_to_machine_precision():
     st = solve_stationary(Policy.trigger_policy(3, p), p)
     assert abs(st.mu.total_mass() - 1.0) <= 1e-14
     assert abs(st.c_bar - average_effort(st.mu, st.policy)) <= 1e-14
+
+
+@pytest.mark.parametrize("trigger", [stationary._CLOSED_FORM_MAX_TRIGGER + 1, 4096])
+def test_large_triggers_keep_the_kernel_gap(memo, monkeypatch, trigger):
+    # The closed form's table costs O(n^3) time and n^2 floats (about 134 MB
+    # at trigger 4096), more than the kernel trials it saves past the cutoff.
+    # There the solve runs the kernel, in O(n_max) memory.
+    monkeypatch.setattr(stationary, "_run_table", None)
+    p = _params(n_max=4096, pi={"1": 1.0}, c_lo=0.0)
+    pol = Policy.trigger_policy(trigger, p)
+    tracemalloc.start()
+    try:
+        assert stationary._closed_form_mass(pol, p) is None
+        st = solve_stationary(pol, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert abs(st.mu.total_mass() - 1.0) <= stationary.MASS_TOL
+
+
+def test_underflowed_run_sums_keep_the_kernel_gap(memo):
+    # pi' = 7e-4 x, so S(128, m) = (7e-4)^(m+1) is subnormal from m = 97 and
+    # zero from m = 102, while near the root the Catalan terms barely decay:
+    # a closed-form sum cut there misses most of the run's mass and the solve
+    # fails.  The kernel solves this market; the pin is its root.
+    p = _params(
+        n_max=128, pi={"0": 0.999287601252999, "1": 0.0007123987470009873},
+        c_lo=0.0, c_hi=0.6396901468937625, eta=0.021948121044757272,
+    )
+    pol = Policy.trigger_policy(128, p)
+    assert stationary._closed_form_mass(pol, p) is None
+    assert solve_stationary(pol, p).c_bar.hex() == "0x1.0c4487d7a4d09p-2"
 
 
 # ---------------------------------------------------------------------------
