@@ -81,36 +81,28 @@ def _fixed_terms(state: MarketState, params: ModelParams) -> _FixedTerms:
     return _FixedTerms(tail, w, c_bar, cost, terms, np.empty(tail.size))
 
 
-def bellman_operator(
-    values: np.ndarray,
-    state: MarketState,
-    params: ModelParams,
-    fixed: _FixedTerms | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _objectives(fixed: _FixedTerms, y: np.ndarray) -> list[np.ndarray]:
+    """The candidate objective (eta' u - K(c) + c Y) / (c c_bar + r + eta'), per candidate c."""
+    return [(num + c * y) / den for c, num, den in fixed.terms]
+
+
+def bellman_operator(values: np.ndarray, fixed: _FixedTerms) -> tuple[np.ndarray, np.ndarray]:
     """One application of the best-response operator.
 
-    Returns (updated values, jump expectation Y, maximizing efforts) where
+    Returns (updated values, jump expectation Y) where
     Y_n = sum_{m>=0} V_{n+m} nu_m uses the tail continuation past the grid,
-    floored at V_{n_max}.  Ties in the inner maximization resolve to the
-    larger effort.  ``fixed`` holds the terms that do not depend on
-    ``values``; without it they are built from ``state`` and ``params``.
+    floored at V_{n_max}.  ``fixed`` holds the terms that do not depend on
+    ``values`` (``_fixed_terms``).
     """
-    if fixed is None:
-        fixed = _fixed_terms(state, params)
     n = values.size
     pad = fixed.pad
     pad[:n] = values
     np.maximum(fixed.tail[n:], values[-1], out=pad[n:])
     y = np.correlate(pad, fixed.w, mode="valid")
-    # The first candidate is c_lo: it starts the running maximum.
-    (c_lo, num, den), *rest = fixed.terms
-    best = (num + c_lo * y) / den
-    arg = np.full(y.size, c_lo)
-    for c, num, den in rest:
-        f = (num + c * y) / den
-        np.copyto(arg, c, where=f >= best)
+    best, *rest = _objectives(fixed, y)
+    for f in rest:
         np.maximum(f, best, out=best)
-    return best, y, arg
+    return best, y
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +173,7 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     values = fixed.tail[: params.n_max + 1].copy()
     deltas: list[float] = []
     for _ in range(99_999):
-        new, y, _ = bellman_operator(values, state, params, fixed)
+        new, y = bellman_operator(values, fixed)
         delta = float(np.abs(new - values).max())
         deltas.append(delta)
         values = new
@@ -194,20 +186,21 @@ def solve_value(state: MarketState, params: ModelParams) -> BestResponse:
     s = y - c_bar * values
     switching = s - cost.marginal_right(params.c_lo)
 
+    trig = interval = None
     if cost.kind == "linear":
         lo, hi = trigger_interval(switching, 0)
         efforts = np.where(switching >= -INDIFFERENCE_TOL, params.c_hi, params.c_lo)
-        policy = Policy(efforts)
-        trig: int | None = hi
-        interval: tuple[int, int] | None = (lo, hi)
+        trig, interval = hi, (lo, hi)
     else:
-        policy = Policy(bellman_operator(values, state, params, fixed)[2])
-        trig = None
-        interval = None
+        # The last candidate that reaches the maximum: ties go to the larger effort.
+        best, y_best = bellman_operator(values, fixed)
+        efforts = np.full(best.size, params.c_lo)
+        for (c, _, _), f in zip(fixed.terms, _objectives(fixed, y_best)):
+            np.copyto(efforts, c, where=f == best)
 
     return BestResponse(
         value=ValueFunction(values=values, tail_value=_tail_values(params, 0.0)),
-        policy=policy,
+        policy=Policy(efforts),
         trigger=trig,
         interval=interval,
         switching=switching,
@@ -236,17 +229,26 @@ def trigger_bounds(params: ModelParams) -> tuple[int, int]:
     r + eta' = 1.  Comparisons carry a relative slack of 1e-12 so
     exact-equality boundaries are kept.  Zero marginal cost gives no finite
     bound, and both bounds are n_max.
+
+    Both counts cover search at precisions >= 1 only.  Search at precision 0
+    alone is trigger 1, and the same test on the gap 0 - u(0) bounds it:
+    where entrants hold precision 0 and it passes on either scale, the scan
+    bound is at least 1 (``n_bar`` may still be 0).
     """
     kp = params.effective_cost().marginal_right(params.c_lo)
     if kp <= 0.0:
         return params.n_max, params.n_max
-    gap = -exit_utility(params, np.arange(1, params.n_max + 1))
+    gap = -exit_utility(params, np.arange(params.n_max + 1))
     floor = kp - 1e-12 * max(1.0, kp)
     rate = params.c_hi * params.eta_prime
-    # The gap falls with n, so the precisions that pass form a prefix of 1..n_max.
-    bound = int(np.count_nonzero(rate * (params.r + params.eta_prime) * gap >= floor))
-    quotient = int(np.count_nonzero(rate / (params.r + params.eta_prime) * gap >= floor))
-    return bound, max(bound, quotient)
+    # The gap falls with n, so the precisions that pass form a prefix of 0..n_max.
+    product = rate * (params.r + params.eta_prime) * gap >= floor
+    quotient = rate / (params.r + params.eta_prime) * gap >= floor
+    bound = int(np.count_nonzero(product[1:]))
+    top = max(bound, int(np.count_nonzero(quotient[1:])))
+    if params.pi.weights[0] > 0.0 and (product[0] or quotient[0]):
+        top = max(top, 1)
+    return bound, top
 
 
 # ---------------------------------------------------------------------------

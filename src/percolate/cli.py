@@ -40,7 +40,7 @@ from .best_response import solve_value, trigger_bounds
 from .equilibrium import find_equilibria, pareto_rank
 from .errors import SolverError, ValidationError
 from .interventions import apply_education, apply_subsidy, welfare_compare
-from .model import ModelParams, Policy, PrecisionMeasure, load_params, read_json
+from .model import ModelParams, Policy, PrecisionMeasure, load_params
 from .simulator import SimConfig, estimate_value, run as run_sim
 from .stationary import fosd_compare, solve_stationary
 
@@ -50,6 +50,17 @@ Table = tuple[list[str], list[list]]
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
+
+
+def _read_json(path: str, what: str):
+    """Load a JSON document from ``path``, mapping file errors to clean input errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
 def _build_policy(spec: str, params: ModelParams) -> Policy:
@@ -63,7 +74,7 @@ def _build_policy(spec: str, params: ModelParams) -> Policy:
     except ValueError as exc:
         raise ValidationError(f"bad policy spec {spec!r}: {exc}") from exc
     if kind == "list":
-        values = read_json(arg, "policy list")
+        values = _read_json(arg, "policy list")
         if not isinstance(values, list):
             raise ValidationError("policy list file must hold a JSON array of efforts")
         return Policy.from_list(values, params)
@@ -104,7 +115,7 @@ def _floats(arr) -> list[float]:
 def _cmd_solve_stationary(args: argparse.Namespace, params: ModelParams) -> dict:
     policy = _build_policy(args.policy, params)
     state = solve_stationary(policy, params)
-    loss = mass_loss_check(policy, params, state=state)
+    loss = mass_loss_check(policy, params)
     return {
         "c_bar": state.c_bar,
         "grid_mass": state.mu.grid_mass(),
@@ -238,7 +249,7 @@ def _cmd_montecarlo(args: argparse.Namespace, params: ModelParams) -> dict:
             "max_frequency_gap": linf,
         }
     state = solve_stationary(policy, params)
-    est = estimate_value(policy, params, sim_cfg, entry_precision=args.entry, state=state)
+    est = estimate_value(policy, params, sim_cfg, entry_precision=args.entry)
     br_value = solve_value(state, params).value.values[args.entry]
     return {
         "entry_precision": args.entry,
@@ -321,7 +332,7 @@ def _cmd_sweep(args: argparse.Namespace, params: ModelParams) -> Table:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"inline grid is not valid JSON: {exc}") from exc
     else:
-        grid = read_json(args.grid, "grid")
+        grid = _read_json(args.grid, "grid")
     if not isinstance(grid, dict) or not grid:
         raise ValidationError("grid must map scenario fields to value lists")
     for k, v in grid.items():
@@ -453,7 +464,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        params = load_params(args.config, n_max_override=args.n_max)
+        raw = _read_json(args.config, "scenario")
+        if not isinstance(raw, dict):
+            raise ValidationError(f"scenario file {args.config} must hold a JSON object")
+        params = load_params(raw if args.n_max is None else dict(raw, n_max=args.n_max))
         result = args.func(args, params)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

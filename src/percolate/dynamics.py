@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure
-from .stationary import MarketState, balance_residual, is_stable, solve_stationary
+from .stationary import balance_residual, is_stable, solve_stationary
 
 # Absolute and relative tolerances of the measure-flow integrator.
 ODE_ATOL = 1e-10
@@ -272,22 +272,19 @@ class MassLossReport:
 
     stable: bool
     tail_effort: float
-    c_bar: float
     limit_mass: float
 
 
-def mass_loss_check(
-    policy: Policy,
-    params: ModelParams,
-    state: MarketState | None = None,
-) -> MassLossReport:
-    """Check the escape-to-infinity condition and estimate retained mass."""
+def mass_loss_check(policy: Policy, params: ModelParams) -> MassLossReport:
+    """Check the escape-to-infinity condition and estimate retained mass.
+
+    Only the unstable case with positive tail effort needs c_bar; it solves
+    the stationary market (a memo hit where the caller already solved it).
+    """
     c_tail = policy.tail_effort()
     stable = is_stable(policy, params)
-    if state is None:
-        state = solve_stationary(policy, params)
-    if stable or c_tail <= 0.0:
-        limit = 1.0
-    else:
-        limit = 1.0 + (params.eta - c_tail * state.c_bar) / (c_tail * c_tail)
-    return MassLossReport(stable=stable, tail_effort=c_tail, c_bar=state.c_bar, limit_mass=limit)
+    limit = 1.0
+    if not stable and c_tail > 0.0:
+        c_bar = solve_stationary(policy, params).c_bar
+        limit = 1.0 + (params.eta - c_tail * c_bar) / (c_tail * c_tail)
+    return MassLossReport(stable=stable, tail_effort=c_tail, limit_mass=limit)

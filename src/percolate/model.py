@@ -18,7 +18,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -287,8 +286,8 @@ class Policy:
     @staticmethod
     def trigger_policy(n: int, params: "ModelParams") -> "Policy":
         """Effort c_hi at precisions < n, c_lo at precisions >= n (including 0)."""
-        if n < 0:
-            raise ValidationError(f"trigger must be nonnegative, got {n}")
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise ValidationError(f"trigger must be a nonnegative integer, got {n!r}")
         e = np.full(params.n_max + 1, params.c_lo)
         e[: min(n, params.n_max + 1)] = params.c_hi
         return Policy(e)
@@ -507,30 +506,13 @@ def _parse_pi(raw, n_max: int) -> PrecisionMeasure:
     raise ValidationError("pi must be a list (precisions 1..len) or a mapping {precision: weight}")
 
 
-def read_json(path: str | Path, what: str):
-    """Load a JSON document from ``path``, mapping file errors to clean input errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} file {str(path)!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {str(path)!r} is not valid JSON: {exc}") from exc
-
-
-def load_params(source: dict | str | Path, n_max_override: int | None = None) -> ModelParams:
-    """Build ModelParams from a scenario dict or a JSON file path.
+def load_params(raw: dict) -> ModelParams:
+    """Build ModelParams from a scenario mapping (the CLI reads it from a JSON file).
 
     Recognized fields are those of ``ModelParams``, whose defaults fill every
     field the scenario leaves out.  ``pi`` is either a list of weights for
     precisions 1..len or a mapping from precision (0 allowed) to weight.
     """
-    if isinstance(source, (str, Path)):
-        raw = read_json(source, "scenario")
-        if not isinstance(raw, dict):
-            raise ValidationError(f"scenario file {source!s} must hold a JSON object")
-    else:
-        raw = dict(source)
     unknown = set(raw) - _SCENARIO_FIELDS
     if unknown:
         raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
@@ -540,8 +522,6 @@ def load_params(source: dict | str | Path, n_max_override: int | None = None) ->
         for f in fields(ModelParams)
         if f.name in raw and f.name not in ("cost", "pi")
     }
-    if n_max_override is not None:
-        given["n_max"] = int(n_max_override)
     n_max = given.get("n_max", ModelParams.n_max)
     _check_n_max(n_max)
     if "cost" in raw:

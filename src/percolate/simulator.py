@@ -37,7 +37,7 @@ from .model import (
     exit_utility,
     gamma_coeff,
 )
-from .stationary import MarketState, solve_stationary
+from .stationary import solve_stationary
 
 # Variates per block of each draw stream.  A run's random stream is fixed by
 # this size, by the first u, e and n blocks being drawn at once in that order,
@@ -81,9 +81,9 @@ class SimOutput:
     n_precision_caps: int
     config: SimConfig
 
-    def frequencies(self, at: int = -1) -> np.ndarray:
-        """Empirical precision distribution (grid bins only) at snapshot ``at``."""
-        h = self.histograms[at]
+    def frequencies(self) -> np.ndarray:
+        """Empirical precision distribution over the grid bins at the horizon."""
+        h = self.histograms[-1]
         return h[:-1] / h.sum()
 
     def conditional_moments(self, at: int = -1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,15 +348,15 @@ def estimate_value(
     params: ModelParams,
     cfg: SimConfig,
     entry_precision: int = 1,
-    state: MarketState | None = None,
 ) -> ValueEstimate:
     """Monte Carlo estimate of the discounted value at ``entry_precision``.
 
     The agent follows ``policy`` inside the stationary mean-field market that
-    the same policy induces (solved internally unless ``state`` is given):
-    meetings arrive at c * c_bar, partners are drawn from the effort-weighted
-    measure, exit occurs at eta', and flow cost accrues between events in
-    closed form.  Returns the sample mean with a 95% confidence half-width.
+    the same policy induces (``solve_stationary``: a memo hit where the caller
+    already solved it): meetings arrive at c * c_bar, partners are drawn from
+    the effort-weighted measure, exit occurs at eta', and flow cost accrues
+    between events in closed form.  Returns the sample mean with a 95%
+    confidence half-width.
     """
     if not isinstance(entry_precision, Integral) or not 0 <= entry_precision <= params.n_max:
         raise ValidationError(f"entry precision must be an integer in [0, {params.n_max}]")
@@ -364,10 +364,7 @@ def estimate_value(
     R = cfg.replications if cfg.replications is not None else cfg.population
     if not isinstance(R, Integral) or R < 1:
         raise ValidationError("replications must be an integer of at least 1")
-    if state is None:
-        state = solve_stationary(policy, params)
-    elif state.policy.n_max != params.n_max:
-        raise ValidationError(f"state is on n_max = {state.policy.n_max}, not {params.n_max}")
+    state = solve_stationary(policy, params)
     w = state.policy.efforts * state.mu.weights
     c_bar = float(w.sum())
     jump_cum = (np.cumsum(w) / c_bar).tolist() if c_bar > 0 else None

@@ -151,8 +151,8 @@ def candidate_measure(
     (overflows to a non-finite value); the first failing precision is named,
     as a per-precision recursion would.
     """
-    if c_bar < 0:
-        raise ValidationError(f"average effort must be nonnegative, got {c_bar}")
+    if not (math.isfinite(c_bar) and c_bar >= 0):
+        raise ValidationError(f"average effort must be finite and nonnegative, got {c_bar}")
     eta = params.eta
     n_max = params.n_max
     C = policy.efforts

@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles (joint-Gaussian
 covariance algebra, the per-precision balance recursion, scalar fixed points
 via brentq, exact rational arithmetic) rather than by calling the package, so
 the tests compare two genuinely different routes to the same numbers.
-The simulator loops at the end and ``cond_variance_branching`` are the
-exception: they are the package's earlier code, kept verbatim so the
-rewritten code can be held bit-identical to it.
+The simulator loops at the end, ``running_max_efforts`` and
+``cond_variance_branching`` are the exception: they are the package's earlier
+code, kept verbatim so the rewritten code can be held bit-identical to it.
 """
 
 from __future__ import annotations
@@ -287,6 +287,29 @@ def exact_trigger_bound(rho: Fraction, c_hi: Fraction, eta_prime: Fraction,
         if c_hi * eta_prime * (r + eta_prime) * (0 - u_j) >= kappa:
             best = j
     return best
+
+
+# ---------------------------------------------------------------------------
+# Maximizing efforts of the Bellman operator by a running maximum
+# ---------------------------------------------------------------------------
+
+
+def running_max_efforts(terms, y: np.ndarray) -> np.ndarray:
+    """The maximizing effort per precision, as the operator once built it on every call.
+
+    ``terms`` holds (c, numerator constant, denominator) per candidate effort c
+    in increasing order, starting at c_lo; ``y`` is the jump expectation.  A
+    candidate whose objective reaches the running maximum replaces the
+    effort so far, so ties resolve to the larger effort.
+    """
+    (c_lo, num, den), *rest = terms
+    best = (num + c_lo * y) / den
+    arg = np.full(y.size, c_lo)
+    for c, num, den in rest:
+        f = (num + c * y) / den
+        np.copyto(arg, c, where=f >= best)
+        np.maximum(f, best, out=best)
+    return arg
 
 
 # ---------------------------------------------------------------------------

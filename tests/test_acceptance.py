@@ -279,7 +279,7 @@ def test_criterion_09_monte_carlo_cross_validation():
             assert abs(sample.mean() - target) <= half, (int(n), target)
 
     est = estimate_value(
-        pol, p, SimConfig(seed=0, replications=200_000), entry_precision=1, state=state
+        pol, p, SimConfig(seed=0, replications=200_000), entry_precision=1
     )
     solver_value = solve_value(state, p).value.values[1]
     assert abs(est.mean - solver_value) <= est.half_width

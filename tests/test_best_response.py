@@ -29,7 +29,7 @@ from percolate.best_response import (
     trigger_interval,
 )
 from conftest import make_scenario
-from oracles import exact_trigger_bound
+from oracles import exact_trigger_bound, running_max_efforts
 
 
 def _params(**over):
@@ -104,10 +104,11 @@ def test_bellman_operator_preserves_monotonicity_and_order():
     p, st, _ = _solved(trigger=4)
     rng = np.random.default_rng(3)
     v = np.sort(rng.uniform(-1.0, 0.0, p.n_max + 1))
-    tv, _, _ = bellman_operator(v, st, p)
+    fixed = _fixed_terms(st, p)
+    tv, _ = bellman_operator(v, fixed)
     assert np.all(np.diff(tv) >= -1e-12)
     w = v + rng.uniform(0.0, 0.5)
-    tw, _, _ = bellman_operator(w, st, p)
+    tw, _ = bellman_operator(w, fixed)
     assert np.all(tw >= tv - 1e-12)
 
 
@@ -150,24 +151,24 @@ def test_fixed_terms_built_once_change_no_bits(case):
         return
     n = params.n_max + 1
     start = _tail_values(params, exit_utility(params, np.arange(n)))
-    # The three-argument call builds the fixed terms on every call; built once,
-    # they are reused across calls, the padded-values buffer included.
+    # Fixed terms built once are reused across calls, the padded-values
+    # buffer included; they give the bits of terms built afresh for each call.
     fixed = _fixed_terms(state, params)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         v = start + rng.normal(size=n)
-        once = bellman_operator(v, state, params, fixed)
-        each = bellman_operator(v, state, params)
+        once = bellman_operator(v, fixed)
+        each = bellman_operator(v, _fixed_terms(state, params))
         assert [a.tobytes() for a in once] == [a.tobytes() for a in each]
 
-    # solve_value against value iteration on the three-argument operator.
+    # solve_value against value iteration with the fixed terms built afresh.
     c_bar = float((state.policy.efforts * state.mu.weights).sum())
     q = params.c_hi * c_bar / (params.c_hi * c_bar + params.r + params.eta_prime)
     stop = VALUE_TOL * (1.0 - q) / q if q > 0.0 else VALUE_TOL
     values = start
     deltas = []
     for _ in range(100_000):
-        new = bellman_operator(values, state, params)[0]
+        new = bellman_operator(values, _fixed_terms(state, params))[0]
         deltas.append(float(np.max(np.abs(new - values))).hex())
         values = new
         if float.fromhex(deltas[-1]) <= stop:
@@ -176,6 +177,24 @@ def test_fixed_terms_built_once_change_no_bits(case):
     assert br.value.values.tobytes() == values.tobytes()
     assert [d.hex() for d in br.deltas] == deltas
     assert br.contraction_q.hex() == q.hex()
+
+    # The maximizing efforts are read once, at the converged values, and not
+    # on every iteration; they keep the bits of the running maximum.
+    if params.effective_cost().kind == "tabulated":
+        y = bellman_operator(br.value.values, fixed)[1]
+        assert br.policy.efforts.tobytes() == running_max_efforts(fixed.terms, y).tobytes()
+
+
+def test_tied_candidates_resolve_to_the_larger_effort():
+    # K is flat on [0, 0.5] and nobody searches, so efforts 0 and 0.5 reach
+    # the same objective exactly at every precision and effort 1 does worse.
+    flat = {"type": "tabulated", "points": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.2]]}
+    p, st, br = _solved(trigger=0, c_lo=0.0, cost=flat)
+    assert st.c_bar == 0.0
+    assert np.all(br.policy.efforts == 0.5)
+    fixed = _fixed_terms(st, p)
+    y = bellman_operator(br.value.values, fixed)[1]
+    assert br.policy.efforts.tobytes() == running_max_efforts(fixed.terms, y).tobytes()
 
 
 # ---------------------------------------------------------------------------

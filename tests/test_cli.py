@@ -458,6 +458,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert named in capsys.readouterr().err, overrides
 
 
+def test_unreadable_or_non_object_scenario_file_exits_2(tmp_path, capsys):
+    # main reads the scenario file itself; load_params takes only a mapping.
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([make_scenario()]))
+    for path, named in [(listed, "must hold a JSON object"),
+                        (tmp_path / "missing.json", "cannot read scenario file")]:
+        capsys.readouterr()
+        assert cli.main(["solve-stationary", "--config", str(path), "--policy", "trigger:1"]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_non_finite_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(make_scenario(r=float("inf"))))  # written as Infinity

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from percolate import (
     SimConfig,
     ValidationError,
     cond_variance,
+    correspondence,
     cross_section_params,
     exit_utility,
     gamma_coeff,
@@ -24,6 +27,7 @@ from percolate import (
     run,
     solve_stationary,
 )
+from percolate.stationary import candidate_measure
 from conftest import make_scenario
 from oracles import cond_variance_branching, flat_tail_index, gaussian_posterior, pool_posteriors
 
@@ -336,6 +340,19 @@ def test_entry_points_reject_efforts_of_the_wrong_length(entry, size):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: Policy.trigger_policy(2.5, p),
+    lambda p: correspondence(2.5, p),
+    lambda p: candidate_measure(math.nan, Policy.trigger_policy(3, p), p),
+    lambda p: candidate_measure(math.inf, Policy.trigger_policy(3, p), p),
+], ids=["trigger-2.5", "correspondence-2.5", "trial-nan", "trial-inf"])
+def test_entry_points_reject_malformed_numbers(call):
+    # A fractional trigger used to reach numpy's slicing (TypeError), and a
+    # NaN trial passed the sign check to fail as a divergent solve.
+    with pytest.raises(ValidationError):
+        call(load_params(make_scenario(n_max=16)))
+
+
 # ---------------------------------------------------------------------------
 # Scenario loading and validation
 # ---------------------------------------------------------------------------
@@ -458,5 +475,5 @@ def test_an_empty_scenario_is_the_dataclass_default():
 
 
 def test_n_max_override():
-    p = load_params(make_scenario(), n_max_override=32)
+    p = load_params(dict(make_scenario(), n_max=32))
     assert p.n_max == 32 and p.pi.n_max == 32

@@ -12,13 +12,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from percolate import (
-    ModelParams, Policy, SimConfig, SolverError, ValidationError, estimate_value, load_params,
-    run, solve_value, trigger_bounds,
+    ModelParams, Policy, SimConfig, SolverError, ValidationError, correspondence, estimate_value,
+    exit_utility, load_params, run, solve_value, trigger_bounds,
 )
-from percolate.best_response import VALUE_TOL, bellman_operator
+from percolate.best_response import VALUE_TOL, _fixed_terms, bellman_operator
 from percolate.model import N_MAX_LIMIT
 from percolate.stationary import (
     _CLOSED_FORM_MAX_TRIGGER, MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _brent, _closed_form_mass,
@@ -216,7 +216,7 @@ def test_out_of_range_grid_is_rejected_before_allocation(n_max):
     with pytest.raises(ValidationError, match="n_max"):
         load_params(make_scenario(n_max=n_max))
     with pytest.raises(ValidationError, match="n_max"):
-        load_params(make_scenario(), n_max_override=n_max)
+        load_params(dict(make_scenario(), n_max=n_max))
     with pytest.raises(ValidationError, match="n_max"):
         ModelParams(n_max=n_max)
 
@@ -312,8 +312,17 @@ def test_values_increase_in_precision(case):
     assert np.all(np.diff(br.value.values) >= -2.0 * VALUE_TOL)
 
 
+# Searches at precision 0 alone (trigger 1) against every market trigger from 5
+# to 22, while both bounds are 0: they cover search at precisions >= 1 only.
+_ZERO_SEARCH = load_params(make_scenario(
+    eta=1.1678, eta_prime=0.75, r=0.3087, rho=0.9, c_lo=0.0, c_hi=1.0897,
+    cost={"type": "linear", "kappa": 0.3787}, pi={"1": 0.357, "4": 0.643}, n_max=21,
+))
+
+
 @PROPERTY
 @given(solved_markets())
+@example((_ZERO_SEARCH, Policy.trigger_policy(5, _ZERO_SEARCH)))
 def test_linear_cost_optimum_is_a_trigger_within_the_bound(case):
     solved = _best_response(case)
     if solved is None:
@@ -324,10 +333,61 @@ def test_linear_cost_optimum_is_a_trigger_within_the_bound(case):
     assert np.all(efforts[: br.trigger] == params.c_hi)
     assert np.all(efforts[br.trigger :] == params.c_lo)
     # n_bar bounds the trigger only when r + eta' >= 1; the scan bound also
-    # covers faster discounting.  A bound clipped to n_max says only that
-    # searching may pay past the grid.
+    # covers faster discounting.  Both bound search at precisions >= 1 only.
+    # A bound clipped to n_max says only that searching may pay past the grid.
     bound = trigger_bounds(params)[1]
-    assert bound == params.n_max or br.trigger <= bound
+    assert bound == params.n_max or np.all(efforts[max(bound, 1) :] == params.c_lo)
+
+
+@st.composite
+def zero_entry_markets(draw):
+    """A linear-cost market with entry mass at precision 0 in which no precision
+    n >= 1 passes either scale of ``trigger_bounds`` and precision 0 may."""
+    n_max = draw(st.integers(4, 32))
+    support = draw(st.lists(st.integers(1, min(5, n_max)), min_size=1, max_size=3, unique=True))
+    p0 = draw(st.floats(0.01, 0.99))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    c_lo = draw(st.sampled_from([0.0, 0.1])) if draw(st.booleans()) else draw(st.floats(0.0, 0.5))
+    scenario = make_scenario(
+        n_max=n_max,
+        pi={"0": p0, **{str(k): (1.0 - p0) * w / sum(raw) for k, w in zip(support, raw)}},
+        c_lo=c_lo,
+        c_hi=draw(st.floats(c_lo + 0.05, c_lo + 2.0)),
+        eta=draw(st.floats(0.1, 3.0)),
+        eta_prime=draw(st.floats(0.1, 3.0)),
+        r=draw(st.floats(0.01, 1.0)),
+        rho=draw(st.floats(0.1, 0.9)),
+    )
+    p = load_params(scenario)
+    discount = p.r + p.eta_prime
+    scale = p.c_hi * p.eta_prime * max(discount, 1.0 / discount)
+    gaps = -exit_utility(p, np.arange(2))
+    kappa = scale * draw(st.floats(1.001 * gaps[1], 2.0 * gaps[0]))
+    return load_params(dict(scenario, cost={"type": "linear", "kappa": kappa}))
+
+
+# Trigger 1 is its only equilibrium, and active; a scan bound of 0 missed it.
+_ZERO_ENTRY = load_params(make_scenario(
+    eta=2.802165524797627, eta_prime=0.6688756127826893, r=0.22338643015885362,
+    rho=0.8697745869341867, c_lo=0.1, c_hi=0.16625183233212976,
+    cost={"type": "linear", "kappa": 0.03101423131968736},
+    pi={"0": 0.12230497166453107, "1": 0.877695028335469}, n_max=32,
+))
+
+
+@PROPERTY
+@given(zero_entry_markets())
+@example(_ZERO_ENTRY)
+def test_scan_reaches_every_active_trigger_one_equilibrium(params):
+    # Trigger 1 searches at precision 0 alone, which counts only when
+    # entrants hold precision 0; the scan must then visit it.
+    assert trigger_bounds(params)[0] == 0
+    try:
+        entry = correspondence(1, params)
+    except SolverError:
+        return
+    if entry.is_fixed_point and entry.is_active():
+        assert trigger_bounds(params)[1] >= 1
 
 
 @PROPERTY
@@ -342,8 +402,9 @@ def test_certified_value_error_holds_against_a_longer_iteration(case):
     # Iterate on until the change stops shrinking: the reference is then
     # within q / (1 - q) times its last change of the true fixed point.
     last = math.inf
+    fixed = _fixed_terms(state, params)
     for _ in range(100_000):
-        new = bellman_operator(values, state, params)[0]
+        new = bellman_operator(values, fixed)[0]
         change = float(np.max(np.abs(new - values)))
         values = new
         if change == 0.0 or change >= last:
@@ -448,8 +509,8 @@ def test_simulator_is_bit_identical_to_the_per_draw_loops(case):
     for name in SIM_COUNTERS:
         assert getattr(new, name) == getattr(old, name), name
     try:
-        state = solve_stationary(policy, params)
+        solve_stationary(policy, params)
     except SolverError:
         return
-    assert estimate_value(policy, params, cfg, entry, state) == estimate_value_loop(
-        policy, params, cfg, entry, state)
+    assert estimate_value(policy, params, cfg, entry) == estimate_value_loop(
+        policy, params, cfg, entry)

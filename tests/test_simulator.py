@@ -188,9 +188,7 @@ def test_estimate_value_matches_linear_system(trigger3_run):
                 b[i] += w[m] * stopped(tgt)
     v = np.linalg.solve(a, b)
 
-    est = estimate_value(
-        policy, p, SimConfig(seed=29, replications=120_000), entry_precision=1, state=state
-    )
+    est = estimate_value(policy, p, SimConfig(seed=29, replications=120_000), entry_precision=1)
     assert abs(est.mean - v[0]) < 1.6 * est.half_width  # 3 sigma
     assert est.replications == 120_000
 
@@ -297,8 +295,6 @@ def test_a_uniform_below_one_never_indexes_past_the_end():
 # Invalid configurations through the Python API
 # ---------------------------------------------------------------------------
 
-_GRID8 = _params(n_max=8)
-
 
 @pytest.mark.parametrize("call", [
     lambda pol, p: run(pol, p, SimConfig(population=100, horizon=math.nan)),
@@ -306,15 +302,13 @@ _GRID8 = _params(n_max=8)
     lambda pol, p: run(pol, p, SimConfig(population=100, horizon=1.0, y_realization=math.nan)),
     lambda pol, p: run(pol, p, SimConfig(population=2.5, horizon=1.0)),
     lambda pol, p: estimate_value(pol, p, SimConfig(replications=2.5)),
-    lambda pol, p: estimate_value(pol, p, SimConfig(replications=10), state=solve_stationary(
-        Policy.trigger_policy(1, _GRID8), _GRID8)),
     lambda pol, p: estimate_value(pol, p, SimConfig(replications=10), entry_precision=1.5),
     lambda pol, p: run(pol, p, SimConfig(population=100, horizon=1.0, seed=-1)),
     lambda pol, p: run(pol, p, SimConfig(population=100, horizon=1.0, seed=2.5)),
     lambda pol, p: estimate_value(pol, p, SimConfig(replications=10, seed=-1)),
     lambda pol, p: estimate_value(pol, p, SimConfig(replications=10, seed=2.5)),
 ], ids=["horizon-nan", "horizon-inf", "y-nan", "population-2.5", "replications-2.5",
-        "state-on-another-grid", "entry-1.5", "run-seed-negative", "run-seed-2.5",
+        "entry-1.5", "run-seed-negative", "run-seed-2.5",
         "value-seed-negative", "value-seed-2.5"])
 def test_simulator_rejects_invalid_configuration(call):
     p = _params(n_max=16)

@@ -346,7 +346,7 @@ def test_unstable_regime_routes_mass_to_the_tail():
     assert state.c_bar > 0
     assert state.mu.total_mass() == pytest.approx(1.0, abs=1e-10)
     assert state.mu.tail_mass > 0.5
-    report = mass_loss_check(pol, p, state=state)
+    report = mass_loss_check(pol, p)
     assert not report.stable
     assert report.limit_mass < 1.0
 

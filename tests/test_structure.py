@@ -24,3 +24,22 @@ def test_no_module_imports_a_private_name_from_another():
                 continue
             found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if _is_private(a.name)]
     assert found == []
+
+
+# File IO calls: the builtin ``open`` and the ``pathlib`` readers and writers.
+_IO_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_the_cli_touches_files():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _IO_CALLS:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
