@@ -30,6 +30,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -393,9 +394,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="percolate", description=__doc__)
+    # No abbreviations: "--pol" is not "--policy", and "--h" is not "--help".
+    parser = argparse.ArgumentParser(prog="percolate", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"percolate {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("solve-stationary", help="stationary measure for a policy")
     _add_common(p)

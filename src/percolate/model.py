@@ -17,8 +17,8 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -506,13 +506,15 @@ def _parse_pi(raw, n_max: int) -> PrecisionMeasure:
     raise ValidationError("pi must be a list (precisions 1..len) or a mapping {precision: weight}")
 
 
-def load_params(raw: dict) -> ModelParams:
+def load_params(raw: Mapping) -> ModelParams:
     """Build ModelParams from a scenario mapping (the CLI reads it from a JSON file).
 
     Recognized fields are those of ``ModelParams``, whose defaults fill every
     field the scenario leaves out.  ``pi`` is either a list of weights for
     precisions 1..len or a mapping from precision (0 allowed) to weight.
     """
+    if not isinstance(raw, Mapping):
+        raise ValidationError(f"a scenario is a mapping of fields, got {type(raw).__name__}")
     unknown = set(raw) - _SCENARIO_FIELDS
     if unknown:
         raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")

@@ -12,15 +12,15 @@ such a run the generating function of nu is a root of a quadratic, whose
 coefficients come from power-series Newton doubling); the trial is then fixed
 by Brent's method on the self-consistency gap.
 
-On a market whose efforts on 1..n_max are one value c > 0 below a trigger
-n <= _CLOSED_FORM_MAX_TRIGGER and 0 from n on (the c_lo = 0 trigger
-policies), the gap needs no candidate measure: the run's generating function
-is a Catalan series in the single scalar a = c / (eta + c * shift), so a
-trial costs one column of a table S(n, m) built once per entry distribution
-and one dot product.  Only the root's measure is then solved run-wise, and
-every acceptance check reads it.  Larger triggers, whose O(n^3) table costs
-more than the kernel trials it saves, and entry distributions whose S(n, m)
-underflow keep the kernel gap.
+On a market whose efforts on 1..n_max are c below a trigger n <=
+_CLOSED_FORM_MAX_TRIGGER and c2 from n on (trigger and constant policies),
+the gap needs no candidate measure: a trial costs one column of a table
+S(n, m) built once per entry distribution, one dot product with Catalan
+weights and, for c2 > 0, one quadratic, whose root also counts the mass past
+n_max; kernel calls at the root shift that away.  Larger triggers (the O(n^3)
+table costs more than the trials it saves), S(n, m) that underflow and
+shifted roots that do not settle keep the kernel gap; every acceptance check
+reads the root's measure, solved run-wise.
 
 Mass entering at precision 0 is supported: the convolution includes the
 l = 0 and l = n terms, which moves the zero-precision balance from a linear
@@ -259,23 +259,30 @@ def _run_sums(pi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _closed_form_mass(policy: Policy, params: ModelParams):
-    """Grid effort mass of the candidate measure as a function of the trial, or None.
+    """Effort mass of the candidate measure as a function of the trial, or None.
 
-    Defined when the efforts on 1..n_max are one value c > 0 on [1, n) and 0
-    on [n, n_max] with n <= min(n_max, _CLOSED_FORM_MAX_TRIGGER) (n = 1
-    leaves only the zero bin searching).  The zero bin gives c0 mu_0.  On the
-    run [1, n) the effort-weighted series solves A = a (eta pi' + A^2) with
-    a = c / (eta + c shift), so A = sum_m Cat_m a^(2m+1) (eta pi')^(m+1) and
-    the run's mass is eta a sum_m Cat_m (eta a^2)^m S(n, m) (Duffie & Manso
-    2007).  A trial ``candidate_measure`` rejects as infeasible, or with a
-    non-finite sum, has mass +inf.
+    Defined when the efforts on 1..n_max are c on [1, n) and c2 >= 0 on
+    [n, n_max] with n <= _CLOSED_FORM_MAX_TRIGGER (a constant policy is n = 1),
+    in the stable regime if c2 > 0.  The zero bin gives c0 mu0.  On the run
+    [1, n) the effort-weighted series solves A = a (eta pi' + A^2) with
+    a = c / (eta + c shift), so A = sum_m Cat_m a^(2m+1) (eta pi')^(m+1): its
+    mass is A1 = eta a T_0 and the mass of A^2 below n is Q = eta T_1, where
+    T_j = sum_{m>=j} Cat_m (eta a^2)^m S(n, m) (Duffie & Manso 2007).  Summed
+    over precisions >= n, where every product with run 1 lands, the recursion
+    makes run 2's mass X the stable root of a2 X^2 - B X + C = 0 with
+    a2 = c2 / (eta + c2 shift), B = 1 - 2 a2 A1 and C = a2 (eta pi_{>=n} +
+    A1^2 - Q).  That is the mass on the infinite grid, above the kernel's by
+    the effort mass past n_max.  A trial ``candidate_measure`` rejects as
+    infeasible, with no positive root X or with a non-finite sum, has mass +inf.
     """
     e = policy.efforts[1:]
-    n = 1 + int(np.count_nonzero(e))
-    if n > min(e.size, _CLOSED_FORM_MAX_TRIGGER) or not np.all(e[: n - 1] == e[0]):
+    n = 1 + int(np.argmax(e != e[0]))  # 1 if e is constant
+    c, c2, c0 = float(e[0]), float(e[-1]), float(policy.efforts[0])
+    if (n > _CLOSED_FORM_MAX_TRIGGER or np.any(e[n - 1 :] != c2)
+            or (c2 > 0.0 and not is_stable(policy, params))):
         return None
-    c, c0 = float(e[0]), float(policy.efforts[0])
     pi, eta = params.pi.weights, params.eta
+    tail = float(pi[n:].sum())
     # pi'^(m+1) starts at x^(k1 (m+1)), k1 the lowest precision of pi', so
     # S(n, m) > 0 exactly for m < rows = (n-1) // k1.
     lowest = np.flatnonzero(pi[1:n])
@@ -300,20 +307,27 @@ def _closed_form_mass(policy: Policy, params: ModelParams):
             mu0 = _zero_bin(x, c0, pi[0], eta)
         except SolverError:
             return math.inf
-        if n == 1:
-            return c0 * mu0
-        den = eta + c * (x - 2.0 * c0 * mu0)
-        if den <= 1e-14:
+        shift = x - 2.0 * c0 * mu0
+        den, den2 = eta + c * shift, eta + c2 * shift
+        if (c > 0.0 and den <= 1e-14) or (c2 > 0.0 and den2 <= 1e-14):
             return math.inf
         a = c / den
         with np.errstate(over="ignore", invalid="ignore"):
             catalan = np.cumprod(ratios * (eta * a * a))
+            higher = float(np.dot(catalan, mant[1:])) * scale
             # The m = 0 term is added last: inside the dot product it would
             # change np.dot's summation order and move roots by a few ulps.
-            scaled = mant[0] + float(np.dot(catalan, mant[1:]))
             # The outer a as c / den, as the kernel's last division makes it.
-            run = c * (eta * (scaled * scale)) / den
+            run = float(c * (eta * (mant[0] * scale + higher)) / den)
         total = c0 * mu0 + run
+        if c2 > 0.0:
+            a2 = c2 / den2
+            b = 1.0 - 2.0 * a2 * run
+            q = a2 * (eta * tail + run * run - eta * higher)
+            disc = b * b - 4.0 * a2 * q
+            if not (b > 0.0 and disc >= 0.0):
+                return math.inf
+            total += 2.0 * q / (b + math.sqrt(disc))
         return total if math.isfinite(total) else math.inf
 
     return mass
@@ -385,7 +399,7 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float:
 
 def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
     """Smallest trial average effort with a real zero-precision quadratic root."""
-    c0 = policy.efforts[0]
+    c0 = float(policy.efforts[0])
     p0 = params.pi.weights[0]
     if c0 <= 0.0 or p0 <= 0.0:
         return 0.0
@@ -422,11 +436,11 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     trial effort.  Brent's method solves it to machine precision on [floor,
     max(c_hi, floor)], the floor being the smallest trial with a real
     zero-precision balance, and the root must meet |g| <= ROOT_TOL; a trial
-    whose weights diverge counts as g = -inf.  On a c_lo = 0 trigger market
-    each trial is the effort mass of ``_closed_form_mass`` and only the
-    root's candidate measure is solved.  The
-    |g| bound, the balance residual and, in the stable regime eta >= C_tail *
-    c_hi, mass conservation are checked on the root's candidate measure.
+    whose weights diverge counts as g = -inf.  Where ``_closed_form_mass``
+    applies, each trial is its effort mass instead, shifted by kernel calls at
+    the root if it counts mass past the grid (c_lo > 0).  The |g| bound, the
+    balance residual and, in the stable regime eta >= C_tail * c_hi, mass
+    conservation are checked on the root's candidate measure.
 
     Solves are memoized per process (least recently used, ``_MEMO_SIZE``
     markets) on what the solve reads: eta, c_hi, n_max, the entry weights and
@@ -450,42 +464,84 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     return MarketState(mu=mu, policy=policy, c_bar=c_bar, gap_evals=gap_evals)
 
 
-def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float, int]:
-    """Uncached stationary solve: (measure with tail mass, average effort, gap evaluations)."""
-    # The candidate measure of every feasible kernel trial, so the root's is not computed again.
-    measures: dict[float, PrecisionMeasure] = {}
-    evals = 0
-    closed_form = _closed_form_mass(policy, params)
-
-    def gap(x: float) -> float:
-        # An infeasible trial (no real zero-bin root, an exploding bin
-        # denominator or diverging weights) means the candidate effort mass
-        # blows past x, so the gap is effectively -inf and the root lies above.
-        nonlocal evals
-        evals += 1
-        if closed_form is not None:  # the root's measure is solved below
-            return x - closed_form(x)
-        try:
-            measures[x] = candidate_measure(x, policy, params)
-        except SolverError:
-            return -math.inf
-        return x - average_effort(measures[x], policy)
-
-    lo = _feasibility_floor(policy, params)
-    # Any root is a grid effort mass, at most c_hi times a grid mass <= 1, so g(c_hi) >= 0.
-    hi = max(params.c_hi, lo)
+def _bracket_root(gap, lo: float, hi: float) -> float:
+    """Root of an increasing ``gap`` on [lo, hi] by Brent, or an end where |gap| <= ROOT_TOL."""
     g_lo = gap(lo)
     if g_lo > ROOT_TOL:
         raise SolverError(
             f"no stationary average effort: the self-consistency gap is already positive "
             f"({g_lo:.3e}) at the feasibility floor {lo:.6g}"
         )
-    root = lo
-    if g_lo < -ROOT_TOL:
-        g_hi = gap(hi)
-        root = hi
-        if g_hi > ROOT_TOL:
-            root = _brent(gap, lo, hi, g_lo, g_hi)
+    if g_lo >= -ROOT_TOL:
+        return lo
+    g_hi = gap(hi)
+    return hi if g_hi <= ROOT_TOL else _brent(gap, lo, hi, g_lo, g_hi)
+
+
+# Kernel calls the truncation correction of the closed form may take.
+_CORRECTIONS = 4
+
+
+def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float, int]:
+    """Uncached stationary solve: (measure with tail mass, average effort, gap evaluations)."""
+    # The candidate measure of every feasible kernel trial, so the root's is not computed again.
+    measures: dict[float, PrecisionMeasure] = {}
+    evals = 0
+    offset = 0.0  # closed-form mass minus grid mass at the last corrected root
+
+    def kernel_gap(x: float) -> float:
+        # An infeasible trial (no real zero-bin root, an exploding bin
+        # denominator or diverging weights) means the candidate effort mass
+        # blows past x, so the gap is effectively -inf and the root lies above.
+        nonlocal evals
+        evals += 1
+        try:
+            measures[x] = candidate_measure(x, policy, params)
+        except SolverError:
+            return -math.inf
+        return x - average_effort(measures[x], policy)
+
+    def closed_gap(x: float) -> float:
+        nonlocal evals
+        evals += 1
+        return x - closed_form(x) + offset
+
+    lo = _feasibility_floor(policy, params)
+    # Any root is a grid effort mass, at most c_hi times a grid mass <= 1, so g(c_hi) >= 0.
+    hi = max(params.c_hi, lo)
+    closed_form = _closed_form_mass(policy, params)
+
+    def corrected(root: float) -> float | None:
+        # The closed form also counts the mass past the grid.  Shifted by the
+        # difference at a root r, its root moves by at most |g(r)| (g' >= 1), so
+        # r and r - g(r) bracket it.  Repeat while |g| shrinks; None: kernel gap.
+        nonlocal offset
+        best, g_best = None, math.inf
+        for _ in range(_CORRECTIONS):
+            g = kernel_gap(root)
+            if not abs(g) < abs(g_best):  # infeasible, or down to rounding
+                break
+            best, g_best = root, g
+            # Within Brent's tolerance, or at an end the kernel gap's bracket takes.
+            if abs(g) <= (_XTOL + _RTOL * root) / 2 or (root in (lo, hi) and abs(g) <= ROOT_TOL):
+                break
+            offset = closed_form(root) - (root - g)
+            g_far = closed_gap(root - g)
+            if g_far * g > 0.0:
+                return None
+            moved = _brent(closed_gap, root, root - g, g, g_far)
+            if moved == root:
+                break
+            root = moved
+        else:
+            return None
+        return best if abs(g_best) <= ROOT_TOL else None
+
+    root = None if closed_form is None else _bracket_root(closed_gap, lo, hi)
+    if root is not None and policy.tail_effort() > 0.0:
+        root = corrected(root)
+    if root is None:
+        root = _bracket_root(kernel_gap, lo, hi)
 
     # Also rejects a bracket with no sign change, whose root is then hi.  An
     # infeasible root was never stored, and raises here as it did in gap.

@@ -4,9 +4,10 @@ Everything here is deliberately written from first principles (joint-Gaussian
 covariance algebra, the per-precision balance recursion, scalar fixed points
 via brentq, exact rational arithmetic) rather than by calling the package, so
 the tests compare two genuinely different routes to the same numbers.
-The simulator loops at the end, ``running_max_efforts`` and
-``cond_variance_branching`` are the exception: they are the package's earlier
-code, kept verbatim so the rewritten code can be held bit-identical to it.
+The simulator loops at the end, ``running_max_efforts``,
+``cond_variance_branching`` and ``kernel_gap_solve`` are the exception: they
+are the package's earlier code, kept so the rewritten code can be held
+bit-identical (or, for the stationary root, ulp-close) to it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from percolate import SolverError
 from percolate.errors import ValidationError
 from percolate.model import ModelParams, Policy, cross_section_params, exit_utility, gamma_coeff
 from percolate.simulator import DRAW_BLOCK, SimConfig, SimOutput, ValueEstimate
-from percolate.stationary import MarketState, solve_stationary
+from percolate.stationary import (
+    MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _RTOL, _XTOL, MarketState, _feasibility_floor, average_effort,
+    balance_residual, candidate_measure, is_stable, solve_stationary,
+)
 
 
 def gaussian_posterior(rho: float, n: int) -> tuple[np.ndarray, float]:
@@ -129,6 +133,51 @@ def candidate_measure_loop(c_bar: float, efforts: np.ndarray, pi: np.ndarray, et
             mu[k] = m
             nu[k] = efforts[k] * m
     return mu
+
+
+# ---------------------------------------------------------------------------
+# Stationary solve by Brent's method on the kernel gap
+# ---------------------------------------------------------------------------
+
+
+def kernel_gap_solve(policy: Policy, params: ModelParams) -> float:
+    """Average effort of the stationary market, with every trial a ``candidate_measure`` call.
+
+    The package's stationary solve before any closed form: scipy's brentq (which
+    ``stationary._brent`` ports step for step) on g(x) = x - grid effort mass
+    over [feasibility floor, max(c_hi, floor)], an end of the bracket taken
+    when |g| <= ROOT_TOL there, an infeasible trial counted as g = -inf.  Raises
+    SolverError where that solve did: a gap already positive at the floor, a
+    root with |g| > ROOT_TOL, a balance residual past RESIDUAL_TOL, or, in the
+    stable regime, a total mass off 1 by more than MASS_TOL.
+    """
+
+    def gap(x: float) -> float:
+        try:
+            return x - average_effort(candidate_measure(x, policy, params), policy)
+        except SolverError:
+            return -math.inf
+
+    lo = _feasibility_floor(policy, params)
+    hi = max(params.c_hi, lo)
+    g_lo = gap(lo)
+    if g_lo > ROOT_TOL:
+        raise SolverError(f"gap {g_lo:.3e} already positive at the floor {lo}")
+    root = lo
+    if g_lo < -ROOT_TOL:
+        root = hi
+        if gap(hi) > ROOT_TOL:
+            root = brentq(gap, lo, hi, xtol=_XTOL, rtol=_RTOL, disp=False)
+    mu = candidate_measure(root, policy, params)
+    if abs(root - average_effort(mu, policy)) > ROOT_TOL:
+        raise SolverError(f"|g({root})| > ROOT_TOL")
+    res, overflow = balance_residual(mu.weights, policy, params)
+    if float(np.max(np.abs(res))) > RESIDUAL_TOL:
+        raise SolverError("balance residual exceeds tolerance")
+    mass = mu.grid_mass() + overflow / params.eta
+    if abs(mass - 1.0) > MASS_TOL and is_stable(policy, params):
+        raise SolverError(f"stationary mass {mass} deviates from 1 in the stable regime")
+    return float(root)
 
 
 # ---------------------------------------------------------------------------

@@ -610,6 +610,19 @@ def test_tolerance_flag_is_not_accepted(scenario_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--h", "0.1"], ["--pol", "trigger:3"]], ids=["h", "pol"])
+def test_abbreviated_flags_exit_2_and_write_nothing(scenario_file, tmp_path, flag):
+    # "--h" once read as "--help" (usage printed, exit 0) and "--pol" as "--policy".
+    out = tmp_path / "st.json"
+    argv = ["solve-stationary", "--config", scenario_file, "--out", str(out), *flag]
+    if flag[0] == "--h":
+        argv += ["--policy", "trigger:3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [Path(scenario_file)]
+
+
 @pytest.mark.parametrize("entry", ["-1", "65"])
 def test_value_entry_off_the_grid_exits_2(scenario_file, entry):
     assert cli.main([

@@ -403,6 +403,13 @@ def test_load_params_rejects_unknown_cost_fields(cost, key):
         load_params(make_scenario(cost=cost))
 
 
+@pytest.mark.parametrize("raw,kind", [("scenario.json", "str"), (None, "NoneType"), ([], "list")])
+def test_load_params_rejects_anything_but_a_mapping(raw, kind):
+    # A path string was once read field by field as its characters.
+    with pytest.raises(ValidationError, match=f"a scenario is a mapping of fields, got {kind}$"):
+        load_params(raw)
+
+
 NAN, INF = float("nan"), float("inf")
 
 

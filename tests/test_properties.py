@@ -26,7 +26,7 @@ from percolate.stationary import (
     solve_stationary,
 )
 from conftest import SIM_ARRAYS, SIM_COUNTERS, make_scenario, ulps_apart
-from oracles import candidate_measure_loop, estimate_value_loop, run_loop
+from oracles import candidate_measure_loop, estimate_value_loop, kernel_gap_solve, run_loop
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -180,6 +180,59 @@ def test_closed_form_gap_matches_the_kernel_gap(case):
     except SolverError:
         return  # rejected on the kernel measure at the root, as before
     assert state.c_bar == root
+
+
+# ---------------------------------------------------------------------------
+# Corrected closed form of c_lo > 0 markets against the kernel-gap solve
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tail_markets(draw):
+    """A c_lo > 0 trigger or constant market on 4 to 256 bins, entry mass at 0 or not."""
+    n_max = draw(st.integers(4, 256))
+    support = draw(st.lists(st.integers(1, min(8, n_max)), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        support.append(0)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    pi = {str(k): w / sum(raw) for k, w in zip(support, raw)}
+    c_lo = draw(st.floats(0.01, 1.0))
+    c_hi = draw(st.floats(c_lo, c_lo + 2.0))
+    eta = draw(st.floats(0.05, 5.0))
+    params = load_params(make_scenario(n_max=n_max, pi=pi, c_lo=c_lo, c_hi=c_hi, eta=eta))
+    if draw(st.booleans()):
+        return params, Policy.constant(draw(st.floats(c_lo, c_hi)), params), False
+    trigger = draw(st.integers(0, min(n_max, _CLOSED_FORM_MAX_TRIGGER)))
+    return params, Policy.trigger_policy(trigger, params), False
+
+
+def _falls_back(policy, **over) -> tuple:
+    """A c_lo = 0.1 market whose corrected closed-form root does not settle, so the kernel gap solves it."""
+    params = load_params(make_scenario(c_lo=0.1, **over))
+    return params, policy(params), True
+
+
+@settings(PROPERTY, max_examples=300)
+@given(tail_markets())
+@example(_falls_back(lambda p: Policy.trigger_policy(101, p), eta=0.5, n_max=256))
+@example(_falls_back(lambda p: Policy.constant(0.9, p), n_max=8))
+def test_corrected_closed_form_matches_the_kernel_gap_solve(case):
+    params, policy, falls_back = case
+    try:
+        expected = kernel_gap_solve(policy, params)
+    except SolverError:
+        expected = None
+    try:
+        got = solve_stationary(policy, params).c_bar
+    except SolverError:
+        got = None
+    assert (got is None) == (expected is None)
+    if got is None:
+        return
+    if falls_back:
+        assert got.hex() == expected.hex()
+    else:
+        assert ulps_apart(got, expected) <= 8
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

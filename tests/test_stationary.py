@@ -455,6 +455,30 @@ def test_underflowed_run_sums_keep_the_kernel_gap(memo):
     assert solve_stationary(pol, p).c_bar.hex() == "0x1.0c4487d7a4d09p-2"
 
 
+def test_zero_effort_first_run_counts_the_searchers_after_it(memo):
+    # Efforts 0 at precision 1 and 1 at precision 2 = n_max: mu_1 = 1/2 and
+    # mu_2 = (1/2) / (1 + c_bar) = c_bar, so c_bar = (sqrt(3) - 1) / 2.  The
+    # closed form once read these efforts as a trigger market with c = 0 and
+    # counted no effort mass at all, so the solve failed.
+    p = _params(n_max=2, pi={"1": 0.5, "2": 0.5})
+    state = solve_stationary(Policy.from_list([0.0, 1.0], p), p)
+    assert state.c_bar == pytest.approx((3 ** 0.5 - 1) / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("pi", [[1.0], {"0": 0.25, "1": 0.75}, {"1": 0.7, "4": 0.3}])
+def test_c_lo_positive_trigger_solves_settle_without_the_kernel_gap(memo, gap_evals, pi):
+    # The shifted closed form settles in one or two kernel calls where the
+    # kernel gap takes about ten.  A wrong closed form would still end at the
+    # kernel root, through the fallback, so only the call count shows it.
+    p = _params(n_max=256, c_lo=0.1, pi=pi)
+    counts = []
+    for trigger in range(31):
+        before = len(gap_evals)
+        solve_stationary(Policy.trigger_policy(trigger, p), p)
+        counts.append(len(gap_evals) - before)
+    assert max(counts) <= stationary._CORRECTIONS, counts
+
+
 # ---------------------------------------------------------------------------
 # Per-process memo of stationary solves
 # ---------------------------------------------------------------------------
