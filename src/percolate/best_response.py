@@ -68,15 +68,24 @@ class _FixedTerms:
 
 
 def _fixed_terms(state: MarketState, params: ModelParams) -> _FixedTerms:
+    """The operator's fixed terms; SolverError if values could leave the float range."""
     w = state.policy.efforts * state.mu.weights
     c_bar = float(w.sum())
+    cost = params.effective_cost()
+    efforts = cost.candidate_efforts(params.c_lo, params.c_hi)
+    costs = [cost.cost(float(c)) for c in efforts]
+    # With -1 <= u <= 0, every iterate, candidate objective and tail value is at
+    # most scale in size, and the operator multiplies values by at most
+    # c_hi c_bar: a cost that dwarfs r + eta' fails here instead of overflowing.
+    scale = (params.eta_prime + max(map(abs, costs))) / (params.r + params.eta_prime)
+    if not 4.0 * scale * max(1.0, params.c_hi) * max(1.0, c_bar) <= np.finfo(float).max:
+        raise SolverError(f"values up to (eta' + K) / (r + eta') = {scale:.3g} leave the float range")
     u = exit_utility(params, np.arange(2 * params.n_max + 1))
     tail = _tail_values(params, u)
     u = u[: params.n_max + 1]
-    cost = params.effective_cost()
     terms = tuple(
-        (c, params.eta_prime * u - cost.cost(float(c)), c * c_bar + params.r + params.eta_prime)
-        for c in cost.candidate_efforts(params.c_lo, params.c_hi)
+        (c, params.eta_prime * u - k, c * c_bar + params.r + params.eta_prime)
+        for c, k in zip(efforts, costs)
     )
     return _FixedTerms(tail, w, c_bar, cost, terms, np.empty(tail.size))
 

@@ -43,7 +43,7 @@ from .errors import SolverError, ValidationError
 from .interventions import apply_education, apply_subsidy, welfare_compare
 from .model import ModelParams, Policy, PrecisionMeasure, load_params
 from .simulator import SimConfig, estimate_value, run as run_sim
-from .stationary import fosd_compare, solve_stationary
+from .stationary import effort_derivative, fosd_compare, solve_stationary
 
 # A CSV result: (header, rows).
 Table = tuple[list[str], list[list]]
@@ -271,31 +271,19 @@ def _cmd_counterexample(args: argparse.Namespace, params: ModelParams) -> dict:
         # above it.
         return Policy.from_list([c1, args.c2, 0.0], params)
 
-    def effort_mass_above(c1: float) -> tuple[float, float]:
-        state = solve_stationary(two_rung(c1), params)
-        nu = state.nu()
-        return float(nu.tail_sums()[2]), state.c_bar
-
     full = two_rung(args.c1)  # rejects --c1 or --c2 outside [c_lo, c_hi]
-    hi = min(args.c1 + args.h, params.c_hi)
-    lo = max(args.c1 - args.h, params.c_lo)
-    if hi <= lo:
-        raise ValidationError(
-            f"--h {args.h!r} leaves no difference interval around --c1 {args.c1!r} "
-            f"within [c_lo, c_hi] = [{params.c_lo!r}, {params.c_hi!r}]"
-        )
-    up, cbar_up = effort_mass_above(hi)
-    dn, cbar_dn = effort_mass_above(lo)
-    derivative = (up - dn) / (hi - lo)
-    cbar_derivative = (cbar_up - cbar_dn) / (hi - lo)
-
-    reduced = two_rung(args.c1 - args.eps)
     state_full = solve_stationary(full, params)
-    state_red = solve_stationary(reduced, params)
+    # from_list copies precision 1 to precision 0, so c1 moves both efforts.
+    direction = np.zeros(params.n_max + 1)
+    direction[:2] = 1.0
+    d_mu = effort_derivative(state_full, params, direction)
+    d_nu = full.efforts * d_mu + state_full.mu.weights * direction
+
+    state_red = solve_stationary(two_rung(args.c1 - args.eps), params)
     report = fosd_compare(state_red.nu(), state_full.nu())
     return {
-        "derivative_mass_above_2_wrt_c1": derivative,
-        "derivative_average_effort_wrt_c1": cbar_derivative,
+        "derivative_mass_above_2_wrt_c1": float(d_nu[2:].sum()),
+        "derivative_average_effort_wrt_c1": float(d_nu.sum()),
         "epsilon": args.eps,
         "reduced_dominates": report.a_dominates,
         "full_dominates": report.b_dominates,
@@ -447,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=_finite_float, default=1.0)
     p.add_argument("--c2", type=_finite_float, default=1.0)
     p.add_argument("--eps", type=_finite_float, default=1e-3)
-    p.add_argument("--h", type=_positive_float, default=1e-6)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("sweep", help="evaluate a parameter grid into CSV")

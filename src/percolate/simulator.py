@@ -29,7 +29,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .model import (
     ModelParams,
     Policy,
@@ -38,6 +38,13 @@ from .model import (
     gamma_coeff,
 )
 from .stationary import solve_stationary
+
+# Most events a run or a value estimate may expect, bounded before any draw.
+# At about 2 us an event that is half an hour of simulation; the README run
+# and criterion 9 expect at most 1.25e7 events and the benchmark's Monte
+# Carlo workload 1.5e6, while a tiny eta' or a huge eta would otherwise
+# simulate for hours or days.  Past it the run is a solver failure.
+MAX_EVENTS = 1e9
 
 # Variates per block of each draw stream.  A run's random stream is fixed by
 # this size, by the first u, e and n blocks being drawn at once in that order,
@@ -134,12 +141,26 @@ def _check_seed(seed) -> None:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _check_events(expected: float) -> None:
+    """Raise SolverError if a simulation expects more than MAX_EVENTS events."""
+    if not expected <= MAX_EVENTS:
+        raise SolverError(
+            f"the simulation expects up to {expected:.3g} events, "
+            f"past MAX_EVENTS = {MAX_EVENTS:.0e}"
+        )
+
+
 def run(
     policy: Policy,
     params: ModelParams,
     cfg: SimConfig,
 ) -> SimOutput:
-    """Simulate the finite-population market under ``policy``."""
+    """Simulate the finite-population market under ``policy``.
+
+    Raises SolverError, before any draw, if the run may expect more than
+    ``MAX_EVENTS`` events, and at a snapshot whose posterior means have
+    diverged (their squares would overflow).
+    """
     if not isinstance(cfg.population, Integral) or cfg.population < 2:
         raise ValidationError("population must be an integer of at least 2")
     if not 0.0 < cfg.horizon < math.inf:
@@ -157,6 +178,9 @@ def run(
     rho = params.rho
     y = cfg.y_realization
     horizon = cfg.horizon
+    # Meetings arrive at most at P c_max^2 / 2, resets at eta P and exits at eta' P.
+    c_max = float(policy.efforts.max())
+    _check_events(horizon * P * (c_max * c_max / 2.0 + eta + eta_prime))
     u, e, n = _streams(np.random.Generator(np.random.PCG64(cfg.seed)))
 
     # Effort classes over the (tail-extended) precision range.
@@ -260,9 +284,19 @@ def run(
     rec_idx = 0
     next_rec = stops[0]
 
+    # Agents at the precision cap pool their means again at every meeting, so
+    # where they meet far more often than they are replaced their means grow
+    # geometrically; past this bound the per-bin sums of squares could overflow.
+    mean_limit = math.sqrt(np.finfo(float).max / P)
+
     def snapshot(i: int) -> None:
         arr = np.minimum(np.asarray(prec), n_max + 1)
         vals = np.asarray(mean)
+        if not np.all(np.abs(vals) <= mean_limit):
+            raise SolverError(
+                f"posterior means diverge by t = {rec_times[i]:.6g}: agents at the precision "
+                f"cap {cap} meet far more often than they are replaced"
+            )
         histograms[i] = np.bincount(arr, minlength=n_max + 2)
         mean_sums[i] = np.bincount(arr, weights=vals, minlength=n_max + 2)
         mean_square_sums[i] = np.bincount(arr, weights=vals * vals, minlength=n_max + 2)
@@ -356,7 +390,8 @@ def estimate_value(
     already solved it): meetings arrive at c * c_bar, partners are drawn from
     the effort-weighted measure, exit occurs at eta', and flow cost accrues
     between events in closed form.  Returns the sample mean with a 95%
-    confidence half-width.
+    confidence half-width.  Raises SolverError, before any draw, if the
+    replications may expect more than ``MAX_EVENTS`` events.
     """
     if not isinstance(entry_precision, Integral) or not 0 <= entry_precision <= params.n_max:
         raise ValidationError(f"entry precision must be an integer in [0, {params.n_max}]")
@@ -368,6 +403,8 @@ def estimate_value(
     w = state.policy.efforts * state.mu.weights
     c_bar = float(w.sum())
     jump_cum = (np.cumsum(w) / c_bar).tolist() if c_bar > 0 else None
+    # One exit per replication, after 1/eta' on average, and jumps at most at c_max c_bar.
+    _check_events(R * (1.0 + float(policy.efforts.max()) * c_bar / params.eta_prime))
     cost = params.effective_cost()
     r = params.r
     eta_prime = params.eta_prime

@@ -53,8 +53,9 @@ logger = logging.getLogger(__name__)
 class MarketState:
     """A policy together with its stationary measure and average effort.
 
-    ``gap_evals`` counts the self-consistency gap evaluations of the solve,
-    closed-form and kernel trials alike; a memo hit carries the stored count.
+    ``gap_evals`` counts the solve's ``candidate_measure`` calls, the root's
+    included; closed-form trials are not counted.  A memo hit carries the
+    stored count.
     """
 
     mu: PrecisionMeasure
@@ -214,6 +215,45 @@ def balance_residual(
     res = params.eta * (params.pi.weights - weights) + conv[: params.n_max + 1] - nu * c_grid
     overflow = float(conv[params.n_max + 1 :].sum())
     return res, overflow
+
+
+def effort_derivative(state: MarketState, params: ModelParams, direction: np.ndarray) -> np.ndarray:
+    """Derivative of the stationary grid weights as the efforts move along ``direction``.
+
+    Implicit differentiation of the balance R(mu, C) = 0 that
+    ``balance_residual`` evaluates.  With nu = C mu and D = dR/dnu,
+
+        D_kl = 2 nu_{k-l} [k >= l] - nu_k - delta_kl nu(N),
+
+    the weights move by dmu solving J dmu = -D (mu dC), J = D diag(C) - eta I.
+    The weight of a precision without effort appears in its own row alone, so
+    the system is solved on the precisions with positive effort, and each
+    other weight follows from its own row, where J holds -eta.
+    Memory is O(n_max |support|).  Raises SolverError if J is singular there.
+    """
+    mu, efforts, eta = state.mu.weights, state.policy.efforts, params.eta
+    nu = efforts * mu
+    c_grid = float(nu.sum())
+    # D (mu dC) without forming D, convolving nu with mu dC cut after its last nonzero.
+    w = mu * direction
+    w = w[: np.flatnonzero(w)[-1] + 1] if np.any(w) else w[:1]
+    rhs = -(2.0 * np.convolve(nu, w)[: nu.size] - nu * float(w.sum()))
+    rhs[: w.size] += c_grid * w
+    support = np.flatnonzero(efforts > 0.0)
+    jac = np.zeros((nu.size, support.size))  # the columns of J on the support
+    for j, l in enumerate(support):
+        jac[l:, j] = 2.0 * nu[: nu.size - l]
+        jac[l, j] -= c_grid
+    jac -= nu[:, None]
+    jac *= efforts[support]
+    jac[support, np.arange(support.size)] -= eta
+    try:
+        d_support = np.linalg.solve(jac[support], rhs[support])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("stationary balance is singular in the efforts") from exc
+    d_mu = (jac @ d_support - rhs) / eta
+    d_mu[support] = d_support
+    return d_mu
 
 
 def is_stable(policy: Policy, params: ModelParams) -> bool:
@@ -483,27 +523,28 @@ _CORRECTIONS = 4
 
 
 def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float, int]:
-    """Uncached stationary solve: (measure with tail mass, average effort, gap evaluations)."""
+    """Uncached stationary solve: (measure with tail mass, average effort, kernel calls)."""
     # The candidate measure of every feasible kernel trial, so the root's is not computed again.
     measures: dict[float, PrecisionMeasure] = {}
     evals = 0
     offset = 0.0  # closed-form mass minus grid mass at the last corrected root
 
+    def measure(x: float) -> PrecisionMeasure:
+        nonlocal evals
+        evals += 1
+        measures[x] = candidate_measure(x, policy, params)
+        return measures[x]
+
     def kernel_gap(x: float) -> float:
         # An infeasible trial (no real zero-bin root, an exploding bin
         # denominator or diverging weights) means the candidate effort mass
         # blows past x, so the gap is effectively -inf and the root lies above.
-        nonlocal evals
-        evals += 1
         try:
-            measures[x] = candidate_measure(x, policy, params)
+            return x - average_effort(measure(x), policy)
         except SolverError:
             return -math.inf
-        return x - average_effort(measures[x], policy)
 
     def closed_gap(x: float) -> float:
-        nonlocal evals
-        evals += 1
         return x - closed_form(x) + offset
 
     lo = _feasibility_floor(policy, params)
@@ -545,7 +586,7 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
 
     # Also rejects a bracket with no sign change, whose root is then hi.  An
     # infeasible root was never stored, and raises here as it did in gap.
-    mu_grid = measures[root] if root in measures else candidate_measure(root, policy, params)
+    mu_grid = measures[root] if root in measures else measure(root)
     g_root = root - average_effort(mu_grid, policy)
     if abs(g_root) > ROOT_TOL:
         raise SolverError(f"no stationary average effort: |g({root:.12g})| = {abs(g_root):.3e}")

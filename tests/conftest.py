@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 import tempfile
@@ -31,6 +32,12 @@ SIM_ARRAYS = ("times", "histograms", "mean_sums", "mean_square_sums", "final_pre
               "final_means")
 SIM_COUNTERS = ("n_events", "n_matches", "n_resets", "n_exits", "n_pair_rejects",
                 "n_precision_caps")
+
+
+# The 72 scenarios the benchmark's scan workload draws from.
+POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["scan"]
 
 
 def make_scenario(**overrides) -> dict:

@@ -11,14 +11,19 @@ import sys
 import time
 from collections import OrderedDict
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import percolate.cli as cli
-from percolate import stationary
+from percolate import simulator, stationary
 from percolate.errors import SolverError
-from percolate.model import N_MAX_LIMIT
+from percolate.model import N_MAX_LIMIT, Policy, load_params
+from percolate.stationary import solve_stationary
 from conftest import make_scenario, readme_commands
+from test_properties import PROPERTY
 
 
 @pytest.fixture()
@@ -273,6 +278,61 @@ def test_counterexample_roundtrip(tmp_path):
     assert res["first_violation_full"] == 2
 
 
+def test_counterexample_derivative_is_exact(scenario_file, tmp_path):
+    # Search at c1 with one signal only is a trigger-2 market: eta = 1 and
+    # every entrant holds one signal, so c_bar (1 + c1 c_bar) = c1, i.e.
+    # c_bar = (sqrt(1 + 4 c1^2) - 1) / (2 c1), and dc_bar/dc1 = (5 - sqrt(5)) / 10
+    # at c1 = 1.  A one-sided difference at c1 = c_hi was 6.8e-7 off.
+    out = tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--config", scenario_file, "--c1", "1", "--c2", "0",
+                     "--out", str(out)]) == 0
+    res = _load(out)["result"]
+    assert abs(res["derivative_average_effort_wrt_c1"] - (5 - 5 ** 0.5) / 10) <= 1e-14
+    assert res["derivative_mass_above_2_wrt_c1"] == 0.0
+
+
+def test_counterexample_moves_the_zero_bin_with_the_first_rung(tmp_path):
+    # With entry mass at precision 0, c1 is also the effort there (from_list
+    # copies precision 1 to 0), so both derivatives must match a 5-point
+    # difference of the two-rung market in c1.
+    scenario = make_scenario(c_hi=2.0, pi={"0": 0.25, "1": 0.75})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--config", str(path), "--out", str(out)]) == 0
+    res = _load(out)["result"]
+    params = load_params(scenario)
+
+    def masses(c1):
+        nu = solve_stationary(Policy.from_list([c1, 1.0, 0.0], params), params).nu().weights
+        return np.array([nu.sum(), nu[2:].sum()])
+
+    h = 1e-3
+    fd = (8 * (masses(1 + h) - masses(1 - h)) - (masses(1 + 2 * h) - masses(1 - 2 * h))) / (12 * h)
+    exact = [res["derivative_average_effort_wrt_c1"], res["derivative_mass_above_2_wrt_c1"]]
+    np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("over, argv", [
+    ({"eta_prime": 1e-12, "c_lo": 0.1}, ["value"]),
+    ({"eta": 1e6}, ["run"]),
+    ({"c_hi": 1e200}, ["run"]),
+], ids=["value-tiny-exit", "run-huge-replacement", "run-effort-squared-overflows"])
+def test_simulations_past_the_event_bound_exit_3_within_a_second(tmp_path, capsys, over, argv):
+    # One value replication expects about c c_bar / eta' jumps: 1e12 here,
+    # where 77,000 took 110 ms.  The run faces 5e12 events at its default size,
+    # and an infinite bound where c_max^2 overflows.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(make_scenario(n_max=256, **over)))
+    out = tmp_path / "mc.json"
+    started = time.perf_counter()
+    assert cli.main(["montecarlo", *argv, "--config", str(scenario), "--policy", "trigger:3",
+                     "--out", str(out)]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert "MAX_EVENTS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_policy_list_file(scenario_file, tmp_path):
     plist = tmp_path / "efforts.json"
     plist.write_text(json.dumps([1.0, 1.0, 0.5, 0.0]))
@@ -305,7 +365,6 @@ def test_sweep_writes_csv(scenario_file, tmp_path):
 
 
 def test_sweep_shares_stationary_solves_across_grid_points(tmp_path, monkeypatch):
-    monkeypatch.delenv("PERCOLATE_THREADS", raising=False)
     monkeypatch.setattr(stationary, "_memo", OrderedDict())
     solved = []
     real_solve = stationary._solve
@@ -527,7 +586,6 @@ BAD_NUMERIC_FLAGS = {
     "replications-0": ["montecarlo", "value", "--policy", "trigger:1", "--replications", "0"],
     "value-population-0": ["montecarlo", "value", "--policy", "trigger:1", "--population", "0"],
     "dt-out-0": _DYNAMICS + ["--dt-out", "0"],
-    "h-0": ["counterexample", "--h", "0"],
     "t-end-nan": ["simulate-dynamics", "--policy", "trigger:3", "--t-end", "nan"],
     "horizon-nan": _MC_RUN + ["--horizon", "nan"],
     "horizon-inf": _MC_RUN + ["--horizon", "inf"],
@@ -551,16 +609,6 @@ def test_too_fine_observation_grid_exits_2(scenario_file, tmp_path):
     assert cli.main(_DYNAMICS + [
         "--config", scenario_file, "--dt-out", "1e-300", "--out", str(tmp_path / "traj.json"),
     ]) == 2
-
-
-def test_counterexample_step_below_resolution_exits_2(scenario_file, tmp_path, capsys):
-    # At c1 = c_hi = 1, c1 - 1e-17 rounds back to 1: the central difference
-    # had a zero-width interval and divided by zero (exit 1).
-    out = tmp_path / "ce.json"
-    assert cli.main(["counterexample", "--config", scenario_file, "--h", "1e-17",
-                     "--out", str(out)]) == 2
-    assert "--h" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_effort_list_longer_than_the_grid_exits_2(scenario_file, tmp_path, capsys):
@@ -610,13 +658,17 @@ def test_tolerance_flag_is_not_accepted(scenario_file):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", [["--h", "0.1"], ["--pol", "trigger:3"]], ids=["h", "pol"])
-def test_abbreviated_flags_exit_2_and_write_nothing(scenario_file, tmp_path, flag):
-    # "--h" once read as "--help" (usage printed, exit 0) and "--pol" as "--policy".
+@pytest.mark.parametrize("command, flag", [
+    ("solve-stationary", ["--h", "0.1", "--policy", "trigger:3"]),
+    ("solve-stationary", ["--pol", "trigger:3"]),
+    ("counterexample", ["--h", "0.1"]),
+], ids=["h", "pol", "counterexample-h"])
+def test_abbreviated_flags_exit_2_and_write_nothing(scenario_file, tmp_path, command, flag):
+    # "--h" once read as "--help" (usage printed, exit 0) and "--pol" as
+    # "--policy".  counterexample computes its derivatives exactly and has no
+    # step flag, so "--h" is an unknown option there too.
     out = tmp_path / "st.json"
-    argv = ["solve-stationary", "--config", scenario_file, "--out", str(out), *flag]
-    if flag[0] == "--h":
-        argv += ["--policy", "trigger:3"]
+    argv = [command, "--config", scenario_file, "--out", str(out), *flag]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -694,3 +746,94 @@ def test_importing_the_cli_loads_no_scipy(tmp_path, monkeypatch):
     (tmp_path / "in_process" / "scenario.json").write_text(json.dumps(make_scenario()))
     assert cli.main(flow_argv) == 0
     assert (tmp_path / "in_process" / flow_out).read_bytes() == (tmp_path / flow_out).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Every subcommand exits 0, 2 or 3 on small scenarios with extreme values
+# ---------------------------------------------------------------------------
+
+FUZZ_VALUES = (0.0, 1e-300, 1e-12, 0.5, 1.0, 1e6)
+# Expected simulator events a fuzzed Monte Carlo run is sized for.
+FUZZ_EVENTS = 1e5
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A small scenario, possibly invalid, and the flags every subcommand gets on it."""
+    value = st.sampled_from(FUZZ_VALUES)
+    positive = st.sampled_from(FUZZ_VALUES[1:])
+    n_max = draw(st.integers(2, 16))
+    c_lo, c_hi = sorted((draw(value), draw(value)))
+    support = draw(st.lists(st.integers(0, n_max), min_size=1, max_size=3, unique=True))
+    raw = [draw(positive) for _ in support]
+    weights = [w / sum(raw) for w in raw]
+    if draw(st.booleans()):
+        pi = {str(k): w for k, w in zip(support, weights)}
+    else:  # a list holds precisions 1..len
+        pi = [0.0] * max(max(support), 1)
+        for k, w in zip(support, weights):
+            pi[max(k, 1) - 1] += w
+    if draw(st.integers(0, 3)):
+        cost = {"type": "linear", "kappa": draw(value)}
+    else:  # convex when the drawn slopes rise; otherwise an input error
+        knots = sorted({c_lo, c_hi, draw(value)})
+        slopes = sorted(draw(value) for _ in knots[1:])
+        points, k = [[knots[0], 0.0]], 0.0
+        for lo, hi, slope in zip(knots, knots[1:], slopes):
+            k += slope * (hi - lo)
+            points.append([hi, k])
+        cost = {"type": "tabulated", "points": points}
+    scenario = make_scenario(
+        n_max=n_max, c_lo=c_lo, c_hi=c_hi, pi=pi, cost=cost, eta=draw(positive),
+        eta_prime=draw(positive), r=draw(positive), rho=draw(st.sampled_from((0.0, 1e-12, 0.5))),
+        public_signals=draw(st.integers(0, 2)),
+        subsidy=draw(st.sampled_from((0.0, 0.0, 1e-12, 0.5))),
+    )
+    ends = st.sampled_from((c_lo, c_hi))
+    policy = draw(st.sampled_from(["trigger:0", "trigger:1", "trigger:3", "trigger:17",
+                                   f"const:{c_lo!r}", f"const:{c_hi!r}"]))
+    # The Monte Carlo runs are sized to expect about FUZZ_EVENTS events by the
+    # bounds the simulator checks; the measure flow gets t_end = 100 / stiffness.
+    eta, eta_prime = scenario["eta"], scenario["eta_prime"]
+    population = draw(st.integers(2, 20))
+    horizon = min(5.0, FUZZ_EVENTS / (population * (c_hi * c_hi / 2 + eta + eta_prime)))
+    replications = max(1, int(FUZZ_EVENTS / (1.0 + c_hi * c_hi / eta_prime)))
+    t_end = min(5.0, 100.0 / (eta + c_hi * c_hi))
+    grid = json.dumps({draw(st.sampled_from(["eta", "rho", "c_hi"])): [draw(value), draw(value)]})
+    commands = [
+        ["solve-stationary", "--policy", policy],
+        ["simulate-dynamics", "--policy", policy, "--t-end", repr(t_end)],
+        ["best-response", "--market", policy],
+        ["solve-equilibrium"],
+        ["intervention", "subsidy", "--delta", repr(draw(value))],
+        ["intervention", "educate", "--signals", str(draw(st.integers(0, 2)))],
+        ["montecarlo", "run", "--policy", policy, "--population", str(population),
+         "--horizon", repr(horizon)],
+        ["montecarlo", "value", "--policy", policy, "--replications", str(replications),
+         "--entry", str(draw(st.integers(0, n_max)))],
+        ["counterexample", "--c1", repr(draw(ends)), "--c2", repr(draw(ends)),
+         "--eps", repr(draw(value))],
+        ["sweep", "--grid", grid, "--task",
+         draw(st.sampled_from(["solve-stationary", "solve-equilibrium"])), "--policy", policy],
+    ]
+    return scenario, commands
+
+
+@settings(PROPERTY, max_examples=80)
+@given(fuzz_cases())
+def test_every_subcommand_exits_cleanly_on_extreme_scenarios(tmp_path_factory, case):
+    # Exit 0, 2 (invalid input, argparse's included) or 3 (solver failure),
+    # never an uncaught exception.  One replication can expect more than
+    # FUZZ_EVENTS events on its own; the lowered bound makes such a run exit 3
+    # at once instead of running for seconds.
+    scenario, commands = case
+    work = tmp_path_factory.mktemp("fuzz")
+    config = work / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    with mock.patch.object(simulator, "MAX_EVENTS", 2 * FUZZ_EVENTS):
+        for argv in commands:
+            try:
+                rc = cli.main(argv + ["--config", str(config), "--out", str(work / "out")])
+            except SystemExit as exc:
+                rc = exc.code
+            assert rc in (0, 2, 3), argv

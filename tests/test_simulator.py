@@ -10,6 +10,7 @@ import pytest
 
 from percolate import (
     Policy,
+    SolverError,
     ValidationError,
     cross_section_params,
     exit_utility,
@@ -144,6 +145,15 @@ def test_precision_cap_is_counted_and_binned():
     assert out.n_precision_caps > 0
     assert out.histograms[-1, -1] > 0
     assert np.all(out.histograms.sum(axis=1) == 2_000)
+
+
+def test_diverging_means_at_the_cap_raise_instead_of_overflowing():
+    # Two agents and no replacement: they meet 1e5 times, both at the cap
+    # after three meetings, and each later meeting doubles their common mean.
+    # Squaring it for the snapshot overflowed (a RuntimeWarning, exit 0).
+    p = _params(eta=1e-300, eta_prime=1e-300, rho=1e-12, c_hi=1e6, n_max=2)
+    with pytest.raises(SolverError, match="posterior means diverge"):
+        run(Policy.constant(1e6, p), p, SimConfig(population=2, horizon=1e-7))
 
 
 @pytest.mark.parametrize("horizon", [13.7, 0.9])

@@ -27,8 +27,9 @@ from percolate.stationary import (
     average_effort,
     balance_residual,
     candidate_measure,
+    effort_derivative,
 )
-from conftest import make_scenario
+from conftest import POOL, make_scenario
 from oracles import (
     candidate_measure_loop,
     mgf_check,
@@ -270,6 +271,74 @@ def test_fixed_effort_comparative_statics():
 
 
 # ---------------------------------------------------------------------------
+# Exact derivatives with respect to the efforts
+# ---------------------------------------------------------------------------
+
+# effort_derivative's gate, fixed before its first run: a 5-point central
+# difference with this step agrees within DERIVATIVE_TOL * max(1, |difference|).
+DERIVATIVE_STEP = 1e-3
+DERIVATIVE_TOL = 1e-9
+
+
+def _assert_derivative_matches_a_difference(scenario, efforts, direction):
+    """effort_derivative against a 5-point difference, on c_bar, the mass above 2 and every mu_k."""
+    # c_hi widened by 1 so that the stencil's efforts stay admissible; the
+    # solve reads c_hi only as the end of its bracket.
+    p = load_params(dict(scenario, c_hi=scenario["c_hi"] + 1.0))
+
+    def quantities(t):
+        state = solve_stationary(Policy(efforts + t * direction), p)
+        nu = state.nu().weights
+        return np.concatenate(([nu.sum(), nu[2:].sum()], state.mu.weights))
+
+    h = DERIVATIVE_STEP
+    fd = (8 * (quantities(h) - quantities(-h)) - (quantities(2 * h) - quantities(-2 * h))) / (12 * h)
+    state = solve_stationary(Policy(efforts), p)
+    d_mu = effort_derivative(state, p, direction)
+    d_nu = efforts * d_mu + state.mu.weights * direction
+    exact = np.concatenate(([d_nu.sum(), d_nu[2:].sum()], d_mu))
+    gap = np.abs(exact - fd) / np.maximum(1.0, np.abs(fd))
+    assert gap.max() <= DERIVATIVE_TOL, (int(gap.argmax()), float(gap.max()))
+
+
+@pytest.mark.parametrize("entry", POOL, ids=[f"pool{i}" for i in range(len(POOL))])
+def test_effort_derivative_matches_a_difference_on_the_pool(entry):
+    p = load_params(entry["scenario"])
+    for trigger in (1, 2, 3, 5, 8, 16):
+        below = (np.arange(p.n_max + 1) < trigger).astype(float)
+        _assert_derivative_matches_a_difference(
+            entry["scenario"], Policy.trigger_policy(trigger, p).efforts, below)
+
+
+@pytest.mark.parametrize("c1", [0.3, 0.5, 1.0])
+def test_effort_derivative_matches_a_difference_on_the_two_rung_market(c1):
+    # counterexample's market on the README scenario; c1 moves precisions 0 and 1.
+    scenario = make_scenario(n_max=256)
+    p = load_params(scenario)
+    first_rung = np.zeros(p.n_max + 1)
+    first_rung[:2] = 1.0
+    _assert_derivative_matches_a_difference(
+        scenario, Policy.from_list([c1, 1.0, 0.0], p).efforts, first_rung)
+
+
+def test_effort_derivative_memory_grows_with_the_support():
+    # Three precisions search, so the system is 3 x 3 and its columns hold
+    # 3 * 4097 floats; a dense Jacobian would take 134 MB.
+    p = _params(n_max=4096)
+    state = solve_stationary(Policy.from_list([1.0, 1.0, 0.0], p), p)
+    first_rung = np.zeros(p.n_max + 1)
+    first_rung[:2] = 1.0
+    tracemalloc.start()
+    try:
+        d_mu = effort_derivative(state, p, first_rung)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.all(np.isfinite(d_mu))
+
+
+# ---------------------------------------------------------------------------
 # fosd_compare semantics
 # ---------------------------------------------------------------------------
 
@@ -477,6 +546,24 @@ def test_c_lo_positive_trigger_solves_settle_without_the_kernel_gap(memo, gap_ev
         solve_stationary(Policy.trigger_policy(trigger, p), p)
         counts.append(len(gap_evals) - before)
     assert max(counts) <= stationary._CORRECTIONS, counts
+
+
+def test_gap_evals_count_the_kernel_calls(memo, gap_evals):
+    # Closed-form trials are not counted, the root's kernel call is: c_lo = 0
+    # trigger markets (closed form), c_lo = 0.1 ones (closed form corrected by
+    # kernel calls), triggers past the closed form's cutoff and a list policy
+    # (kernel gap).
+    markets = []
+    for entry in POOL[::5]:
+        p = load_params(entry["scenario"])
+        markets += [(Policy.trigger_policy(n, p), p) for n in (0, 1, 3, 16, 200)]
+    p = load_params(POOL[0]["scenario"])
+    markets.append((Policy.from_list([1.0, 0.5, 0.2], p), p))
+    for policy, p in markets:
+        before = len(gap_evals)
+        state = solve_stationary(policy, p)
+        assert state.gap_evals == len(gap_evals) - before > 0
+    assert {p.c_lo for _, p in markets} == {0.0, 0.1}
 
 
 # ---------------------------------------------------------------------------
