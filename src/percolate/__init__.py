@@ -25,7 +25,7 @@ from .model import (
     load_params,
 )
 from .stationary import MarketState, fosd_compare, solve_stationary
-from .dynamics import Trajectory, integrate, mass_loss_check
+from .dynamics import Trajectory, integrate
 from .best_response import BestResponse, minimal_search_test, solve_value, trigger_bounds
 from .equilibrium import (
     EquilibriumReport,
@@ -67,7 +67,6 @@ __all__ = [
     "solve_stationary",
     "Trajectory",
     "integrate",
-    "mass_loss_check",
     "BestResponse",
     "minimal_search_test",
     "solve_value",

@@ -36,14 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import integrate, mass_loss_check
+from .dynamics import integrate
 from .best_response import solve_value, trigger_bounds
 from .equilibrium import find_equilibria, pareto_rank
 from .errors import SolverError, ValidationError
 from .interventions import apply_education, apply_subsidy, welfare_compare
 from .model import ModelParams, Policy, PrecisionMeasure, load_params
 from .simulator import SimConfig, estimate_value, run as run_sim
-from .stationary import effort_derivative, fosd_compare, solve_stationary
+from .stationary import effort_derivative, fosd_compare, is_stable, solve_stationary
 
 # A CSV result: (header, rows).
 Table = tuple[list[str], list[list]]
@@ -116,13 +116,11 @@ def _floats(arr) -> list[float]:
 def _cmd_solve_stationary(args: argparse.Namespace, params: ModelParams) -> dict:
     policy = _build_policy(args.policy, params)
     state = solve_stationary(policy, params)
-    loss = mass_loss_check(policy, params)
     return {
         "c_bar": state.c_bar,
         "grid_mass": state.mu.grid_mass(),
         "tail_mass": state.mu.tail_mass,
-        "stable": loss.stable,
-        "limit_mass": loss.limit_mass,
+        "stable": is_stable(policy, params),
         "weights": _floats(state.mu.weights),
     }
 
@@ -205,10 +203,10 @@ def _cmd_solve_equilibrium(args: argparse.Namespace, params: ModelParams) -> dic
 def _cmd_intervention(args: argparse.Namespace, params: ModelParams) -> dict:
     baseline = find_equilibria(params)
     if args.kind == "subsidy":
-        treated, subsidy = apply_subsidy(params, args.delta), args.delta
+        treated = apply_subsidy(params, args.delta)
     else:
-        treated, subsidy = find_equilibria(apply_education(params, args.signals)), 0.0
-    outcome = welfare_compare(baseline, treated, subsidy=subsidy, selection=args.selection)
+        treated = find_equilibria(apply_education(params, args.signals))
+    outcome = welfare_compare(baseline, treated, selection=args.selection)
     support = [int(k) for k in params.pi.support()]
     return {
         "kind": args.kind,

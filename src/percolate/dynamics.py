@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure
-from .stationary import balance_residual, is_stable, solve_stationary
+from .stationary import balance_residual
 
 # Absolute and relative tolerances of the measure-flow integrator.
 ODE_ATOL = 1e-10
@@ -258,33 +258,3 @@ def integrate(
         accepted_steps=sol.accepted_steps,
         rejected_steps=sol.rejected_steps,
     )
-
-
-@dataclass(frozen=True)
-class MassLossReport:
-    """Stability diagnostic for the measure flow under a flat-tail policy.
-
-    ``stable`` reports the sufficient condition eta >= c_tail * c_hi under
-    which no probability escapes to infinity.  When it fails and the tail
-    effort is positive, ``limit_mass`` estimates the stationary mass
-    1 + (eta - c_tail * c_bar) / c_tail^2 retained by the flow.
-    """
-
-    stable: bool
-    tail_effort: float
-    limit_mass: float
-
-
-def mass_loss_check(policy: Policy, params: ModelParams) -> MassLossReport:
-    """Check the escape-to-infinity condition and estimate retained mass.
-
-    Only the unstable case with positive tail effort needs c_bar; it solves
-    the stationary market (a memo hit where the caller already solved it).
-    """
-    c_tail = policy.tail_effort()
-    stable = is_stable(policy, params)
-    limit = 1.0
-    if not stable and c_tail > 0.0:
-        c_bar = solve_stationary(policy, params).c_bar
-        limit = 1.0 + (params.eta - c_tail * c_bar) / (c_tail * c_tail)
-    return MassLossReport(stable=stable, tail_effort=c_tail, limit_mass=limit)

@@ -93,8 +93,8 @@ def _select(report: EquilibriumReport, selection: str,
 class InterventionOutcome:
     """Entrant-welfare comparison between a baseline and a treated market.
 
-    ``tax`` is the balanced-budget entry tax delta * c_bar / eta of a subsidy
-    delta, at the selected treated equilibrium.
+    ``tax`` is the balanced-budget entry tax delta * c_bar / eta of the subsidy
+    delta that the treated market adds, at the selected treated equilibrium.
     ``welfare_delta[n]`` is V_treated(n) - tax - V_baseline(n).  The verdict
     aggregates the sign over the entry support: "improves" / "harms" when
     strict at every entry precision, else "ambiguous".
@@ -119,16 +119,17 @@ class InterventionOutcome:
 def welfare_compare(
     baseline: EquilibriumReport,
     treated: EquilibriumReport,
-    subsidy: float = 0.0,
     selection: str = "pareto_best",
 ) -> InterventionOutcome:
     """Compare entrant values at selected equilibria, net of the entry tax.
 
-    ``subsidy`` is the effort subsidy that ``treated`` adds to ``baseline``;
-    its tax subsidy * c_bar / eta is priced at the selected treated equilibrium.
+    The subsidy is what ``treated`` adds to ``baseline``, read from their
+    parameters; its tax subsidy * c_bar / eta is priced at the selected
+    treated equilibrium.
     """
     eq_b = _select(baseline, selection)
     eq_t = _select(treated, selection, anchor=eq_b.trigger)
+    subsidy = treated.params.subsidy - baseline.params.subsidy
     tax = subsidy * eq_t.state.c_bar / treated.params.eta
     delta = eq_t.best_response.value.values - tax - eq_b.best_response.value.values
     support = baseline.params.pi.support()
@@ -307,7 +308,7 @@ def find_subsidy_witness(n_max: int = 256) -> SubsidyWitness:
         if not treated.has_active():
             last_error = f"delta={delta:.6g} failed to activate the market"
             continue
-        outcome = welfare_compare(baseline, treated, subsidy=delta)
+        outcome = welfare_compare(baseline, treated)
         if outcome.verdict != "improves":
             last_error = f"delta={delta:.6g} gave verdict {outcome.verdict!r}"
             continue

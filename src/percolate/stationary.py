@@ -32,7 +32,6 @@ with the convolution restricted to 1..n-1.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -41,8 +40,6 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .model import ModelParams, Policy, PrecisionMeasure
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +254,12 @@ def effort_derivative(state: MarketState, params: ModelParams, direction: np.nda
 
 
 def is_stable(policy: Policy, params: ModelParams) -> bool:
-    """Sufficient condition eta >= C_tail * c_hi under which no mass escapes to infinity."""
+    """Sufficient condition eta >= C_tail * c_hi under which no mass escapes to infinity.
+
+    Below it search carries mass past any grid: the stationary solve keeps
+    unit mass, with that share in ``tail_mass``, which does not vanish as
+    n_max grows.
+    """
     return params.eta >= policy.tail_effort() * params.c_hi - 1e-12
 
 
@@ -377,8 +379,9 @@ def _closed_form_mass(policy: Policy, params: ModelParams):
 # Root finding on the self-consistency gap
 # ---------------------------------------------------------------------------
 
-# Acceptance bounds of a solved market: |g| at the root, the sup-norm balance
-# residual and the deviation of total mass from 1.
+# Acceptance bounds of a solved market: |g| at the root relative to max(1, root),
+# the sup-norm balance residual relative to max(1, eta) and the deviation of
+# total mass (grid plus tail) from 1.
 ROOT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 MASS_TOL = 1e-8
@@ -475,12 +478,16 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     strictly increasing because every candidate weight is decreasing in the
     trial effort.  Brent's method solves it to machine precision on [floor,
     max(c_hi, floor)], the floor being the smallest trial with a real
-    zero-precision balance, and the root must meet |g| <= ROOT_TOL; a trial
-    whose weights diverge counts as g = -inf.  Where ``_closed_form_mass``
+    zero-precision balance, and the root x must meet |g| <= ROOT_TOL * max(1, x);
+    a trial whose weights diverge counts as g = -inf.  Where ``_closed_form_mass``
     applies, each trial is its effort mass instead, shifted by kernel calls at
     the root if it counts mass past the grid (c_lo > 0).  The |g| bound, the
-    balance residual and, in the stable regime eta >= C_tail * c_hi, mass
-    conservation are checked on the root's candidate measure.
+    balance residual (at most RESIDUAL_TOL * max(1, eta)) and unit total mass
+    are checked on the root's candidate measure.  The mass past n_max is
+    ``tail_mass``, the convolution overflow over eta: summing the balance
+    equations makes grid mass plus tail mass 1 up to the residuals, in every
+    regime.  Below the escape threshold eta < C_tail * c_hi (``is_stable``)
+    that tail holds a share that does not vanish as n_max grows.
 
     Solves are memoized per process (least recently used, ``_MEMO_SIZE``
     markets) on what the solve reads: eta, c_hi, n_max, the entry weights and
@@ -488,8 +495,7 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     only the best response, so markets differing only in them share one
     solve.  The policy bounds are checked on every call, a hit returns the
     caller's own ``policy`` with the stored measure and average effort, and a
-    failed solve is not stored.  The unstable-regime warning (mass < 1) is
-    therefore logged once per market per process.
+    failed solve is not stored.
     """
     policy.validate_bounds(params)
     key = _market_key(policy, params)
@@ -504,18 +510,23 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     return MarketState(mu=mu, policy=policy, c_bar=c_bar, gap_evals=gap_evals)
 
 
+def _root_tol(x: float) -> float:
+    """Bound on |g| at a trial ``x``: ROOT_TOL relative to max(1, |x|)."""
+    return ROOT_TOL * max(1.0, abs(x))
+
+
 def _bracket_root(gap, lo: float, hi: float) -> float:
-    """Root of an increasing ``gap`` on [lo, hi] by Brent, or an end where |gap| <= ROOT_TOL."""
+    """Root of an increasing ``gap`` on [lo, hi] by Brent, or an end where |gap| <= _root_tol."""
     g_lo = gap(lo)
-    if g_lo > ROOT_TOL:
+    if g_lo > _root_tol(lo):
         raise SolverError(
             f"no stationary average effort: the self-consistency gap is already positive "
             f"({g_lo:.3e}) at the feasibility floor {lo:.6g}"
         )
-    if g_lo >= -ROOT_TOL:
+    if g_lo >= -_root_tol(lo):
         return lo
     g_hi = gap(hi)
-    return hi if g_hi <= ROOT_TOL else _brent(gap, lo, hi, g_lo, g_hi)
+    return hi if g_hi <= _root_tol(hi) else _brent(gap, lo, hi, g_lo, g_hi)
 
 
 # Kernel calls the truncation correction of the closed form may take.
@@ -557,14 +568,15 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
         # difference at a root r, its root moves by at most |g(r)| (g' >= 1), so
         # r and r - g(r) bracket it.  Repeat while |g| shrinks; None: kernel gap.
         nonlocal offset
-        best, g_best = None, math.inf
+        best, g_best = root, math.inf
         for _ in range(_CORRECTIONS):
             g = kernel_gap(root)
             if not abs(g) < abs(g_best):  # infeasible, or down to rounding
                 break
             best, g_best = root, g
             # Within Brent's tolerance, or at an end the kernel gap's bracket takes.
-            if abs(g) <= (_XTOL + _RTOL * root) / 2 or (root in (lo, hi) and abs(g) <= ROOT_TOL):
+            if (abs(g) <= (_XTOL + _RTOL * root) / 2
+                    or (root in (lo, hi) and abs(g) <= _root_tol(root))):
                 break
             offset = closed_form(root) - (root - g)
             g_far = closed_gap(root - g)
@@ -576,7 +588,7 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
             root = moved
         else:
             return None
-        return best if abs(g_best) <= ROOT_TOL else None
+        return best if abs(g_best) <= _root_tol(best) else None
 
     root = None if closed_form is None else _bracket_root(closed_gap, lo, hi)
     if root is not None and policy.tail_effort() > 0.0:
@@ -588,26 +600,17 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
     # infeasible root was never stored, and raises here as it did in gap.
     mu_grid = measures[root] if root in measures else measure(root)
     g_root = root - average_effort(mu_grid, policy)
-    if abs(g_root) > ROOT_TOL:
+    if abs(g_root) > _root_tol(root):
         raise SolverError(f"no stationary average effort: |g({root:.12g})| = {abs(g_root):.3e}")
     res, overflow = balance_residual(mu_grid.weights, policy, params)
     sup_res = float(np.max(np.abs(res)))
-    if sup_res > RESIDUAL_TOL:
+    if sup_res > RESIDUAL_TOL * max(1.0, params.eta):
         raise SolverError(f"stationary balance residual {sup_res:.3e} exceeds tolerance")
 
-    tail_mass = overflow / params.eta
-    mu = PrecisionMeasure(mu_grid.weights, tail_mass)
-
+    mu = PrecisionMeasure(mu_grid.weights, overflow / params.eta)
     mass = mu.total_mass()
     if abs(mass - 1.0) > MASS_TOL:
-        if is_stable(policy, params):
-            raise SolverError(
-                f"stationary mass {mass:.10f} deviates from 1 in the stable regime"
-            )
-        logger.warning(
-            "stationary mass %.6f < 1: replacement intensity below the escape threshold",
-            mass,
-        )
+        raise SolverError(f"stationary mass {mass:.10f} deviates from 1")
     return mu, root, evals
 
 

@@ -376,9 +376,10 @@ def test_values_past_the_float_range_fail_instead_of_overflowing():
     # r + eta' = 2e-300 against a cost of 1e12 at c_hi.  At c_lo = 0 the
     # searching candidate's objective overflowed to -inf with a RuntimeWarning;
     # at c_lo = c_hi the stop-searching tail did too, and value iteration ran
-    # 99,999 NaN iterations (0.9 s) before failing.
+    # 99,999 NaN iterations (0.9 s) before failing.  The guard reads r + eta'
+    # and the cost, not eta, which stays 1 so the stationary solve keeps its mass.
     for c_lo in (0.0, 1e6):
-        p = _params(eta=1e-300, eta_prime=1e-300, r=1e-300, c_lo=c_lo, c_hi=1e6,
+        p = _params(eta=1.0, eta_prime=1e-300, r=1e-300, c_lo=c_lo, c_hi=1e6,
                     cost={"type": "linear", "kappa": 1e6}, n_max=3)
         state = solve_stationary(Policy.trigger_policy(0, p), p)
         with pytest.raises(SolverError, match="leave the float range"):

@@ -51,6 +51,7 @@ def test_solve_stationary_roundtrip(scenario_file, tmp_path):
     assert res["grid_mass"] == pytest.approx(sum(res["weights"]))
     assert res["c_bar"] > 0
     assert res["stable"] is True
+    assert "limit_mass" not in res
     assert doc["manifest"]["tool"] == "percolate"
     assert doc["manifest"]["config_sha256"]
     # Volatile data (timings, output paths) lives only in the sidecar so the
@@ -649,6 +650,22 @@ def test_stiff_measure_flow_exits_3_within_seconds(tmp_path, capsys):
     assert time.perf_counter() - started < 60.0
     assert "too stiff" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_stationary_mass_lost_to_underflow_exits_3(tmp_path, capsys):
+    # At eta = 1e-300 the convolution overflow over eta underflows to a tail
+    # mass of 0, so nearly all of the unit mass is lost, while every balance
+    # residual is about 1e-300.  The solve used to log a warning and exit 0.
+    scenario = tmp_path / "tiny-eta.json"
+    scenario.write_text(json.dumps(make_scenario(
+        eta=1e-300, c_lo=1e6, c_hi=1e6, cost={"type": "linear", "kappa": 1e6}, n_max=3,
+    )))
+    out = tmp_path / "st.json"
+    rc = cli.main(["solve-stationary", "--config", str(scenario), "--policy", "const:1e6",
+                   "--out", str(out)])
+    assert rc == 3
+    assert "stationary mass 0.0000000000 deviates from 1" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [scenario]
 
 
 def test_tolerance_flag_is_not_accepted(scenario_file):

@@ -16,7 +16,6 @@ from percolate import (
     ValidationError,
     integrate,
     load_params,
-    mass_loss_check,
     solve_stationary,
 )
 from percolate import dynamics
@@ -268,15 +267,6 @@ def test_bad_observation_grid_is_rejected_before_allocation(t_end, dt_out):
     p = _params(n_max=16)
     with pytest.raises(ValidationError, match="t_end|dt_out"):
         integrate(p.pi, Policy.trigger_policy(3, p), p, t_end=t_end, dt_out=dt_out)
-
-
-def test_mass_loss_report_in_stable_regime():
-    p = _params(c_lo=0.1)
-    pol = Policy.trigger_policy(3, p)
-    rep = mass_loss_check(pol, p)
-    assert rep.stable
-    assert rep.limit_mass == 1.0
-    assert rep.tail_effort == pytest.approx(0.1)
 
 
 def test_tail_compartment_accumulates_only_when_unstable():

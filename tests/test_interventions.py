@@ -44,7 +44,7 @@ def test_subsidy_budget_identity():
     treated = treated_report.params
     assert treated.subsidy == pytest.approx(delta)
     rep = find_equilibria(treated)
-    tax = welfare_compare(find_equilibria(p), treated_report, subsidy=delta).tax
+    tax = welfare_compare(find_equilibria(p), treated_report).tax
     assert tax == pytest.approx(delta * rep.best().state.c_bar / p.eta, abs=1e-12)
     # effective slope falls by exactly the subsidy
     assert treated.effective_cost().marginal_right(0.5) == pytest.approx(
@@ -153,10 +153,16 @@ def test_welfare_compare_self_is_ambiguous():
 
 
 def test_welfare_compare_tax_shifts_verdict():
-    rep = find_equilibria(_params(cost={"type": "linear", "kappa": 0.02}))
-    out = welfare_compare(rep, rep, subsidy=1e-6)
+    # A 1e-6 subsidy raises every entrant's value, and its tax, priced from
+    # the subsidy the treated report carries, outweighs the gain.
+    p = _params(cost={"type": "linear", "kappa": 0.02})
+    baseline, treated = find_equilibria(p), apply_subsidy(p, 1e-6)
+    out = welfare_compare(baseline, treated)
+    assert out.tax == 1e-6 * out.treated.state.c_bar / treated.params.eta
+    v_t, v_b = out.treated.best_response.value.values, out.baseline.best_response.value.values
+    np.testing.assert_array_equal(out.welfare_delta, v_t - out.tax - v_b)
+    assert np.all((v_t - v_b)[p.pi.support()] > 0)
     assert out.verdict == "harms"
-    assert out.tax == 1e-6 * rep.best().state.c_bar / rep.params.eta
 
 
 def test_selection_rules():

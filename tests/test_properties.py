@@ -61,6 +61,41 @@ def test_valid_scenarios_solve_or_fail_cleanly(case):
         assert abs(state.mu.total_mass() - 1.0) <= MASS_TOL
 
 
+@st.composite
+def mass_markets(draw):
+    """A market on at most 64 bins under a trigger, constant or list policy, either regime."""
+    n_max = draw(st.integers(2, 64))
+    support = draw(st.lists(st.integers(0, min(5, n_max)), min_size=1, max_size=6, unique=True))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    pi = {str(k): w / sum(raw) for k, w in zip(support, raw)}
+    c_lo = draw(st.sampled_from([0.0, 0.1])) if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
+    c_hi = draw(st.floats(max(c_lo, 0.01), c_lo + 2.0))
+    eta = draw(st.floats(0.01, 5.0))
+    params = load_params(make_scenario(n_max=n_max, pi=pi, c_lo=c_lo, c_hi=c_hi, eta=eta))
+    effort = st.floats(c_lo, c_hi)
+    kind = draw(st.sampled_from(["trigger", "constant", "list"]))
+    if kind == "trigger":
+        return params, Policy.trigger_policy(draw(st.integers(0, n_max + 2)), params)
+    if kind == "constant":
+        return params, Policy.constant(draw(effort), params)
+    return params, Policy.from_list(draw(st.lists(effort, min_size=1, max_size=n_max)), params)
+
+
+@PROPERTY
+@given(mass_markets())
+@example((load_params(make_scenario(eta=0.05, c_lo=0.5, n_max=64)),
+          Policy(np.ones(65))))
+def test_every_solve_keeps_unit_mass(case):
+    # Summing the balance equations makes grid mass plus tail mass 1 up to the
+    # residuals, in the unstable regime too, where the tail holds much of it.
+    params, policy = case
+    try:
+        state = solve_stationary(policy, params)
+    except SolverError:
+        return
+    assert abs(state.mu.grid_mass() + state.mu.tail_mass - 1.0) <= MASS_TOL
+
+
 # ---------------------------------------------------------------------------
 # Stationary kernel against the per-precision recursion
 # ---------------------------------------------------------------------------

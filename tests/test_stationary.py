@@ -28,6 +28,7 @@ from percolate.stationary import (
     balance_residual,
     candidate_measure,
     effort_derivative,
+    is_stable,
 )
 from conftest import POOL, make_scenario
 from oracles import (
@@ -406,18 +407,32 @@ def test_unstable_regime_routes_mass_to_the_tail():
     # Below the escape threshold (eta < tail effort * c_hi) the truncated
     # system still conserves total mass exactly -- summing the balance
     # equations gives grid mass + overflow/eta = 1 -- but most of it sits in
-    # the tail compartment rather than on the grid.
-    from percolate.dynamics import mass_loss_check
-
+    # the tail compartment rather than on the grid.  A long measure flow
+    # settles on the same split.
     p = _params(eta=0.05, c_lo=0.5, n_max=128)
     pol = Policy.constant(1.0, p)
+    assert not is_stable(pol, p)
     state = solve_stationary(pol, p)
     assert state.c_bar > 0
     assert state.mu.total_mass() == pytest.approx(1.0, abs=1e-10)
     assert state.mu.tail_mass > 0.5
-    report = mass_loss_check(pol, p)
-    assert not report.stable
-    assert report.limit_mass < 1.0
+    flow = integrate(p.pi, pol, p, t_end=200.0).final()
+    assert flow.grid_mass() == pytest.approx(state.mu.grid_mass(), abs=1e-6)
+    assert flow.tail_mass == pytest.approx(state.mu.tail_mass, abs=1e-6)
+
+
+@pytest.mark.parametrize("eta", [1e4, 1e6, 1e8, 1e10])
+def test_acceptance_bounds_scale_with_the_market(eta):
+    # The gap and the balance terms grow with c_bar and eta.  Absolute bounds
+    # rejected these solves on rounding alone from eta = 1e6 on.
+    p = _params(eta=eta, c_lo=1e6, c_hi=1e6, pi={"1": 1.0}, n_max=13,
+                cost={"type": "linear", "kappa": 1e6})
+    pol = Policy.constant(1e6, p)
+    state = solve_stationary(pol, p)
+    assert abs(state.c_bar - average_effort(state.mu, pol)) <= 1e-14 * state.c_bar
+    res, _ = balance_residual(state.mu.weights, pol, p)
+    assert float(np.max(np.abs(res))) <= 1e-14 * eta
+    assert state.mu.total_mass() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_infeasible_floor_raises():

@@ -43,3 +43,24 @@ def test_only_the_cli_touches_files():
             if name in _IO_CALLS:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+# A result carries every number the library reports; only the CLI writes text.
+_REPORTING_MODULES = {"logging", "warnings"}
+
+
+def test_only_the_cli_prints_and_no_module_logs_or_warns():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                found.append(f"{path.name}:{node.lineno} print")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name.split(".")[0] in _REPORTING_MODULES]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").split(".")[0] in _REPORTING_MODULES:
+                    found.append(f"{path.name}:{node.lineno} {node.module}")
+    assert found == []
