@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import SolverError
 from .model import CostSpec, ModelParams, Policy, ValueFunction, exit_utility
-from .stationary import MarketState, solve_stationary
+from .stationary import MarketState
 
 # True-error target of value iteration (the stop is scaled by the contraction
 # modulus) and the half-width of the band around zero read as exact
@@ -141,6 +141,11 @@ class BestResponse:
     @property
     def iterations(self) -> int:
         return len(self.deltas)
+
+
+def reachable_floor(params: ModelParams) -> int:
+    """Smallest precision an entrant can hold (minimum of the entry support)."""
+    return int(params.pi.support()[0])
 
 
 def trigger_interval(switching: np.ndarray, n_min: int) -> tuple[int, int]:
@@ -266,41 +271,27 @@ def trigger_bounds(params: ModelParams) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class MinimalSearchReport:
-    """Marginal value of search at the everyone-at-c_lo market.
+    """Whether everyone searching at c_lo is an equilibrium, read from trigger 0.
 
-    ``gain`` is c_lo * sum_m (V_{1+m} - V_1) mu0_m, the marginal meeting value
-    at precision 1 under the minimal-effort market; the minimal policy is an
-    equilibrium exactly when the marginal cost K'(c_lo) covers it.
+    ``gain`` is S_floor = sum_m (V_{floor+m} - V_floor) nu_m at the reachable
+    floor, under the best response to the everyone-at-c_lo market, and
+    ``threshold`` is K'(c_lo).  ``is_equilibrium`` is trigger 0's fixed-point
+    test, which holds when ``gain`` is at most ``threshold`` plus
+    ``INDIFFERENCE_TOL``.  On equilibrium ``gain`` is the floor policy's
+    marginal meeting value; off it, the optimal policy's.
     """
 
     gain: float
     threshold: float
     is_equilibrium: bool
-    c_bar: float
 
 
-def minimal_search_test(params: ModelParams) -> MinimalSearchReport:
-    """Check whether everyone searching at c_lo is an equilibrium.
-
-    Solves the constant-c_lo market and values the floor policy against it
-    with ``solve_value`` restricted to the single effort c_lo (c_hi = c_lo),
-    then compares the marginal meeting gain at precision 1 against the
-    marginal cost.  A zero floor meets nobody, so its gain is 0 without a
-    value solve.
-    """
-    c0 = params.c_lo
-    state = solve_stationary(Policy.constant(c0, params), params)
-    gain = 0.0
-    if c0 > 0.0:
-        values = solve_value(state, params.with_(c_hi=c0)).value.values
-        # V_{1+m} for m = 1..n_max; V_{n_max+1} is padded as the operator pads it.
-        past = np.maximum(_tail_values(params, exit_utility(params, params.n_max + 1)), values[-1])
-        jumped = np.append(values[2:], past)
-        gain = c0 * float(np.dot(jumped - values[1], state.mu.weights[1:]))
-    threshold = params.effective_cost().marginal_right(c0)
+def minimal_search_test(br: BestResponse, params: ModelParams) -> MinimalSearchReport:
+    """Read the minimal-search verdict from ``br``, the best response to the trigger-0 market."""
+    floor = reachable_floor(params)
+    threshold = params.effective_cost().marginal_right(params.c_lo)
     return MinimalSearchReport(
-        gain=gain,
+        gain=threshold + float(br.switching[floor]),
         threshold=threshold,
-        is_equilibrium=threshold >= gain - 1e-12 * max(1.0, threshold),
-        c_bar=state.c_bar,
+        is_equilibrium=trigger_interval(br.switching, floor)[0] == 0,
     )

@@ -19,6 +19,7 @@ from .best_response import (
     BestResponse,
     MinimalSearchReport,
     minimal_search_test,
+    reachable_floor,
     solve_value,
     trigger_bounds,
     trigger_interval,
@@ -31,11 +32,6 @@ from .stationary import MarketState, solve_stationary
 # lower trigger's value may exceed a higher one's before ``pareto_rank`` raises.
 ACTIVE_TOL = 1e-9
 PARETO_TOL = 1e-10
-
-
-def reachable_floor(params: ModelParams) -> int:
-    """Smallest precision an entrant can hold (minimum of the entry support)."""
-    return int(params.pi.support()[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +102,8 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
     Only linear cost is accepted: its best responses are bang-bang, so
     restricting the scan to triggers loses nothing, and any other cost raises
     ``ValidationError``.  Equilibria come out in increasing trigger order,
-    and ``minimal_search`` carries ``minimal_search_test``'s verdict on
-    everyone searching at c_lo, read from the floor policy's own value
-    rather than from the table.
+    and ``minimal_search`` reads ``minimal_search_test``'s verdict on
+    everyone searching at c_lo from the scan's last entry, trigger 0.
     """
     _require_linear_cost(params)
     bound, top = trigger_bounds(params)
@@ -126,7 +121,7 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
         n_bar=bound,
         scan_bound=top,
         correspondence_table=table,
-        minimal_search=minimal_search_test(params),
+        minimal_search=minimal_search_test(entry.best_response, params),
     )
 
 

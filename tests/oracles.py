@@ -25,7 +25,7 @@ from percolate.model import ModelParams, Policy, cross_section_params, exit_util
 from percolate.simulator import DRAW_BLOCK, SimConfig, SimOutput, ValueEstimate
 from percolate.stationary import (
     MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _RTOL, _XTOL, MarketState, _feasibility_floor, average_effort,
-    balance_residual, candidate_measure, is_stable, solve_stationary,
+    balance_residual, candidate_measure, solve_stationary,
 )
 
 
@@ -146,10 +146,11 @@ def kernel_gap_solve(policy: Policy, params: ModelParams) -> float:
     The package's stationary solve before any closed form: scipy's brentq (which
     ``stationary._brent`` ports step for step) on g(x) = x - grid effort mass
     over [feasibility floor, max(c_hi, floor)], an end of the bracket taken
-    when |g| <= ROOT_TOL there, an infeasible trial counted as g = -inf.  Raises
-    SolverError where that solve did: a gap already positive at the floor, a
-    root with |g| > ROOT_TOL, a balance residual past RESIDUAL_TOL, or, in the
-    stable regime, a total mass off 1 by more than MASS_TOL.
+    when |g| <= ROOT_TOL * max(1, |x|) there, an infeasible trial counted as
+    g = -inf.  Raises SolverError where the package's acceptance does: a gap
+    already positive at the floor, a root with |g| > ROOT_TOL * max(1, root), a
+    balance residual past RESIDUAL_TOL * max(1, eta), or a total mass (grid
+    plus the overflow past it) off 1 by more than MASS_TOL, in either regime.
     """
 
     def gap(x: float) -> float:
@@ -158,25 +159,28 @@ def kernel_gap_solve(policy: Policy, params: ModelParams) -> float:
         except SolverError:
             return -math.inf
 
+    def tol(x: float) -> float:
+        return ROOT_TOL * max(1.0, abs(x))
+
     lo = _feasibility_floor(policy, params)
     hi = max(params.c_hi, lo)
     g_lo = gap(lo)
-    if g_lo > ROOT_TOL:
+    if g_lo > tol(lo):
         raise SolverError(f"gap {g_lo:.3e} already positive at the floor {lo}")
     root = lo
-    if g_lo < -ROOT_TOL:
+    if g_lo < -tol(lo):
         root = hi
-        if gap(hi) > ROOT_TOL:
+        if gap(hi) > tol(hi):
             root = brentq(gap, lo, hi, xtol=_XTOL, rtol=_RTOL, disp=False)
     mu = candidate_measure(root, policy, params)
-    if abs(root - average_effort(mu, policy)) > ROOT_TOL:
-        raise SolverError(f"|g({root})| > ROOT_TOL")
+    if abs(root - average_effort(mu, policy)) > tol(root):
+        raise SolverError(f"|g({root})| > ROOT_TOL * max(1, root)")
     res, overflow = balance_residual(mu.weights, policy, params)
-    if float(np.max(np.abs(res))) > RESIDUAL_TOL:
+    if float(np.max(np.abs(res))) > RESIDUAL_TOL * max(1.0, params.eta):
         raise SolverError("balance residual exceeds tolerance")
     mass = mu.grid_mass() + overflow / params.eta
-    if abs(mass - 1.0) > MASS_TOL and is_stable(policy, params):
-        raise SolverError(f"stationary mass {mass} deviates from 1 in the stable regime")
+    if abs(mass - 1.0) > MASS_TOL:
+        raise SolverError(f"stationary mass {mass} deviates from 1")
     return float(root)
 
 
@@ -271,6 +275,32 @@ def mgf_check(
         direct = float(np.dot(nu[1:], powers[1:]))
         out.append(MgfPoint(x=x, closed_form=closed, direct_series=direct))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Transient generating function under constant effort
+# ---------------------------------------------------------------------------
+
+
+def constant_effort_transient(c: float, eta: float, pi_x: float, t: float) -> float:
+    """G(x, t) = sum_n mu_n(t) x^n of the measure flow from mu(0) = pi, everyone at effort c > 0.
+
+    With unit mass and average effort c, the flow's generating function solves
+    the Riccati equation
+
+        dG/dt = c^2 G^2 - (eta + c^2) G + eta Pi(x),    G(0) = Pi(x),
+
+    with Pi(x) = ``pi_x`` the entry law's generating function at x.  Its
+    roots g1 < g2 (g1 the stable one, g2 > 1 for x < 1) give
+    (G - g1) / (G - g2) = R0 exp(-sqrt(D) t), D = (eta + c^2)^2 - 4 c^2 eta Pi(x).
+    Written from the flow's equation, not from ``dynamics``.
+    """
+    a, b, k = c * c, eta + c * c, eta * pi_x
+    root_d = math.sqrt(b * b - 4.0 * a * k)
+    g1 = 2.0 * k / (b + root_d)  # the smaller root without cancellation
+    g2 = (b + root_d) / (2.0 * a)
+    ratio = (pi_x - g1) / (pi_x - g2) * math.exp(-root_d * t)
+    return (g1 - ratio * g2) / (1.0 - ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from percolate import (
     CostSpec,
     Policy,
     SolverError,
+    correspondence,
     exit_utility,
     find_equilibria,
     load_params,
@@ -277,11 +278,13 @@ def test_no_search_beyond_the_bound():
 
 
 def test_minimal_search_with_zero_floor_is_equilibrium():
-    rep = minimal_search_test(_params(c_lo=0.0))
+    p = _params(c_lo=0.0)
+    entry = correspondence(0, p)
+    rep = minimal_search_test(entry.best_response, p)
     assert rep.gain == 0.0
     assert math.copysign(1.0, rep.gain) == 1.0  # +0.0: the JSON never prints -0.0
     assert rep.is_equilibrium
-    assert rep.c_bar == 0.0
+    assert entry.state.c_bar == 0.0
 
 
 def _policy_value_oracle(p):
@@ -314,25 +317,41 @@ def _policy_value_oracle(p):
 _TABULATED = {"type": "tabulated", "points": [[0.0, 0.0], [0.4, 0.02], [0.7, 0.08], [1.0, 0.2]]}
 
 
+def _floor_market_best_response(p):
+    """Best response to the everyone-at-c_lo market, the scan's trigger-0 entry."""
+    return solve_value(solve_stationary(Policy.trigger_policy(0, p), p), p)
+
+
 def test_minimal_search_gain_matches_linear_system_oracle():
-    # The tabulated market takes solve_value's non-linear branch.
-    for over in ({"c_lo": 0.1}, {"c_lo": 0.1, "cost": {"type": "linear", "kappa": 0.01}},
-                 {"c_lo": 0.2, "eta": 0.5}, {"c_lo": 0.1, "cost": _TABULATED},
+    # Where minimal search is an equilibrium the best response keeps the floor
+    # policy, so the gain is the floor policy's.  The tabulated market takes
+    # solve_value's non-linear branch; find_equilibria refuses its cost.
+    for over in ({"c_lo": 0.1}, {"c_lo": 0.2, "eta": 0.5}, {"c_lo": 0.1, "cost": _TABULATED},
                  {"c_lo": 0.1, "subsidy": 0.05}):
         p = _params(n_max=48, **over)
-        rep = minimal_search_test(p)
+        if p.effective_cost().kind == "linear":
+            rep = find_equilibria(p).minimal_search
+        else:
+            rep = minimal_search_test(_floor_market_best_response(p), p)
         _, gain = _policy_value_oracle(p)
+        assert rep.is_equilibrium
         assert rep.gain == pytest.approx(gain, abs=1e-10)
-        assert rep.is_equilibrium == (rep.gain <= rep.threshold + 1e-9)
+    # Off equilibrium the gain is the optimal policy's, not the floor policy's,
+    # and both are above the threshold.
+    p = _params(n_max=48, c_lo=0.1, cost={"type": "linear", "kappa": 0.01})
+    rep = find_equilibria(p).minimal_search
+    _, gain = _policy_value_oracle(p)
+    assert not rep.is_equilibrium
+    assert gain > rep.threshold
+    assert rep.gain > rep.threshold
 
 
 def test_minimal_search_agrees_with_best_response():
     for over in ({"c_lo": 0.1}, {"c_lo": 0.1, "cost": {"type": "linear", "kappa": 0.01}},
                  {"c_lo": 0.2, "eta": 0.5}):
         p = _params(**over)
-        rep = minimal_search_test(p)
-        st = solve_stationary(Policy.constant(p.c_lo, p), p)
-        br = solve_value(st, p)
+        br = _floor_market_best_response(p)
+        rep = minimal_search_test(br, p)
         # minimal search survives deviations exactly when the best response
         # against that market searches at the floor everywhere reachable
         assert rep.is_equilibrium == (br.trigger <= 1)

@@ -157,6 +157,18 @@ def test_solve_equilibrium_roundtrip(tmp_path):
             assert eq["c_bar"] == 0.0
 
 
+def test_solve_equilibrium_minimal_search_agrees_with_triggers(tmp_path):
+    # Entrants hold precision 2, never 1: minimal search is trigger 0's verdict.
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(make_scenario(
+        c_lo=0.1, pi={"2": 1.0}, cost={"type": "linear", "kappa": 0.02})))
+    out = tmp_path / "eq.json"
+    assert cli.main(["solve-equilibrium", "--config", str(path), "--out", str(out)]) == 0
+    res = _load(out)["result"]
+    assert res["triggers"] == [0, 1, 2, 18]
+    assert res["minimal_search"]["is_equilibrium"] is True
+
+
 def test_intervention_subsidy_roundtrip(tmp_path):
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(make_scenario(cost={"type": "linear", "kappa": 0.05})))

@@ -20,8 +20,9 @@ from percolate import (
 )
 from percolate import dynamics
 from percolate.dynamics import MAX_RHS_EVALS, MAX_SNAPSHOTS, ODE_ATOL, ODE_RTOL
-from percolate.stationary import balance_residual
+from percolate.stationary import balance_residual, is_stable
 from conftest import make_scenario
+from oracles import constant_effort_transient
 
 
 def _params(**over):
@@ -279,3 +280,18 @@ def test_tail_compartment_accumulates_only_when_unstable():
     pol_s = Policy.trigger_policy(3, stable)
     traj_s = integrate(stable.pi, pol_s, stable, t_end=60.0)
     assert traj_s.final().tail_mass < 1e-10
+
+
+@pytest.mark.parametrize("c, eta", [(0.5, 1.0), (1.0, 2.0), (1.0, 1.0)])
+def test_constant_effort_flow_matches_the_riccati_closed_form(c, eta):
+    # Entry at precision 1, so Pi(x) = x, and the flow starts at pi.  The
+    # integrator holds each step to ODE_ATOL + ODE_RTOL |y|; G is at most 1.
+    p = _params(eta=eta, n_max=256)
+    pol = Policy.constant(c, p)
+    assert is_stable(pol, p)
+    traj = integrate(p.pi, pol, p, t_end=5.0, dt_out=0.25)
+    for t in (0.25, 0.5, 1.0, 2.0, 5.0):
+        (k,) = np.flatnonzero(traj.times == t)
+        for x in (0.3, 0.5, 0.7):
+            g = float(np.dot(traj.measures[k].weights, x ** np.arange(p.n_max + 1)))
+            assert g == pytest.approx(constant_effort_transient(c, eta, x, t), rel=0, abs=ODE_RTOL)

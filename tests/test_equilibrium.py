@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-import percolate.best_response as best_response
 import percolate.equilibrium as equilibrium
 import percolate.interventions as interventions
 import percolate.stationary as stationary
@@ -147,9 +146,38 @@ def test_minimal_search_report_matches_scan():
         assert rep.minimal_search.is_equilibrium == (0 in rep.triggers())
     # floor 0.1 with a cheap cost: deviating up is profitable, no trigger-0
     p = _params(c_lo=0.1, cost={"type": "linear", "kappa": 0.005})
-    ms = minimal_search_test(p)
+    ms = minimal_search_test(correspondence(0, p).best_response, p)
     assert ms.gain > ms.threshold
     assert not ms.is_equilibrium
+
+
+# Entry laws without mass at precision 1: the verdict read at precision 1
+# disagreed with the scan on the first two (entrants never hold it) and on the
+# third (precision-0 agents gain from search).
+_FLOORLESS_LAWS = ({"2": 1.0}, {"2": 0.5, "5": 0.5}, {"0": 0.5, "8": 0.5})
+
+
+@pytest.mark.parametrize("pi, kappa, triggers", [
+    ({"2": 1.0}, 0.02, [0, 1, 2, 18]),
+    ({"2": 0.5, "5": 0.5}, 0.025, [0, 1, 2, 17, 18]),
+    ({"0": 0.5, "8": 0.5}, 0.028, [1, 13]),
+])
+def test_minimal_search_verdict_is_the_trigger_0_fixed_point(pi, kappa, triggers):
+    p = _params(c_lo=0.1, pi=pi, cost={"type": "linear", "kappa": kappa})
+    rep = find_equilibria(p)
+    assert rep.triggers() == triggers
+    assert rep.minimal_search.is_equilibrium == (0 in triggers)
+    switching = correspondence(0, p).best_response.switching
+    assert rep.minimal_search.gain == rep.minimal_search.threshold + switching[reachable_floor(p)]
+
+
+@pytest.mark.parametrize("pi", _FLOORLESS_LAWS)
+def test_minimal_search_verdict_matches_the_scan_without_entry_at_1(pi):
+    for c_lo in (0.05, 0.1, 0.2):
+        for kappa in np.linspace(0.001, 0.3, 25):
+            p = _params(c_lo=c_lo, pi=pi, cost={"type": "linear", "kappa": float(kappa)})
+            rep = find_equilibria(p)
+            assert rep.minimal_search.is_equilibrium == (0 in rep.triggers()), (c_lo, kappa)
 
 
 def test_entry_mass_at_zero_shifts_the_floor():
@@ -331,8 +359,7 @@ def test_subsidy_witness_gap_evaluations_are_bounded(monkeypatch):
         states[stationary._market_key(policy, params)] = state
         return state
 
-    for module in (equilibrium, best_response):
-        monkeypatch.setattr(module, "solve_stationary", recorded)
+    monkeypatch.setattr(equilibrium, "solve_stationary", recorded)
     interventions.find_subsidy_witness(n_max=128)
     assert len(states) == 126
     assert sum(state.gap_evals for state in states.values()) == 126

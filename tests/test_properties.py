@@ -247,10 +247,23 @@ def _falls_back(policy, **over) -> tuple:
     return params, policy(params), True
 
 
+def _at_scale(eta: float) -> tuple:
+    """Constant effort 1e6 with entry at 1 on 13 bins, where the kernel gap solves it.
+
+    The acceptance bounds are relative to max(1, c_bar) and max(1, eta); with
+    absolute ones both solves failed on rounding here.
+    """
+    params = load_params(make_scenario(eta=eta, c_hi=1e6, pi={"1": 1.0}, n_max=13))
+    return params, Policy.constant(1e6, params), True
+
+
 @settings(PROPERTY, max_examples=300)
 @given(tail_markets())
 @example(_falls_back(lambda p: Policy.trigger_policy(101, p), eta=0.5, n_max=256))
 @example(_falls_back(lambda p: Policy.constant(0.9, p), n_max=8))
+@example(_at_scale(1e6))
+@example(_at_scale(1e8))
+@example(_at_scale(1e10))
 def test_corrected_closed_form_matches_the_kernel_gap_solve(case):
     params, policy, falls_back = case
     try:

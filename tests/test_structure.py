@@ -64,3 +64,18 @@ def test_only_the_cli_prints_and_no_module_logs_or_warns():
                 if (node.module or "").split(".")[0] in _REPORTING_MODULES:
                     found.append(f"{path.name}:{node.lineno} {node.module}")
     assert found == []
+
+
+def test_the_best_response_layer_never_solves_a_market():
+    # It reads a solved market: every stationary solve is its caller's.
+    path = PACKAGE / "best_response.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno} import" for a in node.names if a.name == "solve_stationary"]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "solve_stationary":
+                found.append(f"{node.lineno} call")
+    assert found == []
