@@ -134,9 +134,6 @@ def _cmd_simulate_dynamics(args: argparse.Namespace, params: ModelParams) -> dic
     else:
         raise ValidationError(f"unknown initial condition {args.init!r} (use pi or point:N)")
     traj = integrate(mu0, policy, params, t_end=args.t_end, dt_out=args.dt_out)
-    state = solve_stationary(policy, params)
-    final_gap = traj.l1_distance(state.mu)
-
     if args.out is not None and args.out.endswith(".csv"):
         rows: list[list] = []
         for t, m in zip(traj.times, traj.measures):
@@ -150,7 +147,7 @@ def _cmd_simulate_dynamics(args: argparse.Namespace, params: ModelParams) -> dic
         "mass": _floats(traj.mass),
         "final_weights": _floats(traj.final().weights),
         "final_tail": traj.final().tail_mass,
-        "l1_gap_to_stationary": final_gap,
+        "l1_gap_to_stationary": traj.l1_distance(solve_stationary(policy, params).mu),
         "clip_count": traj.clip_count,
         "clip_magnitude": traj.clip_magnitude,
     }

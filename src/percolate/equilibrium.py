@@ -9,6 +9,7 @@ of every trigger from ``trigger_bounds``' scan bound to 0 and keeps the fixed
 points.  ``active_equilibrium_exists`` asks only whether an active one
 exists: hi(n) < n rules out every trigger in (hi(n), n], so its descending
 walk jumps from n straight to hi(n) (Tarski 1955; Milgrom & Roberts 1990).
+Both consume one descending walk, which checks that monotonicity.
 """
 
 from __future__ import annotations
@@ -96,22 +97,37 @@ def _require_linear_cost(params: ModelParams) -> None:
         raise ValidationError("equilibrium search assumes linear cost (bang-bang optimality)")
 
 
+def _walk(params: ModelParams, top: int, step):
+    """Entries from trigger ``top`` down, e then ``step(e)``; SolverError where lo or hi rises."""
+    n, above = top, None
+    while n >= 0:
+        entry = correspondence(n, params)
+        if above is not None and (entry.lo > above.lo or entry.hi > above.hi):
+            raise SolverError(
+                f"correspondence not monotone: trigger {entry.trigger} gives {entry.interval}, "
+                f"trigger {above.trigger} gives {above.interval}"
+            )
+        yield entry
+        above = entry
+        n = step(entry)
+
+
 def find_equilibria(params: ModelParams) -> EquilibriumReport:
     """Scan all trigger policies from the scan bound down to 0.
 
     Only linear cost is accepted: its best responses are bang-bang, so
-    restricting the scan to triggers loses nothing, and any other cost raises
-    ``ValidationError``.  Equilibria come out in increasing trigger order,
-    and ``minimal_search`` reads ``minimal_search_test``'s verdict on
-    everyone searching at c_lo from the scan's last entry, trigger 0.
+    restricting the scan to triggers loses nothing; any other cost raises
+    ``ValidationError``, and a table that is not monotone ``SolverError``.
+    Equilibria come out in increasing trigger order, and ``minimal_search``
+    reads ``minimal_search_test``'s verdict on everyone searching at c_lo from
+    the scan's last entry, trigger 0.
     """
     _require_linear_cost(params)
     bound, top = trigger_bounds(params)
     table: dict[int, tuple[int, int]] = {}
     found: list[CorrespondenceEntry] = []
-    for n in range(top, -1, -1):
-        entry = correspondence(n, params)
-        table[n] = (entry.lo, entry.hi)
+    for entry in _walk(params, top, lambda e: e.trigger - 1):
+        table[entry.trigger] = entry.interval
         if entry.is_fixed_point:
             found.append(entry)
     found.reverse()
@@ -132,25 +148,12 @@ def active_equilibrium_exists(params: ModelParams) -> bool:
     fixed point.  At any other trigger n it goes on to min(hi(n), n - 1): no
     trigger k in (hi(n), n) can be a fixed point, since hi(k) <= hi(n) < k
     for a nondecreasing hi.  An inactive fixed point is walked past, not
-    returned.  The answer rests on that monotonicity, so a visited entry whose
-    ``lo`` or ``hi`` exceeds the previous (higher-trigger) entry's raises
-    ``SolverError``.  Linear cost only, as for ``find_equilibria``.
+    returned.  The answer rests on that monotonicity, checked as in the scan.
+    Linear cost only, as for ``find_equilibria``.
     """
     _require_linear_cost(params)
-    n = trigger_bounds(params)[1]
-    above: CorrespondenceEntry | None = None
-    while n >= 0:
-        entry = correspondence(n, params)
-        if above is not None and (entry.lo > above.lo or entry.hi > above.hi):
-            raise SolverError(
-                f"correspondence not monotone: trigger {entry.trigger} gives {entry.interval}, "
-                f"trigger {above.trigger} gives {above.interval}"
-            )
-        if entry.is_fixed_point and entry.is_active():
-            return True
-        above = entry
-        n = min(entry.hi, n - 1)
-    return False
+    walk = _walk(params, trigger_bounds(params)[1], lambda e: min(e.hi, e.trigger - 1))
+    return any(entry.is_fixed_point and entry.is_active() for entry in walk)
 
 
 def pareto_rank(report: EquilibriumReport) -> list[CorrespondenceEntry]:

@@ -6,11 +6,12 @@ The cross-sectional measure mu over precisions solves the balance equation
 
 where ``*`` is discrete self-convolution over precisions (two searchers of
 precisions l and n-l meet and both land at n) and ``nu(N)`` is the total
-effort mass.  Solving proceeds in two nested steps: given a trial average
-effort, the weights follow run by run of precisions with equal effort (on
-such a run the generating function of nu is a root of a quadratic, whose
-coefficients come from power-series Newton doubling); the trial is then fixed
-by Brent's method on the self-consistency gap.
+effort mass.  Solving proceeds in two nested steps: given a trial shift
+s = c_bar - 2 nu_0, which every denominator eta + C_k s reads, the weights
+follow run by run of precisions with equal effort (on such a run the
+generating function of nu is a root of a quadratic, whose coefficients come
+from power-series Newton doubling); s is then fixed by Brent's method on the
+self-consistency gap, which rises strictly in s: one stationary state.
 
 On a market whose efforts on 1..n_max are c below a trigger n <=
 _CLOSED_FORM_MAX_TRIGGER and c2 from n on (trigger and constant policies),
@@ -23,10 +24,9 @@ shifted roots that do not settle keep the kernel gap; every acceptance check
 reads the root's measure, solved run-wise.
 
 Mass entering at precision 0 is supported: the convolution includes the
-l = 0 and l = n terms, which moves the zero-precision balance from a linear
-to a quadratic equation and shifts every denominator by the zero-bin effort.
-With no entry mass at 0 the recursion reduces exactly to the classical form
-with the convolution restricted to 1..n-1.
+l = 0 and l = n terms, which makes the zero-precision balance a quadratic
+with one positive root at every shift.  With no entry mass at 0, s = c_bar
+and the recursion is the classical one over 1..n-1.
 """
 
 from __future__ import annotations
@@ -103,64 +103,54 @@ def _solve_run(a: np.ndarray, s: int, e: int, gain: float, source: np.ndarray) -
             r = np.concatenate((r, 2.0 * gain * np.convolve(r[:grow], ar)[:grow]))
 
 
-def _zero_bin(c_bar: float, c0: float, p0: float, eta: float) -> float:
-    """Weight of precision 0 at trial average effort ``c_bar``; SolverError if infeasible."""
+def _zero_bin(shift: float, c0: float, p0: float, eta: float) -> float:
+    """Weight of precision 0: the positive root of c0^2 mu^2 + b mu = eta p0, b = eta + c0 shift.
+
+    Each sign of b has its own form of the root, a sum of terms of one sign.
+    """
     if not (c0 > 0.0 and p0 > 0.0):
         return float(p0)
-    b = eta + c0 * c_bar
-    disc = b * b - 4.0 * c0 * c0 * eta * p0
-    if disc < 0.0:
-        if disc > -1e-12 * b * b:
-            disc = 0.0
-        else:
-            raise SolverError(
-                f"trial average effort {c_bar:.6g} infeasible for the zero-precision balance "
-                f"(discriminant {disc:.3e})"
-            )
-    return float(2.0 * eta * p0 / (b + math.sqrt(disc)))
+    b = eta + c0 * shift
+    root = math.sqrt(b * b + 4.0 * c0 * c0 * eta * p0)
+    return float(2.0 * eta * p0 / (b + root) if b >= 0.0 else (root - b) / (2.0 * c0 * c0))
 
 
 def candidate_measure(
-    c_bar: float,
+    shift: float,
     policy: Policy,
     params: ModelParams,
 ) -> PrecisionMeasure:
-    """Solve the balance given a trial average effort ``c_bar``, run by run of equal effort.
+    """Solve the balance given a trial ``shift`` = c_bar - 2 nu_0, run by run of equal effort.
 
-    Precision 0 satisfies a quadratic (its searchers can only meet other
-    zero-precision searchers without leaving the bin); the dynamically stable
-    branch is the smaller root, taken as 2 eta pi_0 / (b + sqrt(disc)) so that
-    a small zero-bin effort loses no digits to cancellation.  Precisions
-    k >= 1 then satisfy
+    Precision 0 satisfies C_0^2 mu_0^2 + (eta + C_0 shift) mu_0 = eta pi_0
+    (its searchers meet zero-precision searchers without leaving the bin).
+    Precisions k >= 1 then satisfy
 
-        mu_k = (eta pi_k + sum_{l=1}^{k-1} nu_l nu_{k-l}) / (eta + C_k (c_bar - 2 nu_0)),
+        mu_k = (eta pi_k + sum_{l=1}^{k-1} nu_l nu_{k-l}) / (eta + C_k shift),
 
-    where the 2 nu_0 correction accounts for meetings with zero-precision
+    where the shift's 2 nu_0 accounts for meetings with zero-precision
     searchers keeping the mover at its own precision plus the l=0/l=k
     convolution terms.  On a maximal run of precisions with one effort c > 0
     this makes the series A(x) = sum_{k>=1} nu_k x^k a root of the quadratic
-    A = a (eta pi + A^2) with a = c / (eta + c (c_bar - 2 nu_0)), given the
-    weights below the run; its coefficients follow by Newton doubling in
-    about log2(run length) rounds.  A run with zero effort has nu = 0, and
-    every mu_k then follows from one self-convolution of nu.
+    A = a (eta pi + A^2) with a = c / (eta + c shift), given the weights below
+    the run; its coefficients follow by Newton doubling in about
+    log2(run length) rounds.  A run with zero effort has nu = 0, and every
+    mu_k then follows from one self-convolution of nu.  A run that no entry
+    and no pair reaches keeps zero weight, whatever its denominator.
 
-    Raises SolverError if the trial effort is infeasible for the
-    zero-precision quadratic, a denominator degenerates or a weight diverges
-    (overflows to a non-finite value); the first failing precision is named,
-    as a per-precision recursion would.
+    Raises SolverError if a reached denominator degenerates or a weight
+    diverges (overflows to a non-finite value); the first failing precision
+    is named, as a per-precision recursion would.
     """
-    if not (math.isfinite(c_bar) and c_bar >= 0):
-        raise ValidationError(f"average effort must be finite and nonnegative, got {c_bar}")
+    if not math.isfinite(shift):
+        raise ValidationError(f"trial shift must be finite, got {shift}")
     eta = params.eta
     n_max = params.n_max
     C = policy.efforts
     pi = params.pi.weights
 
     mu = np.zeros(n_max + 1)
-
-    c0 = C[0]
-    mu[0] = _zero_bin(c_bar, c0, pi[0], eta)
-    shift = c_bar - 2.0 * c0 * mu[0]
+    mu[0] = _zero_bin(shift, C[0], pi[0], eta)
     source = eta * pi
     # Effort-weighted weights of precisions >= 1; index 0 stays zero.
     nu = np.zeros(n_max + 1)
@@ -174,20 +164,26 @@ def candidate_measure(
                 continue
             den = eta + c * shift
             if den <= 1e-14:
-                stop = s
-                break
+                # The first precision of the run that entry or a pair reaches.
+                reached = np.flatnonzero(source[s:e] + _square_block(nu, s, e - s))
+                if reached.size:
+                    stop = s + int(reached[0])
+                    break
+                continue
             _solve_run(nu, s, e, c / den, source)
         # pairs[k] = sum_{l=1}^{k-1} nu_l nu_{k-l}.  Convolving nu[1:] leaves out
         # the zero at index 0, whose product with an overflowed weight would
         # read NaN one precision early.
         pairs = np.concatenate(([0.0, 0.0], np.convolve(nu[1:], nu[1:])))
-        mu[1:stop] = (source[1:stop] + pairs[1:stop]) / (eta + C[1:stop] * shift)
+        num = source[1:stop] + pairs[1:stop]
+        # An unreached precision keeps +0.0, even over a denominator <= 0.
+        np.divide(num, eta + C[1:stop] * shift, out=mu[1:stop], where=num != 0.0)
         bad = np.flatnonzero(~np.isfinite(mu[1:stop]))
     if bad.size:
-        raise SolverError(f"candidate measure diverges at precision {bad[0] + 1} (trial {c_bar:.6g})")
+        raise SolverError(f"candidate measure diverges at precision {bad[0] + 1} (s {shift:.6g})")
     if stop <= n_max:
         raise SolverError(
-            f"degenerate balance denominator at precision {stop} for trial effort {c_bar:.6g}"
+            f"degenerate balance denominator at precision {stop} for trial shift {shift:.6g}"
         )
     return PrecisionMeasure(mu)
 
@@ -301,12 +297,12 @@ def _run_sums(pi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _closed_form_mass(policy: Policy, params: ModelParams):
-    """Effort mass of the candidate measure as a function of the trial, or None.
+    """Effort mass above precision 0 of the candidate measure as a function of the shift, or None.
 
     Defined when the efforts on 1..n_max are c on [1, n) and c2 >= 0 on
     [n, n_max] with n <= _CLOSED_FORM_MAX_TRIGGER (a constant policy is n = 1),
-    in the stable regime if c2 > 0.  The zero bin gives c0 mu0.  On the run
-    [1, n) the effort-weighted series solves A = a (eta pi' + A^2) with
+    in the stable regime if c2 > 0.  On the run [1, n) the effort-weighted
+    series solves A = a (eta pi' + A^2) with
     a = c / (eta + c shift), so A = sum_m Cat_m a^(2m+1) (eta pi')^(m+1): its
     mass is A1 = eta a T_0 and the mass of A^2 below n is Q = eta T_1, where
     T_j = sum_{m>=j} Cat_m (eta a^2)^m S(n, m) (Duffie & Manso 2007).  Summed
@@ -314,12 +310,13 @@ def _closed_form_mass(policy: Policy, params: ModelParams):
     makes run 2's mass X the stable root of a2 X^2 - B X + C = 0 with
     a2 = c2 / (eta + c2 shift), B = 1 - 2 a2 A1 and C = a2 (eta pi_{>=n} +
     A1^2 - Q).  That is the mass on the infinite grid, above the kernel's by
-    the effort mass past n_max.  A trial ``candidate_measure`` rejects as
-    infeasible, with no positive root X or with a non-finite sum, has mass +inf.
+    the effort mass past n_max.  A run that nothing reaches has no mass, as in
+    ``candidate_measure``; a reached run's degenerate denominator, no positive
+    root X or a non-finite sum makes the mass +inf.
     """
     e = policy.efforts[1:]
     n = 1 + int(np.argmax(e != e[0]))  # 1 if e is constant
-    c, c2, c0 = float(e[0]), float(e[-1]), float(policy.efforts[0])
+    c, c2 = float(e[0]), float(e[-1])
     if (n > _CLOSED_FORM_MAX_TRIGGER or np.any(e[n - 1 :] != c2)
             or (c2 > 0.0 and not is_stable(policy, params))):
         return None
@@ -344,25 +341,24 @@ def _closed_form_mass(policy: Policy, params: ModelParams):
     m = np.arange(sums.size - 1)
     ratios = np.ldexp(2.0 * (2 * m + 1) / (m + 2), np.diff(expo))
 
-    def mass(x: float) -> float:
-        try:
-            mu0 = _zero_bin(x, c0, pi[0], eta)
-        except SolverError:
-            return math.inf
-        shift = x - 2.0 * c0 * mu0
+    def mass(shift: float) -> float:
         den, den2 = eta + c * shift, eta + c2 * shift
-        if (c > 0.0 and den <= 1e-14) or (c2 > 0.0 and den2 <= 1e-14):
-            return math.inf
-        a = c / den
-        with np.errstate(over="ignore", invalid="ignore"):
-            catalan = np.cumprod(ratios * (eta * a * a))
-            higher = float(np.dot(catalan, mant[1:])) * scale
-            # The m = 0 term is added last: inside the dot product it would
-            # change np.dot's summation order and move roots by a few ulps.
-            # The outer a as c / den, as the kernel's last division makes it.
-            run = float(c * (eta * (mant[0] * scale + higher)) / den)
-        total = c0 * mu0 + run
-        if c2 > 0.0:
+        run = higher = 0.0  # nothing reaches run 1 if pi' vanishes below n
+        if rows:
+            if c > 0.0 and den <= 1e-14:
+                return math.inf
+            a = c / den
+            with np.errstate(over="ignore", invalid="ignore"):
+                catalan = np.cumprod(ratios * (eta * a * a))
+                higher = float(np.dot(catalan, mant[1:])) * scale
+                # The m = 0 term is added last: inside the dot product it would
+                # change np.dot's summation order and move roots by a few ulps.
+                # The outer a as c / den, as the kernel's last division makes it.
+                run = float(c * (eta * (mant[0] * scale + higher)) / den)
+        total = run
+        if c2 > 0.0 and (tail > 0.0 or run > 0.0):
+            if den2 <= 1e-14:
+                return math.inf
             a2 = c2 / den2
             b = 1.0 - 2.0 * a2 * run
             q = a2 * (eta * tail + run * run - eta * higher)
@@ -379,7 +375,7 @@ def _closed_form_mass(policy: Policy, params: ModelParams):
 # Root finding on the self-consistency gap
 # ---------------------------------------------------------------------------
 
-# Acceptance bounds of a solved market: |g| at the root relative to max(1, root),
+# Acceptance bounds of a solved market: |g| at the root relative to max(1, c_bar),
 # the sup-norm balance residual relative to max(1, eta) and the deviation of
 # total mass (grid plus tail) from 1.
 ROOT_TOL = 1e-12
@@ -440,18 +436,6 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float) -> float:
     return float(xcur)
 
 
-def _feasibility_floor(policy: Policy, params: ModelParams) -> float:
-    """Smallest trial average effort with a real zero-precision quadratic root."""
-    c0 = float(policy.efforts[0])
-    p0 = params.pi.weights[0]
-    if c0 <= 0.0 or p0 <= 0.0:
-        return 0.0
-    # Divide only a positive numerator: then c0 > eta / (2 sqrt(eta p0)), and
-    # a subnormal c0 cannot overflow the quotient.
-    num = 2.0 * c0 * math.sqrt(params.eta * p0) - params.eta
-    return num / c0 if num > 0.0 else 0.0
-
-
 # A full scan visits every trigger in the same descending order each time, so
 # an LRU smaller than one scan's markets would never hit; 1024 covers every
 # trigger of a scan up to n_max = 1023.  An existence walk visits a descending
@@ -473,21 +457,23 @@ def _market_key(policy: Policy, params: ModelParams) -> bytes:
 def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
     """Stationary market state under ``policy``.
 
-    Finds the average effort as the root of g(x) = x - nu(N)(x), where nu(N)(x)
-    is the total effort mass of the candidate measure at trial effort x; g is
-    strictly increasing because every candidate weight is decreasing in the
-    trial effort.  Brent's method solves it to machine precision on [floor,
-    max(c_hi, floor)], the floor being the smallest trial with a real
-    zero-precision balance, and the root x must meet |g| <= ROOT_TOL * max(1, x);
-    a trial whose weights diverge counts as g = -inf.  Where ``_closed_form_mass``
-    applies, each trial is its effort mass instead, shifted by kernel calls at
-    the root if it counts mass past the grid (c_lo > 0).  The |g| bound, the
-    balance residual (at most RESIDUAL_TOL * max(1, eta)) and unit total mass
-    are checked on the root's candidate measure.  The mass past n_max is
-    ``tail_mass``, the convolution overflow over eta: summing the balance
-    equations makes grid mass plus tail mass 1 up to the residuals, in every
-    regime.  Below the escape threshold eta < C_tail * c_hi (``is_stable``)
-    that tail holds a share that does not vanish as n_max grows.
+    Finds the shift s = c_bar - 2 C_0 mu_0 as the root of g(s) = c_bar(s) -
+    nu(N)(s), with mu_0(s) the positive root of the zero-bin quadratic,
+    c_bar(s) = s + 2 C_0 mu_0(s) and nu(N)(s) the candidate measure's effort
+    mass.  As g = eta (pi_0 - mu_0) / (C_0 mu_0) - (effort mass above
+    precision 0), both falling in s, g rises strictly: one stationary state.
+    Brent's method solves it to machine precision on [-C_0 pi_0, c_hi] (g <= 0
+    where mu_0 = pi_0; [0, c_hi] and s = c_bar if C_0 pi_0 = 0), and the root
+    must meet |g| <= ROOT_TOL * max(1, c_bar); a trial whose weights diverge
+    counts as g = -inf.  Where ``_closed_form_mass`` applies, each trial is its
+    effort mass instead, shifted by kernel calls at the root if it counts mass
+    past the grid (c_lo > 0).  The |g| bound, the balance residual (at most
+    RESIDUAL_TOL * max(1, eta)) and unit total mass are checked on the root's
+    candidate measure.  The mass past n_max is ``tail_mass``, the convolution
+    overflow over eta: summing the balance equations makes grid mass plus tail
+    mass 1 up to the residuals, in every regime.  Below the escape threshold
+    eta < C_tail * c_hi (``is_stable``) that tail holds a share that does not
+    vanish as n_max grows.
 
     Solves are memoized per process (least recently used, ``_MEMO_SIZE``
     markets) on what the solve reads: eta, c_hi, n_max, the entry weights and
@@ -511,22 +497,22 @@ def solve_stationary(policy: Policy, params: ModelParams) -> MarketState:
 
 
 def _root_tol(x: float) -> float:
-    """Bound on |g| at a trial ``x``: ROOT_TOL relative to max(1, |x|)."""
+    """Bound on |g| at average effort ``x``: ROOT_TOL relative to max(1, |x|)."""
     return ROOT_TOL * max(1.0, abs(x))
 
 
-def _bracket_root(gap, lo: float, hi: float) -> float:
-    """Root of an increasing ``gap`` on [lo, hi] by Brent, or an end where |gap| <= _root_tol."""
-    g_lo = gap(lo)
-    if g_lo > _root_tol(lo):
+def _bracket_root(gap, lo: float, hi: float, c_bar) -> float:
+    """Root of an increasing ``gap`` on [lo, hi], or an end where |gap| <= _root_tol(c_bar(end))."""
+    g_lo, tol = gap(lo), _root_tol(c_bar(lo))
+    if g_lo > tol:
         raise SolverError(
             f"no stationary average effort: the self-consistency gap is already positive "
-            f"({g_lo:.3e}) at the feasibility floor {lo:.6g}"
+            f"({g_lo:.3e}) at the lowest shift {lo:.6g}"
         )
-    if g_lo >= -_root_tol(lo):
+    if g_lo >= -tol:
         return lo
     g_hi = gap(hi)
-    return hi if g_hi <= _root_tol(hi) else _brent(gap, lo, hi, g_lo, g_hi)
+    return hi if g_hi <= _root_tol(c_bar(hi)) else _brent(gap, lo, hi, g_lo, g_hi)
 
 
 # Kernel calls the truncation correction of the closed form may take.
@@ -538,7 +524,14 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
     # The candidate measure of every feasible kernel trial, so the root's is not computed again.
     measures: dict[float, PrecisionMeasure] = {}
     evals = 0
-    offset = 0.0  # closed-form mass minus grid mass at the last corrected root
+    offset = 0.0  # closed-form minus kernel mass above precision 0 at the last corrected root
+    c0, p0 = float(policy.efforts[0]), float(params.pi.weights[0])
+
+    def zero_effort(x: float) -> float:
+        return c0 * _zero_bin(x, c0, p0, params.eta)
+
+    def c_bar(x: float) -> float:
+        return x + 2.0 * zero_effort(x)
 
     def measure(x: float) -> PrecisionMeasure:
         nonlocal evals
@@ -547,26 +540,26 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
         return measures[x]
 
     def kernel_gap(x: float) -> float:
-        # An infeasible trial (no real zero-bin root, an exploding bin
-        # denominator or diverging weights) means the candidate effort mass
-        # blows past x, so the gap is effectively -inf and the root lies above.
+        # An infeasible trial (a reached denominator degenerate, or weights
+        # diverging) has effort mass past c_bar: the gap is -inf, the root above.
         try:
-            return x - average_effort(measure(x), policy)
+            return c_bar(x) - average_effort(measure(x), policy)
         except SolverError:
             return -math.inf
 
     def closed_gap(x: float) -> float:
-        return x - closed_form(x) + offset
+        return x + zero_effort(x) - closed_form(x) + offset
 
-    lo = _feasibility_floor(policy, params)
-    # Any root is a grid effort mass, at most c_hi times a grid mass <= 1, so g(c_hi) >= 0.
-    hi = max(params.c_hi, lo)
+    # A root's shift is at most its c_bar <= c_hi, so g(c_hi) >= 0.  The lower
+    # end is +0.0 where c0 p0 = 0.
+    lo, hi = 0.0 - c0 * p0, params.c_hi
     closed_form = _closed_form_mass(policy, params)
 
     def corrected(root: float) -> float | None:
         # The closed form also counts the mass past the grid.  Shifted by the
-        # difference at a root r, its root moves by at most |g(r)| (g' >= 1), so
-        # r and r - g(r) bracket it.  Repeat while |g| shrinks; None: kernel gap.
+        # difference at a root r, its root moves by at most |g(r)| where g' >= 1
+        # (no zero-bin search), so r and r - g(r) bracket it, else r and the
+        # end on the root's side.  Repeat while |g| shrinks; None: kernel gap.
         nonlocal offset
         best, g_best = root, math.inf
         for _ in range(_CORRECTIONS):
@@ -574,34 +567,40 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
             if not abs(g) < abs(g_best):  # infeasible, or down to rounding
                 break
             best, g_best = root, g
-            # Within Brent's tolerance, or at an end the kernel gap's bracket takes.
-            if (abs(g) <= (_XTOL + _RTOL * root) / 2
-                    or (root in (lo, hi) and abs(g) <= _root_tol(root))):
+            x = c_bar(root)
+            delta = (_XTOL + _RTOL * x) / 2  # Brent's tolerance, read at c_bar
+            # Within it, or at an end the kernel gap's bracket takes.
+            if abs(g) <= delta or (root in (lo, hi) and abs(g) <= _root_tol(x)):
                 break
-            offset = closed_form(root) - (root - g)
-            g_far = closed_gap(root - g)
+            offset = closed_form(root) - (root + zero_effort(root) - g)
+            far = root - g
+            g_far = closed_gap(far)
             if g_far * g > 0.0:
-                return None
-            moved = _brent(closed_gap, root, root - g, g, g_far)
-            if moved == root:
+                far = lo if g > 0.0 else hi
+                g_far = closed_gap(far)
+                if g_far * g > 0.0:
+                    return None
+            moved = _brent(closed_gap, root, far, g, g_far)
+            if abs(moved - root) <= delta:  # a move Brent cannot resolve
                 break
             root = moved
         else:
             return None
-        return best if abs(g_best) <= _root_tol(best) else None
+        return best if abs(g_best) <= _root_tol(c_bar(best)) else None
 
-    root = None if closed_form is None else _bracket_root(closed_gap, lo, hi)
+    root = None if closed_form is None else _bracket_root(closed_gap, lo, hi, c_bar)
     if root is not None and policy.tail_effort() > 0.0:
         root = corrected(root)
     if root is None:
-        root = _bracket_root(kernel_gap, lo, hi)
+        root = _bracket_root(kernel_gap, lo, hi, c_bar)
 
     # Also rejects a bracket with no sign change, whose root is then hi.  An
     # infeasible root was never stored, and raises here as it did in gap.
     mu_grid = measures[root] if root in measures else measure(root)
-    g_root = root - average_effort(mu_grid, policy)
-    if abs(g_root) > _root_tol(root):
-        raise SolverError(f"no stationary average effort: |g({root:.12g})| = {abs(g_root):.3e}")
+    x = c_bar(root)
+    g_root = x - average_effort(mu_grid, policy)
+    if abs(g_root) > _root_tol(x):
+        raise SolverError(f"no stationary average effort: |g({x:.12g})| = {abs(g_root):.3e}")
     res, overflow = balance_residual(mu_grid.weights, policy, params)
     sup_res = float(np.max(np.abs(res)))
     if sup_res > RESIDUAL_TOL * max(1.0, params.eta):
@@ -611,7 +610,7 @@ def _solve(policy: Policy, params: ModelParams) -> tuple[PrecisionMeasure, float
     mass = mu.total_mass()
     if abs(mass - 1.0) > MASS_TOL:
         raise SolverError(f"stationary mass {mass:.10f} deviates from 1")
-    return mu, root, evals
+    return mu, x, evals
 
 
 # ---------------------------------------------------------------------------

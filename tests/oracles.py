@@ -17,15 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from percolate import SolverError
+from percolate.dynamics import ODE_ATOL, ODE_RTOL
 from percolate.errors import ValidationError
 from percolate.model import ModelParams, Policy, cross_section_params, exit_utility, gamma_coeff
 from percolate.simulator import DRAW_BLOCK, SimConfig, SimOutput, ValueEstimate
 from percolate.stationary import (
-    MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _RTOL, _XTOL, MarketState, _feasibility_floor, average_effort,
-    balance_residual, candidate_measure, solve_stationary,
+    MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _RTOL, _XTOL, MarketState, average_effort, balance_residual,
+    candidate_measure, solve_stationary,
 )
 
 
@@ -91,43 +93,51 @@ def pool_posteriors(x: float, n: int, y: float, m: int, rho: float) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
-def candidate_measure_loop(c_bar: float, efforts: np.ndarray, pi: np.ndarray, eta: float) -> np.ndarray:
-    """Candidate stationary weights at trial effort ``c_bar``, one precision at a time.
+def zero_bin_root(shift: float, c0: float, p0: float, eta: float) -> float:
+    """Stationary weight of precision 0 at balance shift ``shift``.
 
-    Precision 0 takes the smaller root of its quadratic, in the form
-    2 eta pi_0 / (b + sqrt(disc)) that keeps its digits as C_0 -> 0; then,
-    for k = 1..n_max,
+    The zero-bin balance eta (p0 - m) + (c0 m)^2 - c0 m c_bar = 0 with
+    c_bar = shift + 2 c0 m reads c0^2 m^2 + b m - eta p0 = 0, b = eta + c0 shift.
+    Its roots have product -eta p0 / c0^2 < 0, so exactly one is positive:
+    (sqrt(b^2 + 4 c0^2 eta p0) - b) / (2 c0^2), written as eta p0 over the
+    other factor for b >= 0 so that no digits cancel.  Nothing searches in
+    the bin (c0 = 0) or enters it (p0 = 0): the weight is p0.
+    """
+    if c0 == 0.0 or p0 == 0.0:
+        return float(p0)
+    b = eta + c0 * shift
+    d = math.sqrt(b * b + 4.0 * c0 * c0 * eta * p0)
+    if b >= 0.0:
+        return float(2.0 * eta * p0 / (b + d))
+    return float((d - b) / (2.0 * c0 * c0))
 
-        mu_k = (eta pi_k + sum_{l=1}^{k-1} nu_l nu_{k-l}) / (eta + C_k (c_bar - 2 nu_0)),
 
-    with nu = C mu.  Raises SolverError where the package's kernel must: an
-    infeasible zero-bin quadratic, a denominator <= 1e-14, or a non-finite
-    weight (at the first such precision).
+def candidate_measure_loop(shift: float, efforts: np.ndarray, pi: np.ndarray, eta: float) -> np.ndarray:
+    """Candidate stationary weights at balance shift ``shift``, one precision at a time.
+
+    Precision 0 takes ``zero_bin_root``; then, for k = 1..n_max,
+
+        mu_k = (eta pi_k + sum_{l=1}^{k-1} nu_l nu_{k-l}) / (eta + C_k shift),
+
+    with nu = C mu.  A precision with a zero numerator (nothing enters or
+    lands there) keeps weight 0 whatever its denominator.  Raises SolverError
+    where the package's kernel must: a reached precision with denominator
+    <= 1e-14, or a non-finite weight (at the first such precision).
     """
     n_max = efforts.size - 1
     mu = np.zeros(n_max + 1)
     nu = np.zeros(n_max + 1)
-    c0 = efforts[0]
-    if c0 > 0.0 and pi[0] > 0.0:
-        b = eta + c0 * c_bar
-        disc = b * b - 4.0 * c0 * c0 * eta * pi[0]
-        if disc < 0.0:
-            if disc > -1e-12 * b * b:
-                disc = 0.0
-            else:
-                raise SolverError(f"trial {c_bar} infeasible for the zero-precision balance")
-        mu[0] = 2.0 * eta * pi[0] / (b + math.sqrt(disc))
-    else:
-        mu[0] = pi[0]
-    nu[0] = c0 * mu[0]
-    shift = c_bar - 2.0 * nu[0]
+    mu[0] = zero_bin_root(shift, efforts[0], pi[0], eta)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_max + 1):
+            interior = float(np.dot(nu[1:k], nu[k - 1:0:-1])) if k >= 2 else 0.0
+            num = eta * pi[k] + interior
+            if num == 0.0:
+                continue
             den = eta + efforts[k] * shift
             if den <= 1e-14:
                 raise SolverError(f"degenerate balance denominator at precision {k}")
-            interior = float(np.dot(nu[1:k], nu[k - 1:0:-1])) if k >= 2 else 0.0
-            m = (eta * pi[k] + interior) / den
+            m = num / den
             if not math.isfinite(m):
                 raise SolverError(f"candidate measure diverges at precision {k}")
             mu[k] = m
@@ -144,44 +154,92 @@ def kernel_gap_solve(policy: Policy, params: ModelParams) -> float:
     """Average effort of the stationary market, with every trial a ``candidate_measure`` call.
 
     The package's stationary solve before any closed form: scipy's brentq (which
-    ``stationary._brent`` ports step for step) on g(x) = x - grid effort mass
-    over [feasibility floor, max(c_hi, floor)], an end of the bracket taken
-    when |g| <= ROOT_TOL * max(1, |x|) there, an infeasible trial counted as
+    ``stationary._brent`` ports step for step) on the balance shift s, with
+    g(s) = c_bar(s) - grid effort mass and c_bar(s) = s + 2 C_0 ``zero_bin_root``(s),
+    over [-C_0 pi_0, c_hi], an end of the bracket taken when
+    |g| <= ROOT_TOL * max(1, |c_bar|) there, an infeasible trial counted as
     g = -inf.  Raises SolverError where the package's acceptance does: a gap
-    already positive at the floor, a root with |g| > ROOT_TOL * max(1, root), a
+    already positive at the lower end, a root with |g| > ROOT_TOL * max(1, c_bar), a
     balance residual past RESIDUAL_TOL * max(1, eta), or a total mass (grid
     plus the overflow past it) off 1 by more than MASS_TOL, in either regime.
     """
+    c0, p0 = float(policy.efforts[0]), float(params.pi.weights[0])
 
-    def gap(x: float) -> float:
+    def c_bar(s: float) -> float:
+        return s + 2.0 * c0 * zero_bin_root(s, c0, p0, params.eta)
+
+    def gap(s: float) -> float:
         try:
-            return x - average_effort(candidate_measure(x, policy, params), policy)
+            return c_bar(s) - average_effort(candidate_measure(s, policy, params), policy)
         except SolverError:
             return -math.inf
 
-    def tol(x: float) -> float:
-        return ROOT_TOL * max(1.0, abs(x))
+    def tol(s: float) -> float:
+        return ROOT_TOL * max(1.0, abs(c_bar(s)))
 
-    lo = _feasibility_floor(policy, params)
-    hi = max(params.c_hi, lo)
+    lo, hi = 0.0 - c0 * p0, params.c_hi
     g_lo = gap(lo)
     if g_lo > tol(lo):
-        raise SolverError(f"gap {g_lo:.3e} already positive at the floor {lo}")
+        raise SolverError(f"gap {g_lo:.3e} already positive at the lower end {lo}")
     root = lo
     if g_lo < -tol(lo):
         root = hi
         if gap(hi) > tol(hi):
             root = brentq(gap, lo, hi, xtol=_XTOL, rtol=_RTOL, disp=False)
     mu = candidate_measure(root, policy, params)
-    if abs(root - average_effort(mu, policy)) > tol(root):
-        raise SolverError(f"|g({root})| > ROOT_TOL * max(1, root)")
+    x = c_bar(root)
+    if abs(x - average_effort(mu, policy)) > tol(root):
+        raise SolverError(f"|g({x})| > ROOT_TOL * max(1, c_bar)")
     res, overflow = balance_residual(mu.weights, policy, params)
     if float(np.max(np.abs(res))) > RESIDUAL_TOL * max(1.0, params.eta):
         raise SolverError("balance residual exceeds tolerance")
     mass = mu.grid_mass() + overflow / params.eta
     if abs(mass - 1.0) > MASS_TOL:
         raise SolverError(f"stationary mass {mass} deviates from 1")
-    return float(root)
+    return float(x)
+
+
+# ---------------------------------------------------------------------------
+# Stationary state as the limit of the measure flow
+# ---------------------------------------------------------------------------
+
+# Fixed from the integrator's tolerances before the flow oracle's first run.
+# RK45 holds each step to ODE_ATOL + ODE_RTOL |y| with every weight at most 1:
+# the flow has settled when a window of 10 / eta moves no weight or the tail
+# by more than FLOW_TOL, and a stationary solve agrees with it when they are
+# FLOW_GATE apart at most (sup norm over the weights and the tail).
+FLOW_TOL = ODE_ATOL + ODE_RTOL
+FLOW_GATE = 100.0 * FLOW_TOL
+FLOW_WINDOWS = 200
+
+
+def stationary_flow(policy: Policy, params: ModelParams) -> tuple[np.ndarray, float]:
+    """Grid weights and tail mass where the measure flow from ``pi`` comes to rest.
+
+    Integrates d mu_n / dt = eta (pi_n - mu_n) + (nu * nu)_n - nu_n nu(N),
+    nu = C mu, with the convolution past n_max feeding a tail that decays at
+    rate eta, by scipy's RK45 at ODE_ATOL / ODE_RTOL, one window of 10 / eta
+    at a time until a window moves nothing by more than FLOW_TOL.  Written
+    from the flow's equation, not from ``dynamics``; AssertionError if the
+    flow has not settled after FLOW_WINDOWS windows.
+    """
+    efforts, pi, eta, n = policy.efforts, params.pi.weights, params.eta, params.n_max
+
+    def rhs(_t, y):
+        nu = efforts * y[:-1]
+        conv = np.convolve(nu, nu)
+        grid = eta * (pi - y[:-1]) + conv[: n + 1] - nu * nu.sum()
+        return np.append(grid, conv[n + 1 :].sum() - eta * y[-1])
+
+    y = np.append(pi, 0.0)
+    for _ in range(FLOW_WINDOWS):
+        sol = solve_ivp(rhs, (0.0, 10.0 / eta), y, method="RK45", atol=ODE_ATOL, rtol=ODE_RTOL)
+        assert sol.success, sol.message
+        moved = float(np.max(np.abs(sol.y[:, -1] - y)))
+        y = sol.y[:, -1]
+        if moved <= FLOW_TOL:
+            return y[:-1], float(y[-1])
+    raise AssertionError(f"measure flow still moves {moved:.3e} after {FLOW_WINDOWS} windows")
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,16 @@ def test_simulate_dynamics_point_init(scenario_file, tmp_path):
     assert res["l1_gap_to_stationary"] > 0
 
 
+def test_simulate_dynamics_solves_the_stationary_market_only_for_json(scenario_file, tmp_path):
+    # The CSV holds the flow alone; only the JSON's l1_gap_to_stationary reads
+    # the stationary state, so a market the solve rejects still writes its flow.
+    argv = ["simulate-dynamics", "--config", scenario_file, "--policy", "trigger:2",
+            "--t-end", "2", "--dt-out", "1", "--out"]
+    with mock.patch.object(cli, "solve_stationary", side_effect=SolverError("no stationary state")):
+        assert cli.main([*argv, str(tmp_path / "flow.csv")]) == 0
+        assert cli.main([*argv, str(tmp_path / "flow.json")]) == 3
+
+
 def test_best_response_roundtrip(scenario_file, tmp_path):
     out = tmp_path / "br.json"
     rc = cli.main([

@@ -22,11 +22,13 @@ from percolate.best_response import VALUE_TOL, _fixed_terms, bellman_operator
 from percolate.model import N_MAX_LIMIT
 from percolate.stationary import (
     _CLOSED_FORM_MAX_TRIGGER, MASS_TOL, RESIDUAL_TOL, ROOT_TOL, _brent, _closed_form_mass,
-    _feasibility_floor, average_effort, balance_residual, candidate_measure, is_stable,
-    solve_stationary,
+    average_effort, balance_residual, candidate_measure, is_stable, solve_stationary,
 )
 from conftest import SIM_ARRAYS, SIM_COUNTERS, make_scenario, ulps_apart
-from oracles import candidate_measure_loop, estimate_value_loop, kernel_gap_solve, run_loop
+from test_stationary import assert_solve_matches_the_flow
+from oracles import (
+    candidate_measure_loop, estimate_value_loop, kernel_gap_solve, run_loop, zero_bin_root,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -103,7 +105,7 @@ def test_every_solve_keeps_unit_mass(case):
 
 @st.composite
 def kernel_cases(draw):
-    """A market, a policy of 1-6 runs of equal effort and a trial average effort."""
+    """A market, a policy of 1-6 runs of equal effort and a trial balance shift."""
     n_max = draw(st.integers(2, 64))
     support = draw(st.lists(st.integers(1, min(5, n_max)), min_size=1, max_size=5, unique=True))
     if draw(st.booleans()):
@@ -130,8 +132,8 @@ def kernel_cases(draw):
         efforts = np.repeat([draw(effort), *levels], [1, *lengths])
         policy = Policy(efforts)
 
-    floor = _feasibility_floor(policy, params)
-    trial = floor + draw(st.floats(0.0, 1.0)) * max(c_hi - floor, 0.0)
+    lo = 0.0 - policy.efforts[0] * params.pi.weights[0]
+    trial = lo + draw(st.floats(0.0, 1.0)) * (c_hi - lo)
     return params, policy, trial
 
 
@@ -188,33 +190,41 @@ def test_closed_form_gap_matches_the_kernel_gap(case):
     mass = _closed_form_mass(policy, params)
     assert mass is not None
 
+    c0, p0 = float(policy.efforts[0]), float(params.pi.weights[0])
+
+    def c_bar(x: float) -> float:
+        return x + 2.0 * c0 * zero_bin_root(x, c0, p0, params.eta)
+
     def kernel_gap(x: float) -> float:
         try:
-            return x - average_effort(candidate_measure(x, policy, params), policy)
+            return c_bar(x) - average_effort(candidate_measure(x, policy, params), policy)
         except SolverError:
             return -math.inf
 
     def closed_gap(x: float) -> float:
-        return x - mass(x)
+        return x + c0 * zero_bin_root(x, c0, p0, params.eta) - mass(x)
 
-    lo = _feasibility_floor(policy, params)
-    hi = max(params.c_hi, lo)
+    lo = 0.0 - c0 * p0
+    hi = params.c_hi
     for u in trials:
         x = lo + u * (hi - lo)
-        g, closed = kernel_gap(x), closed_gap(x)
+        closed = c0 * zero_bin_root(x, c0, p0, params.eta) + mass(x)
         assert not math.isnan(closed)
-        if math.isfinite(g):  # a feasible trial: the masses x - g agree
-            assert abs(closed - g) <= 1e-13 * (x - g), x
+        try:
+            kernel = average_effort(candidate_measure(x, policy, params), policy)
+        except SolverError:
+            continue  # an infeasible trial
+        assert abs(closed - kernel) <= 1e-13 * kernel, x
     g_lo, g_hi = kernel_gap(lo), kernel_gap(hi)
     if not (g_lo < -ROOT_TOL and g_hi > ROOT_TOL):
         return  # the solve takes an end of the bracket, no Brent iteration
     root = _brent(closed_gap, lo, hi, closed_gap(lo), closed_gap(hi))
-    assert ulps_apart(root, _brent(kernel_gap, lo, hi, g_lo, g_hi)) <= 4
+    assert ulps_apart(c_bar(root), c_bar(_brent(kernel_gap, lo, hi, g_lo, g_hi))) <= 4
     try:
         state = solve_stationary(policy, params)
     except SolverError:
         return  # rejected on the kernel measure at the root, as before
-    assert state.c_bar == root
+    assert state.c_bar == c_bar(root)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +291,32 @@ def test_corrected_closed_form_matches_the_kernel_gap_solve(case):
         assert got.hex() == expected.hex()
     else:
         assert ulps_apart(got, expected) <= 8
+
+
+# ---------------------------------------------------------------------------
+# Stationary solve against the measure flow where entrants search at precision 0
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def searching_entrant_markets(draw):
+    """Entry mass at precision 0 and c_hi^2 > eta, on at most 32 bins, with a trigger policy."""
+    n_max = draw(st.integers(5, 32))
+    support = [0, *draw(st.lists(st.integers(1, 5), min_size=0, max_size=2, unique=True))]
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(support), max_size=len(support)))
+    pi = {str(k): w / sum(raw) for k, w in zip(support, raw)}
+    eta = draw(st.floats(0.2, 2.0))
+    c_hi = math.sqrt(eta) * draw(st.floats(1.05, 2.0))
+    c_lo = draw(st.sampled_from([0.0, 0.05, 0.1]))
+    params = load_params(make_scenario(n_max=n_max, pi=pi, c_lo=c_lo, c_hi=c_hi, eta=eta))
+    return params, Policy.trigger_policy(draw(st.integers(0, 5)), params)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(searching_entrant_markets())
+def test_solve_matches_the_flow_where_entrants_search(case):
+    params, policy = case
+    assert_solve_matches_the_flow(policy, params)
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -22,11 +22,11 @@ from percolate.stationary import (
     _RTOL,
     _XTOL,
     _brent,
-    _feasibility_floor,
     average_effort,
     candidate_measure,
 )
 from conftest import make_scenario, ulps_apart
+from oracles import zero_bin_root
 
 
 def _both(f, lo: float, hi: float) -> tuple[list[str], list[str]]:
@@ -84,22 +84,25 @@ def test_port_matches_brentq_on_the_stationary_gap(c_lo, pi):
         params = load_params(make_scenario(eta=eta, c_lo=c_lo, pi=pi, n_max=256))
         for trigger in range(0, 31, 3):
             policy = Policy.trigger_policy(trigger, params)
+            c0, p0 = float(policy.efforts[0]), float(params.pi.weights[0])
 
-            def gap(x: float) -> float:
+            def c_bar(s: float) -> float:
+                return s + 2.0 * c0 * zero_bin_root(s, c0, p0, eta)
+
+            def gap(s: float) -> float:
                 try:
-                    return x - average_effort(candidate_measure(x, policy, params), policy)
+                    return c_bar(s) - average_effort(candidate_measure(s, policy, params), policy)
                 except SolverError:
                     return -math.inf
 
-            lo = _feasibility_floor(policy, params)
-            hi = max(params.c_hi, lo)
+            lo, hi = 0.0 - c0 * p0, params.c_hi
             if not (gap(lo) < -ROOT_TOL and gap(hi) > ROOT_TOL):
                 continue  # the solve takes an end of the bracket, no Brent iteration
             ref, port = _both(gap, lo, hi)
             assert port == ref, (eta, trigger)
             # Every trigger market here takes the closed-form gap, corrected for
             # the mass past the grid when c_lo > 0.
-            c_bar = solve_stationary(policy, params).c_bar
-            assert ulps_apart(c_bar, float.fromhex(port[-1])) <= 4, (eta, trigger)
+            solved_c_bar = solve_stationary(policy, params).c_bar
+            assert ulps_apart(solved_c_bar, c_bar(float.fromhex(port[-1]))) <= 4, (eta, trigger)
             solved += 1
     assert solved >= 20

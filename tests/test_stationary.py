@@ -18,6 +18,7 @@ from percolate import (
     PrecisionMeasure,
     SolverError,
     ValidationError,
+    find_equilibria,
     fosd_compare,
     integrate,
     load_params,
@@ -32,8 +33,10 @@ from percolate.stationary import (
 )
 from conftest import POOL, make_scenario
 from oracles import (
+    FLOW_GATE,
     candidate_measure_loop,
     mgf_check,
+    stationary_flow,
     three_bin_derivatives,
     three_bin_market,
     z_sequence,
@@ -435,23 +438,69 @@ def test_acceptance_bounds_scale_with_the_market(eta):
     assert state.mu.total_mass() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_infeasible_floor_raises():
-    # Entry overwhelmingly at precision 0 with a tiny replacement rate: the
-    # zero-bin quadratic cannot balance at any admissible average effort.
+def test_market_where_only_precision_zero_searches_solves_to_the_entry_law():
+    # Only precision 0 searches, and its searchers meet only each other and
+    # stay there, so mu = pi with c_bar = C_0 pi_0 = 0.98 is stationary: the
+    # lowest shift -C_0 pi_0 is the root.  The flow from pi stays there.
     p = _params(eta=0.02, pi={"0": 0.98, "1": 0.02}, c_lo=0.0, c_hi=1.0, n_max=32)
-    with pytest.raises(SolverError):
-        solve_stationary(Policy.trigger_policy(1, p), p)
+    pol = Policy.trigger_policy(1, p)
+    state = solve_stationary(pol, p)
+    assert state.c_bar == pytest.approx(0.98, rel=1e-15)
+    np.testing.assert_allclose(state.mu.weights, p.pi.weights, rtol=1e-15, atol=0.0)
+    assert integrate(p.pi, pol, p, t_end=300.0).l1_distance(state.mu) < 1e-12
 
 
 def test_diverging_trial_raises_without_overflow_warning():
-    # At the feasibility floor of this market the candidate weights grow
-    # geometrically; the recursion stops at the first non-finite weight.
+    # Just above the shift -eta / C_1 the denominators of precisions 1..2 are
+    # about 1e-9 eta, and the candidate weights grow geometrically; the
+    # recursion stops at the first non-finite weight.
     p = _params(pi={"0": 0.5, "1": 0.5}, c_lo=0.1)
     pol = Policy.trigger_policy(3, p)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolverError, match="diverges"):
-            candidate_measure(stationary._feasibility_floor(pol, p), pol, p)
+            candidate_measure(-p.eta / pol.efforts[1] * (1.0 - 1e-9), pol, p)
+
+
+# The market whose stationary state sits where the zero-bin quadratic in the
+# average effort takes its larger root: the flow from pi settles at c_bar
+# 0.8284008 with mu_0 0.4938581 under triggers 1-3.
+LARGER_ROOT_MARKET = {
+    "eta": 1.0505903325588828, "c_lo": 0.1, "c_hi": 1.5749192923444422,
+    "pi": {"0": 0.5313294251958152, "3": 0.46867057480418484}, "n_max": 64,
+}
+
+
+def assert_solve_matches_the_flow(policy, params) -> MarketState:
+    """The stationary solve against the measure flow's resting point, within FLOW_GATE."""
+    state = solve_stationary(policy, params)
+    weights, tail = stationary_flow(policy, params)
+    gap = max(float(np.max(np.abs(state.mu.weights - weights))), abs(state.mu.tail_mass - tail))
+    assert gap <= FLOW_GATE, gap
+    return state
+
+
+@pytest.mark.parametrize("trigger", [1, 2, 3, 4])
+def test_larger_root_market_solves_to_the_flows_state(trigger):
+    p = _params(**LARGER_ROOT_MARKET)
+    state = assert_solve_matches_the_flow(Policy.trigger_policy(trigger, p), p)
+    c0 = state.policy.efforts[0]
+    mu0 = state.mu.weights[0]
+    b = p.eta + c0 * state.c_bar
+    if trigger <= 3:
+        # mu_0 is the larger root of C_0^2 m^2 - b m + eta pi_0 = 0.
+        assert 2 * c0 * c0 * mu0 > b
+        assert state.c_bar == pytest.approx(0.8284008, abs=1e-7)
+
+
+def test_market_where_only_precision_zero_searches_matches_the_flow():
+    p = _params(eta=0.02, pi={"0": 0.98, "1": 0.02}, c_lo=0.0, c_hi=1.0, n_max=32)
+    assert_solve_matches_the_flow(Policy.trigger_policy(1, p), p)
+
+
+def test_scan_of_the_larger_root_market_returns():
+    report = find_equilibria(_params(**LARGER_ROOT_MARKET))
+    assert report.triggers() == [0]
 
 
 def _kernel_outcome(run):
@@ -463,9 +512,9 @@ def _kernel_outcome(run):
 
 
 def test_kernel_fails_where_the_recursion_fails_and_agrees_elsewhere():
-    # Entry mass at precision 0 makes the zero-bin denominator shift reach
-    # -eta / C_0 at the feasibility floor, so trials just above it drive
-    # runs with more effort than precision 0 to diverge or degenerate.
+    # Entry mass at precision 0 lets the shift reach -C_0 pi_0 < -eta / C_k,
+    # so trials near that lower end make runs of effort C_k degenerate, and
+    # trials just above -eta / C_k make them diverge.
     p = _params(n_max=64, pi={"0": 0.9, "1": 0.07, "2": 0.03}, eta=0.2, c_hi=2.5)
     policies = (
         Policy.trigger_policy(5, p),
@@ -474,8 +523,11 @@ def test_kernel_fails_where_the_recursion_fails_and_agrees_elsewhere():
     )
     kinds = set()
     for pol in policies:
-        floor = stationary._feasibility_floor(pol, p)
-        for x in floor + (p.c_hi - floor) * np.append(0.0, np.geomspace(1e-14, 1.0, 60)):
+        lo = 0.0 - pol.efforts[0] * p.pi.weights[0]
+        trials = [lo + (p.c_hi - lo) * np.append(0.0, np.geomspace(1e-14, 1.0, 60))]
+        for c in np.unique(pol.efforts[pol.efforts > 0.0]):
+            trials.append(-p.eta / c * (1.0 - np.geomspace(1e-14, 1.0, 20)))
+        for x in np.concatenate(trials):
             expected = _kernel_outcome(
                 lambda: candidate_measure_loop(x, pol.efforts, p.pi.weights, p.eta))
             got = _kernel_outcome(lambda: candidate_measure(x, pol, p).weights)
@@ -490,9 +542,8 @@ def test_kernel_fails_where_the_recursion_fails_and_agrees_elsewhere():
 
 @pytest.mark.parametrize("c_lo", [1e-6, 1e-9, 1e-200, 5e-324])
 def test_small_zero_bin_effort_keeps_the_entry_mass(c_lo):
-    # The small root (b - sqrt(disc)) / (2 C_0^2) cancels to noise as C_0 -> 0
-    # (and to 0/0 once C_0^2 underflows); the conjugate form does not.  At a
-    # subnormal C_0 the feasibility floor must not divide by it either.
+    # The positive root (sqrt(disc) - b) / (2 C_0^2) cancels to noise as
+    # C_0 -> 0 (and to 0/0 once C_0^2 underflows); the conjugate form does not.
     p = _params(n_max=32, pi={"0": 0.5, "1": 0.5}, c_lo=c_lo)
     st = solve_stationary(Policy.trigger_policy(0, p), p)
     assert st.mu.weights[0] == pytest.approx(0.5, rel=1e-6)
@@ -599,13 +650,13 @@ def memo(monkeypatch):
 
 @pytest.fixture
 def gap_evals(monkeypatch):
-    """Trial efforts passed to candidate_measure, in call order."""
+    """Trial shifts passed to candidate_measure, in call order."""
     calls = []
     real = stationary.candidate_measure
 
-    def counted(c_bar, policy, params):
-        calls.append(c_bar)
-        return real(c_bar, policy, params)
+    def counted(shift, policy, params):
+        calls.append(shift)
+        return real(shift, policy, params)
 
     monkeypatch.setattr(stationary, "candidate_measure", counted)
     return calls
@@ -687,8 +738,7 @@ def test_memo_hit_still_validates_effort_bounds(memo):
 
 
 def test_memo_does_not_store_failures(memo, monkeypatch):
-    # The closed-form gap rejects this market without a kernel call, so count
-    # uncached solves, which both gap paths pass through.
+    # Count uncached solves, which both gap paths pass through.
     solves = []
     real = stationary._solve
 
@@ -697,8 +747,10 @@ def test_memo_does_not_store_failures(memo, monkeypatch):
         return real(policy, params)
 
     monkeypatch.setattr(stationary, "_solve", counted)
-    p = _params(eta=0.021, pi={"0": 0.98, "1": 0.02}, c_lo=0.0, c_hi=1.0, n_max=32)
-    pol = Policy.trigger_policy(1, p)
+    # The solve finds its root, but the mass past the grid underflows (eta
+    # 1e-300), so the unit-mass check rejects it.
+    p = _params(eta=1e-300, c_lo=1e6, c_hi=1e6, n_max=3, cost={"type": "linear", "kappa": 1e6})
+    pol = Policy.constant(1e6, p)
     with pytest.raises(SolverError):
         solve_stationary(pol, p)
     assert len(solves) == 1
