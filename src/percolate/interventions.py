@@ -9,8 +9,9 @@ Because equilibria can flip discontinuously, interesting witnesses sit next
 to the boundary where an active (searching) equilibrium appears or vanishes.
 The witness finders below locate that boundary by bisection on the cost
 slope kappa and certify the welfare comparison on the entry support; every
-bisection is recorded in the returned report.  Both search one fixed family
-of markets (``_block_market``); only the grid size ``n_max`` is the caller's.
+bisection is recorded in the returned report.  Both build one fixed family
+of markets (``_block_market``); only the grid size ``n_max`` is the caller's,
+and the witnesses exist for n_max >= 17 (subsidy) and n_max >= 18 (education).
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .model import CostSpec, ModelParams, PrecisionMeasure, exit_utility
 WELFARE_TOL = 1e-12
 # Witness markets: the entry block size, the relative width to which the
 # kappa boundary is bisected, the subsidy witness's signal correlation and
-# the correlations the education witness tries, smallest first.
+# subsidy (a fraction of the baseline slope), the education witness's correlation.
 WITNESS_BLOCK = 8
 WITNESS_BAND = 1e-4
 SUBSIDY_RHO = 0.5
-EDUCATION_RHO_GRID = (0.15, 0.2, 0.25, 0.3, 0.35)
+SUBSIDY_FRACTION = 0.45
+EDUCATION_RHO = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +171,14 @@ class Bisection:
     evaluations: int
 
 
-class BoundaryNotFound(SolverError):
-    """No switch between active and inactive markets on the searched kappa range."""
-
-
 def _existence_boundary(make_params, lo: float, hi: float) -> Bisection:
     """Bisect kappa between an active and an inactive market to ``WITNESS_BAND``.
 
     Each evaluation asks only whether the market at that kappa has an active
     equilibrium, which ``active_equilibrium_exists`` answers by walking down
     the monotone correspondence instead of tabulating every trigger.  A range
-    without a switch raises ``BoundaryNotFound``; any other ``SolverError``,
-    such as a non-monotone correspondence, comes from the solvers.
+    without a switch raises ``SolverError``, as does a solver failure such as
+    a non-monotone correspondence.
     """
     evals = 0
 
@@ -203,15 +201,10 @@ def _existence_boundary(make_params, lo: float, hi: float) -> Bisection:
                 foothold = step
                 break
         if foothold is None:
-            raise BoundaryNotFound(f"no active equilibrium found above kappa={lo:.6g}")
+            raise SolverError(f"no active equilibrium found above kappa={lo:.6g}")
         lo = foothold
-    grow = 0
-    while active(hi):
-        lo = hi
-        hi *= 2.0
-        grow += 1
-        if grow > 12:
-            raise BoundaryNotFound(f"active equilibrium persists up to kappa={hi:.6g}")
+    if active(hi):
+        raise SolverError(f"active equilibrium persists up to kappa={hi:.6g}")
     while hi - lo > WITNESS_BAND * hi:
         mid = 0.5 * (lo + hi)
         if active(mid):
@@ -276,11 +269,11 @@ def find_subsidy_witness(n_max: int = 256) -> SubsidyWitness:
     """Construct a market where a tiny subsidy strictly improves all entrants.
 
     Entry mixes precision 0 and a block of ``WITNESS_BLOCK`` signals at
-    correlation ``SUBSIDY_RHO``; search is
-    worthless without coordination, so an active equilibrium exists only below
-    a kappa threshold.  The threshold is located by bisection (recorded), the
-    baseline slope is set just above it, and the subsidy bridges the gap.
-    The treated welfare check is net of the balanced-budget entry tax.
+    correlation ``SUBSIDY_RHO``; search is worthless without coordination, so
+    an active equilibrium exists only below a kappa threshold.  The threshold
+    is located by bisection (recorded), the baseline slope is set just above
+    it, and a subsidy of ``SUBSIDY_FRACTION`` of that slope bridges the gap,
+    net of the balanced-budget entry tax.
     """
     make = partial(_block_market, rho=SUBSIDY_RHO, n_max=n_max)
     start = -_condition_margin(make(0.0), WITNESS_BLOCK)  # one-jump gain scale
@@ -299,29 +292,24 @@ def find_subsidy_witness(n_max: int = 256) -> SubsidyWitness:
     # A subsidy barely past the boundary leaves block entrants marginal: their
     # gross gain is second order in the overshoot while the entry tax is first
     # order in delta, so the net sign flips only once the treated market is
-    # deep enough that entrants at the block are inframarginal.  Walk delta up
-    # until every entry precision improves net of tax.
-    last_error = "no subsidy level tried"
-    for fraction in (0.3, 0.45, 0.6, 0.75, 0.9):
-        delta = fraction * kappa_base
-        treated = apply_subsidy(params_base, delta)
-        if not treated.has_active():
-            last_error = f"delta={delta:.6g} failed to activate the market"
-            continue
-        outcome = welfare_compare(baseline, treated)
-        if outcome.verdict != "improves":
-            last_error = f"delta={delta:.6g} gave verdict {outcome.verdict!r}"
-            continue
-        return SubsidyWitness(
-            params=params_base,
-            delta=delta,
-            tax=outcome.tax,
-            boundary=boundary,
-            baseline=baseline,
-            treated=treated,
-            outcome=outcome,
-        )
-    raise SolverError(f"no subsidy witness on the delta ladder: {last_error}")
+    # deep enough that entrants at the block are inframarginal: 0.3 of the
+    # slope gives an ambiguous verdict on every grid, 0.45 works from n_max 17.
+    delta = SUBSIDY_FRACTION * kappa_base
+    treated = apply_subsidy(params_base, delta)
+    if not treated.has_active():
+        raise SolverError(f"no subsidy witness: delta={delta:.6g} failed to activate the market")
+    outcome = welfare_compare(baseline, treated)
+    if outcome.verdict != "improves":
+        raise SolverError(f"no subsidy witness: delta={delta:.6g} gave verdict {outcome.verdict!r}")
+    return SubsidyWitness(
+        params=params_base,
+        delta=delta,
+        tax=outcome.tax,
+        boundary=boundary,
+        baseline=baseline,
+        treated=treated,
+        outcome=outcome,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +330,6 @@ class EducationWitness:
 
     params: ModelParams
     signals: int
-    rho: float
     boundary_untreated: Bisection
     boundary_treated: Bisection
     baseline: EquilibriumReport
@@ -359,50 +346,36 @@ def find_education_witness(n_max: int = 256) -> EducationWitness:
     the treated and untreated thresholds, the baseline market searches while
     the treated one collapses to no search.  The signal's direct worth decays
     quadratically with correlation while the foregone ladder of pooling jumps
-    scales with the block size, so weak signals favor the loss;
-    ``EDUCATION_RHO_GRID`` is scanned from the smallest correlation up and
-    the first strict drop in expected entry utility wins (both threshold
-    bisections recorded).
+    scales with the block size, so weak signals favor the loss; the witness
+    uses ``EDUCATION_RHO`` (both threshold bisections recorded).
     """
-    last_error: str = "rho grid exhausted"
-    for rho in EDUCATION_RHO_GRID:
-        make = partial(_block_market, rho=rho, n_max=n_max)
-        start = -_condition_margin(make(0.0), WITNESS_BLOCK)
-        if start <= 0:
-            last_error = f"no search gain at rho={rho}"
-            continue
-        try:
-            b0 = _existence_boundary(make, start / 8.0, start)
-            b1 = _existence_boundary(partial(make, public_signals=1), start / 16.0, start)
-        except BoundaryNotFound as exc:
-            last_error = f"rho={rho}: {exc}"
-            continue
-        if b1.inactive >= b0.active:
-            last_error = f"rho={rho}: thresholds not separated"
-            continue
-        # Sit near the bottom of the separating window: the baseline market
-        # keeps as much search surplus as possible while one public signal
-        # still collapses it.
-        kappa = min(math.sqrt(b1.inactive * b0.active), b1.inactive * 1.05)
-        baseline = find_equilibria(make(kappa))
-        treated = find_equilibria(make(kappa, public_signals=1))
-        if not baseline.has_active() or treated.has_active():
-            last_error = f"rho={rho}: midpoint slope did not separate the markets"
-            continue
-        outcome = welfare_compare(baseline, treated)
-        pi_w = baseline.params.pi.weights
-        entry_delta = float(np.dot(pi_w, outcome.welfare_delta))
-        if entry_delta < -1e-10:
-            return EducationWitness(
-                params=make(kappa),
-                signals=1,
-                rho=rho,
-                boundary_untreated=b0,
-                boundary_treated=b1,
-                baseline=baseline,
-                treated=treated,
-                outcome=outcome,
-                entry_utility_delta=entry_delta,
-            )
-        last_error = f"rho={rho}: entry utility did not fall ({entry_delta:.3e})"
-    raise SolverError(f"no education witness found: {last_error}")
+    make = partial(_block_market, rho=EDUCATION_RHO, n_max=n_max)
+    start = -_condition_margin(make(0.0), WITNESS_BLOCK)
+    if start <= 0:
+        raise SolverError("no education witness: the entry block carries no search gain")
+    b0 = _existence_boundary(make, start / 8.0, start)
+    b1 = _existence_boundary(partial(make, public_signals=1), start / 16.0, start)
+    if b1.inactive >= b0.active:
+        raise SolverError("no education witness: thresholds not separated")
+    # Sit near the bottom of the separating window: the baseline market
+    # keeps as much search surplus as possible while one public signal
+    # still collapses it.
+    kappa = min(math.sqrt(b1.inactive * b0.active), b1.inactive * 1.05)
+    baseline = find_equilibria(make(kappa))
+    treated = find_equilibria(make(kappa, public_signals=1))
+    if not baseline.has_active() or treated.has_active():
+        raise SolverError("no education witness: the chosen slope did not separate the markets")
+    outcome = welfare_compare(baseline, treated)
+    entry_delta = float(np.dot(baseline.params.pi.weights, outcome.welfare_delta))
+    if not entry_delta < -1e-10:
+        raise SolverError(f"no education witness: entry utility did not fall ({entry_delta:.3e})")
+    return EducationWitness(
+        params=make(kappa),
+        signals=1,
+        boundary_untreated=b0,
+        boundary_treated=b1,
+        baseline=baseline,
+        treated=treated,
+        outcome=outcome,
+        entry_utility_delta=entry_delta,
+    )

@@ -276,10 +276,6 @@ class Policy:
         if not np.all(np.isfinite(e) & (e >= 0)):
             raise ValidationError("efforts must be finite and nonnegative")
 
-    @property
-    def n_max(self) -> int:
-        return self.efforts.size - 1
-
     def tail_effort(self) -> float:
         return float(self.efforts[-1])
 
@@ -345,10 +341,6 @@ class ValueFunction:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
-
-    @property
-    def n_max(self) -> int:
-        return self.values.size - 1
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,7 @@ def test_sweep_rejects_malformed_grids(scenario_file, tmp_path):
     assert cli.main(base + ["--grid", '{"eta": 0.5}']) == 2
     assert cli.main(base + ["--grid", '{"eta": [0.5']) == 2
     assert cli.main(base + ["--grid", str(tmp_path / "nope.json")]) == 2
+    assert cli.main(base + ["--grid", "{}"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +533,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         ({"cost": {"type": "linear", "kappa": 0.1, "points": 5}}, "'points'"),
         ({"cost": {"type": "tabulated", "points": [[0, 0], [1, 0.1]], "kappa": 0.3}}, "'kappa'"),
         ({"cost": {"type": "tabulated", "points": [[0, 0], [0.5, 0.05]]}}, "do not cover"),
+        ({"cost": {"type": "tabulated", "points": [[0, 0.1], [1, 0.0]]}}, "must be nondecreasing"),
+        ({"cost": {"type": "quadratic"}}, "unknown cost type"),
+        ({"pi": "abc"}, "pi must be a list"),
+        ({"pi": [0.1] * 65}, "exceeds n_max"),
+        ({"public_signals": -1}, "must be nonnegative"),
+        ({"subsidy": -0.1}, "must be nonnegative"),
     ]:
         bad.write_text(json.dumps(make_scenario(**overrides)))
         capsys.readouterr()
@@ -578,19 +585,33 @@ def test_missing_files_exit_2(scenario_file, tmp_path):
     assert cli.main(["solve-stationary", "--config", str(garbled), "--policy", "trigger:1"]) == 2
 
 
-def test_bad_policy_spec_exits_2(scenario_file, tmp_path):
+def test_bad_policy_spec_exits_2(scenario_file, tmp_path, capsys):
     rc = cli.main(["solve-stationary", "--config", scenario_file, "--policy", "trigger:bogus"])
     assert rc == 2
     plist = tmp_path / "efforts.json"
     plist.write_text(json.dumps(["a", 1]))
     rc = cli.main(["solve-stationary", "--config", scenario_file, "--policy", f"list:{plist}"])
     assert rc == 2
+    for spec, listed, named in [
+        ("foo:1", None, "unknown policy spec"),
+        (f"list:{plist}", [], "must be nonempty"),
+        (f"list:{plist}", {"a": 1}, "must hold a JSON array"),
+    ]:
+        if listed is not None:
+            plist.write_text(json.dumps(listed))
+        capsys.readouterr()
+        assert cli.main(["solve-stationary", "--config", scenario_file, "--policy", spec]) == 2
+        assert named in capsys.readouterr().err, spec
 
 
 def test_bad_initial_condition_and_grid_size_exit_2(scenario_file):
     assert cli.main([
         "simulate-dynamics", "--config", scenario_file, "--policy", "trigger:1",
         "--t-end", "1", "--init", "point:abc",
+    ]) == 2
+    assert cli.main([
+        "simulate-dynamics", "--config", scenario_file, "--policy", "trigger:1",
+        "--t-end", "1", "--init", "point:65",
     ]) == 2
     # The scenario's pi is a list, which would be laid out on the grid first;
     # 10^11 bins would need hundreds of GiB.
@@ -615,6 +636,7 @@ BAD_NUMERIC_FLAGS = {
     "seed-negative": _MC_RUN + ["--seed", "-1"],
     "dt-out-negative": _DYNAMICS + ["--dt-out", "-1"],
     "y-nan": _MC_RUN + ["--y", "nan"],
+    "population-abc": _MC_RUN + ["--population", "abc"],
 }
 
 

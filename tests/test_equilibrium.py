@@ -324,7 +324,7 @@ def test_a_non_monotone_correspondence_raises_through_the_witness(monkeypatch):
         active_equilibrium_exists(p)
     assert seen == [trigger_bounds(p)[1], 0]
     seen.clear()
-    # The education witness must not read the failure as "no witness at this rho".
+    # The education witness must not swallow the failure.
     with pytest.raises(SolverError, match="^correspondence not monotone"):
         find_education_witness(n_max=128)
     assert len(seen) == 2
@@ -382,7 +382,7 @@ def test_subsidy_witness_gap_evaluations_are_bounded(monkeypatch):
 def test_education_witness_is_pinned(education_witness):
     w = education_witness
     b0, b1 = w.boundary_untreated, w.boundary_treated
-    assert (w.rho, b0.evaluations, b1.evaluations) == (0.15, 18, 20)
+    assert (w.params.rho, b0.evaluations, b1.evaluations) == (0.15, 18, 20)
     assert [float(x).hex() for x in (b0.active, b0.inactive, b1.active, b1.inactive)] == [
         "0x1.a6080b249359cp-5", "0x1.a60fb06cdbb0ep-5",
         "0x1.9937e2b9db159p-5", "0x1.993ed578f3500p-5",

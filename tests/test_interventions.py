@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from percolate import (
+    SolverError,
     ValidationError,
     apply_education,
     apply_subsidy,
     find_equilibria,
     load_params,
     welfare_compare,
+)
+from percolate.interventions import (
+    _block_market,
+    _existence_boundary,
+    find_education_witness,
+    find_subsidy_witness,
 )
 from conftest import make_scenario
 
@@ -138,6 +145,32 @@ def test_education_witness_certificate(education_witness):
     )
     # the entrants who lose are those relying on the collapsed ladder
     assert w.outcome.welfare_delta[0] < 0
+
+
+def test_subsidy_witness_exists_from_n_max_17():
+    # At n_max 16 the subsidy activates the market but leaves some entrants
+    # worse off net of the tax.
+    with pytest.raises(SolverError, match="gave verdict 'ambiguous'"):
+        find_subsidy_witness(n_max=16)
+    assert find_subsidy_witness(n_max=17).outcome.verdict == "improves"
+
+
+def test_education_witness_exists_from_n_max_18():
+    with pytest.raises(SolverError):
+        find_education_witness(n_max=17)
+    assert find_education_witness(n_max=18).entry_utility_delta < -1e-10
+
+
+def test_subsidy_witness_raises_without_a_foothold():
+    # On a small grid no kappa below the one-jump gain scale is active.
+    with pytest.raises(SolverError, match="no active equilibrium found above kappa"):
+        find_subsidy_witness(n_max=10)
+
+
+def test_existence_boundary_raises_when_the_upper_end_is_active():
+    # Free search, whatever kappa is asked for: active at both ends.
+    with pytest.raises(SolverError, match="active equilibrium persists up to kappa"):
+        _existence_boundary(lambda kappa: _block_market(0.0, 0.5, 24), 0.01, 0.1)
 
 
 # ---------------------------------------------------------------------------
