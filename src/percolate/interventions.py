@@ -277,8 +277,6 @@ def find_subsidy_witness(n_max: int = 256) -> SubsidyWitness:
     """
     make = partial(_block_market, rho=SUBSIDY_RHO, n_max=n_max)
     start = -_condition_margin(make(0.0), WITNESS_BLOCK)  # one-jump gain scale
-    if start <= 0:
-        raise SolverError("entry block carries no search gain; pick a larger block")
     boundary = _existence_boundary(make, start / 8.0, start)
 
     width = max(boundary.inactive - boundary.active, WITNESS_BAND * boundary.inactive)
@@ -351,8 +349,6 @@ def find_education_witness(n_max: int = 256) -> EducationWitness:
     """
     make = partial(_block_market, rho=EDUCATION_RHO, n_max=n_max)
     start = -_condition_margin(make(0.0), WITNESS_BLOCK)
-    if start <= 0:
-        raise SolverError("no education witness: the entry block carries no search gain")
     b0 = _existence_boundary(make, start / 8.0, start)
     b1 = _existence_boundary(partial(make, public_signals=1), start / 16.0, start)
     if b1.inactive >= b0.active:

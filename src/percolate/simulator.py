@@ -21,6 +21,7 @@ exit at eta'), which is what the value iteration computes.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -40,10 +41,10 @@ from .model import (
 from .stationary import solve_stationary
 
 # Most events a run or a value estimate may expect, bounded before any draw.
-# At about 2 us an event that is half an hour of simulation; the README run
-# and criterion 9 expect at most 1.25e7 events and the benchmark's Monte
-# Carlo workload 1.5e6, while a tiny eta' or a huge eta would otherwise
-# simulate for hours or days.  Past it the run is a solver failure.
+# At about 1.7 us an event (traced Monte Carlo workload, 2-core x86 host) that
+# is half an hour of simulation; the README run and criterion 9 expect at most
+# 1.25e7 events and the benchmark's Monte Carlo workload 1.5e6, while a tiny
+# eta' or a huge eta would otherwise simulate for hours.  Past it the run fails.
 MAX_EVENTS = 1e9
 
 # Variates per block of each draw stream.  A run's random stream is fixed by
@@ -212,9 +213,9 @@ def run(
         m, sd = entry_mean_sd[j]
         return n0, (m + sd * n() if sd > 0.0 else m)
 
-    # Agent state (plain lists: hot loop does scalar access).
-    prec: list[int] = [0] * P
-    mean: list[float] = [0.0] * P
+    # Agent state: precisions and means in flat int64 and float64 arrays that snapshots read.
+    prec = array("q", [0]) * P
+    mean = array("d", [0.0]) * P
     agent_cls: list[int] = [0] * P
 
     pools: list[list[int]] = [[] for _ in range(n_cls)]
@@ -231,11 +232,9 @@ def run(
 
     counts = [len(p) for p in pools]
 
-    def move(a: int, new_c: int) -> bool:
-        """Put agent ``a`` in class ``new_c``; True if its class changed."""
+    def move(a: int, new_c: int) -> None:
+        """Move agent ``a`` from its class, which is not ``new_c``, to ``new_c``."""
         old = agent_cls[a]
-        if old == new_c:
-            return False
         p = pos[a]
         last = pools[old].pop()
         if last != a:
@@ -246,32 +245,29 @@ def run(
         pools[new_c].append(a)
         counts[new_c] += 1
         agent_cls[a] = new_c
-        return True
 
     reset_rate = eta * P
     exit_rate = eta_prime * P
 
-    def rates() -> tuple[float, float, float]:
-        """S1, the meeting rate and the total event rate of the class counts."""
+    def rates() -> tuple[list[float], float, float]:
+        """Running class sums of effort (the last is S1), the meeting and total event rates."""
+        sums = []
         s1 = s2 = 0.0
         for c in range(n_cls):
             v = class_values[c]
             s1 += v * counts[c]
             s2 += v * v * counts[c]
+            sums.append(s1)
         match_rate = (s1 * s1 - s2) / (2.0 * P)
         if match_rate < 0.0:
             match_rate = 0.0
-        return s1, match_rate, match_rate + reset_rate + exit_rate
+        return sums, match_rate, match_rate + reset_rate + exit_rate
 
-    def pick_searcher(s1: float) -> int:
-        target = u() * s1
-        acc = 0.0
-        c = n_cls - 1
-        for k in range(n_cls):
-            acc += class_values[k] * counts[k]
-            if target < acc:
-                c = k
-                break
+    last_cls = n_cls - 1
+
+    def pick_searcher(sums: list[float]) -> int:
+        # The first class whose running sum exceeds the target, else the last one.
+        c = bisect_right(sums, u() * sums[-1], 0, last_cls)
         return pools[c][int(u() * counts[c])]
 
     # Snapshot bookkeeping.
@@ -290,8 +286,8 @@ def run(
     mean_limit = math.sqrt(np.finfo(float).max / P)
 
     def snapshot(i: int) -> None:
-        arr = np.minimum(np.asarray(prec), n_max + 1)
-        vals = np.asarray(mean)
+        arr = np.minimum(np.frombuffer(prec, dtype=np.int64), n_max + 1)
+        vals = np.frombuffer(mean)
         if not np.all(np.abs(vals) <= mean_limit):
             raise SolverError(
                 f"posterior means diverge by t = {rec_times[i]:.6g}: agents at the precision "
@@ -304,7 +300,7 @@ def run(
     n_events = n_matches = n_resets = n_exits = n_rejects = n_caps = 0
 
     t = 0.0
-    s1, match_rate, lam = rates()  # recomputed only when a class count changes
+    sums, match_rate, lam = rates()  # recomputed only when a class count changes
     while True:
         t_next = t + e() / lam
 
@@ -320,11 +316,11 @@ def run(
         slot = u() * lam
         if slot < match_rate:
             n_matches += 1
-            i = pick_searcher(s1)
-            j = pick_searcher(s1)
+            i = pick_searcher(sums)
+            j = pick_searcher(sums)
             while j == i:
                 n_rejects += 1
-                j = pick_searcher(s1)
+                j = pick_searcher(sums)
             ni, nj = prec[i], prec[j]
             nn = ni + nj
             if nn > cap:
@@ -340,16 +336,21 @@ def run(
             prec[i] = prec[j] = nn
             mean[i] = mean[j] = xx
             c = cls_of_prec[nn]
-            if move(i, c) | move(j, c):  # "|", not "or": both agents must move
-                s1, match_rate, lam = rates()
+            if agent_cls[i] != c or agent_cls[j] != c:
+                for a in (i, j):
+                    if agent_cls[a] != c:
+                        move(a, c)
+                sums, match_rate, lam = rates()
         elif slot < match_rate + reset_rate:
             n_resets += 1
             a = int(u() * P)
             n0, x0 = draw_entry()
             prec[a] = n0
             mean[a] = x0
-            if move(a, cls_of_prec[n0]):
-                s1, match_rate, lam = rates()
+            c = cls_of_prec[n0]
+            if agent_cls[a] != c:
+                move(a, c)
+                sums, match_rate, lam = rates()
         else:
             n_exits += 1
             # u < 1, so int(u * P) < P for every P up to 2**53 and no index needs a clamp.
@@ -357,16 +358,18 @@ def run(
             src = int(u() * P)
             prec[a] = prec[src]
             mean[a] = mean[src]
-            if move(a, agent_cls[src]):
-                s1, match_rate, lam = rates()
+            c = agent_cls[src]
+            if agent_cls[a] != c:
+                move(a, c)
+                sums, match_rate, lam = rates()
 
     return SimOutput(
         times=rec_times,
         histograms=histograms,
         mean_sums=mean_sums,
         mean_square_sums=mean_square_sums,
-        final_precisions=np.asarray(prec, dtype=np.int64),
-        final_means=np.asarray(mean, dtype=float),
+        final_precisions=np.array(prec, dtype=np.int64),
+        final_means=np.array(mean, dtype=float),
         n_events=n_events,
         n_matches=n_matches,
         n_resets=n_resets,
@@ -413,7 +416,7 @@ def estimate_value(
     u_of_prec = [float(exit_utility(params, p)) for p in range(cap + 1)]
     eff = policy.efforts
     k_of_prec = [cost.cost(float(eff[min(p, n_max)])) for p in range(cap + 1)]
-    c_of_prec = [float(eff[min(p, n_max)]) for p in range(cap + 1)]
+    rate_of_prec = [float(eff[min(p, n_max)]) * c_bar for p in range(cap + 1)]
 
     u, e, _ = _streams(np.random.Generator(np.random.PCG64(cfg.seed)))
     total = 0.0
@@ -421,23 +424,23 @@ def estimate_value(
     for _ in range(R):
         tau = e() / eta_prime
         n = entry_precision
-        t = 0.0
+        t, disc = 0.0, 1.0  # disc = exp(-r t), carried from the previous step's stop
         util = 0.0
         while True:
-            rate = c_of_prec[n] * c_bar
+            rate = rate_of_prec[n]
             t_jump = t + e() / rate if rate > 0.0 else math.inf
-            t_stop = tau if tau < t_jump else t_jump
+            disc_stop = math.exp(-r * (tau if tau < t_jump else t_jump))
             k = k_of_prec[n]
             if k != 0.0:
-                util -= k * (math.exp(-r * t) - math.exp(-r * t_stop)) / r
+                util -= k * (disc - disc_stop) / r
             if tau <= t_jump:
-                util += math.exp(-r * tau) * u_of_prec[n]
+                util += disc_stop * u_of_prec[n]
                 break
             m = bisect_right(jump_cum, u())
             if m > n_max:
                 m = n_max
-            n = min(n + m, cap)
-            t = t_jump
+            n = n + m if n + m < cap else cap
+            t, disc = t_jump, disc_stop
         total += util
         total_sq += util * util
     mean = total / R

@@ -216,7 +216,8 @@ def test_estimate_value_rejects_bad_entry_and_replications(entry, replications):
 # ---------------------------------------------------------------------------
 # Recorded from the event loops that drew through per-draw buffer indexing
 # (``tests/oracles.py``).  Any change to the block size, the order of the
-# draws or the event logic moves these digests.
+# draws or the event logic moves these digests.  A policy is a trigger, None
+# for constant full effort, or efforts on precisions 0.. with 0 past them.
 
 PINNED_RUNS = {
     # 780k u, 232k e and 121k n draws: every stream crosses a block refill.
@@ -253,15 +254,36 @@ PINNED_RUNS = {
          "345d00eef90646a2aba3c336cc7e784853cd43e1c6e6d7dfc556a70ccaa34743",
          "3698dabcec7b7e21580c6d7b7051d6eb321401b4579b53ee9e0a4eb78945db33"),
     ),
+    # Four effort classes: a searcher pick crosses up to three class boundaries.
+    "four_classes": (
+        {"n_max": 16}, (1.0,) * 3 + (0.5,) * 3 + (0.25,) * 3,
+        SimConfig(population=3_000, horizon=8.0, seed=5),
+        (57036, 8681, 24140, 24215, 2, 0),
+        ("0686219737fa043581c432909b07c4d28e69748f7230ec8904e7ad17b8ceb402",
+         "01d67cca37c22bc45a5297154b7a8477482fcb04f9ceb853735e1723e3ab55b6",
+         "422ce5ecb3560925836074e668fee278a77a93bfe25c9c3e5b9c07483d346b0f",
+         "8b5e5d6f866281583a28ce48edb61c3485215e889c669b643b2eff5c550fb509",
+         "72c2eb9076b44acfd2ea3baf2658978535231b2ec2151ec41543d6fa8604859c",
+         "c85ac6d963f1f519f5652ea5609b5b80e113acf81a5b64d182f69786a747acb5"),
+    ),
 }
+
+
+def _pinned_policy(spec, p):
+    if spec is None:
+        return Policy.constant(1.0, p)
+    if isinstance(spec, int):
+        return Policy.trigger_policy(spec, p)
+    efforts = np.zeros(p.n_max + 1)
+    efforts[: len(spec)] = spec
+    return Policy(efforts)
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
 def test_run_reproduces_the_pinned_stream(name):
-    over, trigger, cfg, counters, digests = PINNED_RUNS[name]
+    over, spec, cfg, counters, digests = PINNED_RUNS[name]
     p = _params(**over)
-    policy = Policy.constant(1.0, p) if trigger is None else Policy.trigger_policy(trigger, p)
-    out = run(policy, p, cfg)
+    out = run(_pinned_policy(spec, p), p, cfg)
     assert tuple(getattr(out, k) for k in SIM_COUNTERS) == counters
     got = tuple(hashlib.sha256(np.ascontiguousarray(getattr(out, k)).tobytes()).hexdigest()
                 for k in SIM_ARRAYS)
@@ -283,6 +305,35 @@ def test_estimate_value_reproduces_the_pinned_stream(entry):
                          entry_precision=entry)
     assert (est.mean.hex(), est.half_width.hex()) == PINNED_VALUES[entry]
     assert est.replications == 40_000
+
+
+# Trigger 3, 20k replications: (scenario overrides, seed, entry, (mean, half_width)).
+PINNED_PATH_VALUES = {
+    # c_lo > 0: every precision pays cost and jumps, the entry at 5 past the trigger too.
+    "c_lo-entry-0": ({"c_lo": 0.2, "pi": {"0": 0.5, "2": 0.5}, "n_max": 16}, 19, 0,
+                     ("-0x1.b81c899011048p-1", "0x1.7be41e85d83a8p-9")),
+    "c_lo-entry-5": ({"c_lo": 0.2, "pi": {"0": 0.5, "2": 0.5}, "n_max": 16}, 19, 5,
+                     ("-0x1.691a9c280eb68p-2", "0x1.9b4f141912cf5p-12")),
+    # c_lo = 0 and an entry past the trigger: no jump is ever drawn, only the exit.
+    "no-jump": ({}, 17, 4, ("-0x1.8efcb2c15ca9ep-2", "0x1.0252e60d78bc8p-11")),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_PATH_VALUES))
+def test_estimate_value_reproduces_the_pinned_path_values(name):
+    over, seed, entry, pinned = PINNED_PATH_VALUES[name]
+    p = _params(**over)
+    est = estimate_value(Policy.trigger_policy(3, p), p,
+                         SimConfig(seed=seed, replications=20_000), entry_precision=entry)
+    assert (est.mean.hex(), est.half_width.hex()) == pinned
+
+
+def test_final_state_is_an_owned_writeable_copy(trigger3_run):
+    """The snapshots read the agent arrays in place; the final state is a copy of them."""
+    _, _, _, out = trigger3_run
+    for arr, dtype in ((out.final_precisions, np.int64), (out.final_means, np.float64)):
+        assert arr.dtype == dtype
+        assert arr.flags.owndata and arr.flags.writeable
 
 
 def test_a_uniform_below_one_never_indexes_past_the_end():
