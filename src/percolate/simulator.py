@@ -118,7 +118,7 @@ class ValueEstimate:
     replications: int
 
 
-def _streams(rng: np.random.Generator) -> tuple[Callable[[], float], ...]:
+def _streams(rng: np.random.Generator) -> tuple[Iterator[float], ...]:
     """The uniform, exponential and normal draw streams (u, e, n) of one run.
 
     Each stream yields its variates one by one, in blocks of ``DRAW_BLOCK``:
@@ -133,7 +133,7 @@ def _streams(rng: np.random.Generator) -> tuple[Callable[[], float], ...]:
 
     fills = (rng.random, rng.standard_exponential, rng.standard_normal)
     firsts = [fill(DRAW_BLOCK) for fill in fills]
-    return tuple(chain.from_iterable(blocks(*b)).__next__ for b in zip(firsts, fills))
+    return tuple(chain.from_iterable(blocks(*b)) for b in zip(firsts, fills))
 
 
 def _check_seed(seed) -> None:
@@ -193,82 +193,64 @@ def run(
     cls_of_prec = [class_values.index(effort_by_prec[p]) for p in range(cap + 1)]
 
     # Pooling coefficients by precision.
-    gammas = [float(gamma_coeff(p, rho)) for p in range(2 * cap + 1)]
+    gammas = gamma_coeff(np.arange(2 * cap + 1), rho).tolist()
 
     # Entry sampler: precision from pi, posterior mean conditioned on the state.
     pi_w = params.pi.weights
     entry_prec_values = [int(k) for k in np.flatnonzero(pi_w > 0)]
     total_w = float(pi_w.sum())
     entry_probs = [float(pi_w[k]) / total_w for k in entry_prec_values]
-    entry_mean_sd = []
+    entries = []  # (precision, mean, sd) of the entrants' posterior means
     for k in entry_prec_values:
         m, v = cross_section_params(k, y, rho)
-        entry_mean_sd.append((m, math.sqrt(v)))
+        entries.append((k, m, math.sqrt(v)))
     # The last entry precision takes every u at or past the others' cumulative mass.
     entry_cum = list(accumulate(entry_probs[:-1]))
-
-    def draw_entry() -> tuple[int, float]:
-        j = bisect_right(entry_cum, u())
-        n0 = entry_prec_values[j]
-        m, sd = entry_mean_sd[j]
-        return n0, (m + sd * n() if sd > 0.0 else m)
 
     # Agent state: precisions and means in flat int64 and float64 arrays that snapshots read.
     prec = array("q", [0]) * P
     mean = array("d", [0.0]) * P
     agent_cls: list[int] = [0] * P
 
+    # Searchers are picked from per-class pools of agent indices.  A class
+    # without effort (only the lowest can be one) is never picked, since the
+    # bisection over the running effort sums passes it, so it keeps no pool.
+    idle = 0 if class_values[0] == 0.0 else -1
     pools: list[list[int]] = [[] for _ in range(n_cls)]
     pos: list[int] = [0] * P
+    counts = [0] * n_cls
 
     for a in range(P):
-        n0, x0 = draw_entry()
+        n0, m, sd = entries[bisect_right(entry_cum, next(u))]
         prec[a] = n0
-        mean[a] = x0
+        mean[a] = m + sd * next(n) if sd > 0.0 else m
         c = cls_of_prec[n0]
         agent_cls[a] = c
-        pos[a] = len(pools[c])
-        pools[c].append(a)
-
-    counts = [len(p) for p in pools]
+        counts[c] += 1
+        if c != idle:
+            pos[a] = len(pools[c])
+            pools[c].append(a)
 
     def move(a: int, new_c: int) -> None:
         """Move agent ``a`` from its class, which is not ``new_c``, to ``new_c``."""
         old = agent_cls[a]
-        p = pos[a]
-        last = pools[old].pop()
-        if last != a:
-            pools[old][p] = last
-            pos[last] = p
+        if old != idle:
+            p = pos[a]
+            last = pools[old].pop()
+            if last != a:
+                pools[old][p] = last
+                pos[last] = p
         counts[old] -= 1
-        pos[a] = counts[new_c]
-        pools[new_c].append(a)
+        if new_c != idle:
+            pos[a] = counts[new_c]
+            pools[new_c].append(a)
         counts[new_c] += 1
         agent_cls[a] = new_c
 
     reset_rate = eta * P
     exit_rate = eta_prime * P
-
-    def rates() -> tuple[list[float], float, float]:
-        """Running class sums of effort (the last is S1), the meeting and total event rates."""
-        sums = []
-        s1 = s2 = 0.0
-        for c in range(n_cls):
-            v = class_values[c]
-            s1 += v * counts[c]
-            s2 += v * v * counts[c]
-            sums.append(s1)
-        match_rate = (s1 * s1 - s2) / (2.0 * P)
-        if match_rate < 0.0:
-            match_rate = 0.0
-        return sums, match_rate, match_rate + reset_rate + exit_rate
-
+    squares = [v * v for v in class_values]
     last_cls = n_cls - 1
-
-    def pick_searcher(sums: list[float]) -> int:
-        # The first class whose running sum exceeds the target, else the last one.
-        c = bisect_right(sums, u() * sums[-1], 0, last_cls)
-        return pools[c][int(u() * counts[c])]
 
     # Snapshot bookkeeping.
     rec_times = np.linspace(0.0, horizon, 51)
@@ -297,30 +279,44 @@ def run(
         mean_sums[i] = np.bincount(arr, weights=vals, minlength=n_max + 2)
         mean_square_sums[i] = np.bincount(arr, weights=vals * vals, minlength=n_max + 2)
 
-    n_events = n_matches = n_resets = n_exits = n_rejects = n_caps = 0
+    n_matches = n_resets = n_exits = n_rejects = n_caps = 0
 
     t = 0.0
-    sums, match_rate, lam = rates()  # recomputed only when a class count changes
-    while True:
-        t_next = t + e() / lam
+    moved = True  # a class count changed, so the running effort sums and the rates follow
+    for x in e:  # one exponential variate per event
+        if moved:
+            moved = False
+            sums = []
+            s1 = s2 = 0.0
+            for v, v2, k in zip(class_values, squares, counts):
+                s1 += v * k
+                s2 += v2 * k
+                sums.append(s1)
+            match_rate = (s1 * s1 - s2) / (2.0 * P)
+            if match_rate < 0.0:
+                match_rate = 0.0
+            lam = match_rate + reset_rate + exit_rate
+        t += x / lam
 
-        while next_rec <= t_next:
+        while next_rec <= t:
             snapshot(rec_idx)
             rec_idx += 1
             next_rec = stops[rec_idx]
-        if t_next > horizon:
+        if t > horizon:
             break
-        t = t_next
-        n_events += 1
 
-        slot = u() * lam
+        slot = next(u) * lam
         if slot < match_rate:
             n_matches += 1
-            i = pick_searcher(sums)
-            j = pick_searcher(sums)
-            while j == i:
+            # A searcher is in the first class whose running sum exceeds the target, else the last.
+            c = bisect_right(sums, next(u) * s1, 0, last_cls)
+            i = pools[c][int(next(u) * counts[c])]
+            while True:
+                c = bisect_right(sums, next(u) * s1, 0, last_cls)
+                j = pools[c][int(next(u) * counts[c])]
+                if j != i:
+                    break
                 n_rejects += 1
-                j = pick_searcher(sums)
             ni, nj = prec[i], prec[j]
             nn = ni + nj
             if nn > cap:
@@ -336,32 +332,33 @@ def run(
             prec[i] = prec[j] = nn
             mean[i] = mean[j] = xx
             c = cls_of_prec[nn]
-            if agent_cls[i] != c or agent_cls[j] != c:
-                for a in (i, j):
-                    if agent_cls[a] != c:
-                        move(a, c)
-                sums, match_rate, lam = rates()
+            if agent_cls[i] != c:
+                move(i, c)
+                moved = True
+            if agent_cls[j] != c:
+                move(j, c)
+                moved = True
         elif slot < match_rate + reset_rate:
             n_resets += 1
-            a = int(u() * P)
-            n0, x0 = draw_entry()
+            a = int(next(u) * P)
+            n0, m, sd = entries[bisect_right(entry_cum, next(u))]
             prec[a] = n0
-            mean[a] = x0
+            mean[a] = m + sd * next(n) if sd > 0.0 else m
             c = cls_of_prec[n0]
             if agent_cls[a] != c:
                 move(a, c)
-                sums, match_rate, lam = rates()
+                moved = True
         else:
             n_exits += 1
             # u < 1, so int(u * P) < P for every P up to 2**53 and no index needs a clamp.
-            a = int(u() * P)
-            src = int(u() * P)
+            a = int(next(u) * P)
+            src = int(next(u) * P)
             prec[a] = prec[src]
             mean[a] = mean[src]
             c = agent_cls[src]
             if agent_cls[a] != c:
                 move(a, c)
-                sums, match_rate, lam = rates()
+                moved = True
 
     return SimOutput(
         times=rec_times,
@@ -370,7 +367,7 @@ def run(
         mean_square_sums=mean_square_sums,
         final_precisions=np.array(prec, dtype=np.int64),
         final_means=np.array(mean, dtype=float),
-        n_events=n_events,
+        n_events=n_matches + n_resets + n_exits,
         n_matches=n_matches,
         n_resets=n_resets,
         n_exits=n_exits,
@@ -413,7 +410,7 @@ def estimate_value(
     eta_prime = params.eta_prime
     n_max = params.n_max
     cap = 8 * n_max
-    u_of_prec = [float(exit_utility(params, p)) for p in range(cap + 1)]
+    u_of_prec = exit_utility(params, np.arange(cap + 1)).tolist()
     eff = policy.efforts
     k_of_prec = [cost.cost(float(eff[min(p, n_max)])) for p in range(cap + 1)]
     rate_of_prec = [float(eff[min(p, n_max)]) * c_bar for p in range(cap + 1)]
@@ -422,13 +419,13 @@ def estimate_value(
     total = 0.0
     total_sq = 0.0
     for _ in range(R):
-        tau = e() / eta_prime
+        tau = next(e) / eta_prime
         n = entry_precision
         t, disc = 0.0, 1.0  # disc = exp(-r t), carried from the previous step's stop
         util = 0.0
         while True:
             rate = rate_of_prec[n]
-            t_jump = t + e() / rate if rate > 0.0 else math.inf
+            t_jump = t + next(e) / rate if rate > 0.0 else math.inf
             disc_stop = math.exp(-r * (tau if tau < t_jump else t_jump))
             k = k_of_prec[n]
             if k != 0.0:
@@ -436,7 +433,7 @@ def estimate_value(
             if tau <= t_jump:
                 util += disc_stop * u_of_prec[n]
                 break
-            m = bisect_right(jump_cum, u())
+            m = bisect_right(jump_cum, next(u))
             if m > n_max:
                 m = n_max
             n = n + m if n + m < cap else cap
