@@ -77,6 +77,10 @@ class SimOutput:
 
     times: np.ndarray  # 51 evenly spaced snapshot times, from 0 to exactly the horizon
     histograms: np.ndarray  # (n_times, n_max + 2); last column counts beyond-grid agents
+    # The beyond-grid column pools every precision past n_max.  An agent whose
+    # meeting would pass the cap 4 n_max stays at the cap with the
+    # precision-weighted average of the two means, not a posterior mean, so that
+    # column's moments are posterior moments only while n_precision_caps is 0.
     mean_sums: np.ndarray  # per-snapshot, per-bin sums of posterior means
     mean_square_sums: np.ndarray  # per-snapshot, per-bin sums of squared posterior means
     final_precisions: np.ndarray
@@ -159,8 +163,8 @@ def run(
     """Simulate the finite-population market under ``policy``.
 
     Raises SolverError, before any draw, if the run may expect more than
-    ``MAX_EVENTS`` events, and at a snapshot whose posterior means have
-    diverged (their squares would overflow).
+    ``MAX_EVENTS`` events, and at a snapshot whose posterior means are so
+    large that their squares would overflow.
     """
     if not isinstance(cfg.population, Integral) or cfg.population < 2:
         raise ValidationError("population must be an integer of at least 2")
@@ -193,7 +197,7 @@ def run(
     cls_of_prec = [class_values.index(effort_by_prec[p]) for p in range(cap + 1)]
 
     # Pooling coefficients by precision.
-    gammas = gamma_coeff(np.arange(2 * cap + 1), rho).tolist()
+    gammas = gamma_coeff(np.arange(cap + 1), rho).tolist()
 
     # Entry sampler: precision from pi, posterior mean conditioned on the state.
     pi_w = params.pi.weights
@@ -262,9 +266,10 @@ def run(
     rec_idx = 0
     next_rec = stops[0]
 
-    # Agents at the precision cap pool their means again at every meeting, so
-    # where they meet far more often than they are replaced their means grow
-    # geometrically; past this bound the per-bin sums of squares could overflow.
+    # A pooled mean at precision k is at most C k / gamma(k), C the largest
+    # |entry mean| gamma(n0) / n0, and a capped meeting averages, so means stay
+    # within cap * C; only a state y near the float range takes them past this
+    # bound, where the per-bin sums of squares could overflow.
     mean_limit = math.sqrt(np.finfo(float).max / P)
 
     def snapshot(i: int) -> None:
@@ -272,8 +277,8 @@ def run(
         vals = np.frombuffer(mean)
         if not np.all(np.abs(vals) <= mean_limit):
             raise SolverError(
-                f"posterior means diverge by t = {rec_times[i]:.6g}: agents at the precision "
-                f"cap {cap} meet far more often than they are replaced"
+                f"posterior means pass {mean_limit:.3g} by t = {rec_times[i]:.6g}, where their "
+                f"squares overflow: the state y = {y:.6g} is too large"
             )
         histograms[i] = np.bincount(arr, minlength=n_max + 2)
         mean_sums[i] = np.bincount(arr, weights=vals, minlength=n_max + 2)
@@ -320,15 +325,19 @@ def run(
             ni, nj = prec[i], prec[j]
             nn = ni + nj
             if nn > cap:
+                # Past the cap the pooled mean stays the precision-weighted average of the two.
                 nn = cap
                 n_caps += 1
+                pooled = gammas[ni] + gammas[nj]
+            else:
+                pooled = gammas[nn]
             # A precision-0 agent holds mean 0.0, so two of them leave the state as it was.
             if ni == 0:
                 xx = mean[j]
             elif nj == 0:
                 xx = mean[i]
             else:
-                xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / gammas[nn]
+                xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / pooled
             prec[i] = prec[j] = nn
             mean[i] = mean[j] = xx
             c = cls_of_prec[nn]

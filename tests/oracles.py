@@ -650,9 +650,11 @@ def run_loop(
                 j = pick_searcher()
             ni, nj = prec[i], prec[j]
             nn = ni + nj
+            denom = gammas[nn]
             if nn > cap:
                 nn = cap
                 n_caps += 1
+                denom = gammas[ni] + gammas[nj]  # a precision-weighted average past the cap
             if ni == 0 and nj == 0:
                 pass
             else:
@@ -661,7 +663,7 @@ def run_loop(
                 elif nj == 0:
                     xx = mean[i]
                 else:
-                    xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / gammas[nn]
+                    xx = (gammas[ni] * mean[i] + gammas[nj] * mean[j]) / denom
                 for a in (i, j):
                     move(a, cls_of_prec[nn])
                     prec[a] = nn

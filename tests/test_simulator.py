@@ -14,6 +14,7 @@ from percolate import (
     ValidationError,
     cross_section_params,
     exit_utility,
+    gamma_coeff,
     load_params,
     solve_stationary,
 )
@@ -147,13 +148,28 @@ def test_precision_cap_is_counted_and_binned():
     assert np.all(out.histograms.sum(axis=1) == 2_000)
 
 
-def test_diverging_means_at_the_cap_raise_instead_of_overflowing():
-    # Two agents and no replacement: they meet 1e5 times, both at the cap
-    # after three meetings, and each later meeting doubles their common mean.
-    # Squaring it for the snapshot overflowed (a RuntimeWarning, exit 0).
+def test_means_at_the_cap_stay_within_a_bound_of_the_entry_means():
+    # Two agents and no replacement: they meet 5e4 times, both at the cap
+    # 4 n_max = 8 after three meetings from precision 1.  A pooled mean at
+    # precision k is at most C k / gamma(k), C the larger |entry mean| (here
+    # gamma(1) = 1), and a capped meeting averages, so no mean passes
+    # 8 C / gamma(8).  Capped meetings that divided by gamma(8) instead doubled
+    # the common mean each time, until the snapshot's squares overflowed.
     p = _params(eta=1e-300, eta_prime=1e-300, rho=1e-12, c_hi=1e6, n_max=2)
-    with pytest.raises(SolverError, match="posterior means diverge"):
-        run(Policy.constant(1e6, p), p, SimConfig(population=2, horizon=1e-7))
+    out = run(Policy.constant(1e6, p), p, SimConfig(population=2, horizon=1e-7))
+    assert out.n_precision_caps == out.n_matches - 3 > 40_000
+    c = math.sqrt(out.mean_square_sums[0].sum())  # at least the larger |entry mean|
+    bound = 8.0 * c / gamma_coeff(8, p.rho) * (1.0 + 1e-9)
+    assert np.all(np.abs(out.final_means) <= bound)
+    assert np.all(out.mean_square_sums.sum(axis=1) <= 2.0 * bound * bound)
+
+
+def test_means_past_the_float_range_raise_instead_of_overflowing():
+    # An entry mean near the float range would overflow the snapshot's squares.
+    p = _params(n_max=8)
+    with pytest.raises(SolverError, match="posterior means pass"):
+        run(Policy.trigger_policy(2, p), p, SimConfig(population=100, horizon=1.0,
+                                                      y_realization=1e300))
 
 
 @pytest.mark.parametrize("horizon", [13.7, 0.9])
@@ -232,15 +248,16 @@ PINNED_RUNS = {
          "b2cea9c8c83d953176ae63800ff283a1f6bff68120c17b40da99901be5a2ca33"),
     ),
     # Constant full effort on a 4-bin grid: thousands of pooled precisions hit the cap.
+    # Its mean digests were re-recorded when capped meetings began to average.
     "caps": (
         {"eta": 0.2, "n_max": 4}, None, SimConfig(population=2_000, horizon=10.0, seed=2),
         (33801, 9977, 4030, 19794, 5, 6844),
         ("756a3f4e803e0e63af4b63c66e0fd678c6cdda17bb3e71347b49f72cdbb3b283",
          "46be87a32e6e59a1b8339654340c4c23cc5fdbbcee54f370a245f429441ced22",
-         "76fd86c2a759dd5c44965fd013dd9e92dd11e047c457c619180e76268e22b902",
-         "3a22ec4ce1bc2a6f963c54b41a54f0e3dbeefa65561fcabf42ee16c721b66e2b",
+         "e792f1e523eb33e7ea32de4f86673e906219cb036affbaa8f9b4a63f30e5312d",
+         "b6ca94f5077b80b5e8a6f1f79a5946c7168881dbb79521ea66f4f52026595dcf",
          "2ae32328a96a39096865705a7e8fc2d6019accbcc6f333f2745c221eae0e571c",
-         "888a8dfd8a50b18c44905978d94229dbafd43b7d9a5560cd75e2c21f7651dce3"),
+         "865fb0ce08fde61358c1652c315ad623af8101837b6db5f36392eacce1fc1f4d"),
     ),
     # Two positive effort classes; entrants at precision 0 draw no normal variate.
     "c_lo": (
