@@ -626,11 +626,18 @@ def test_same_seed_reproduces_the_run_bit_for_bit(case):
 def class_runs(draw):
     """A ``small_runs`` market and run under a policy of one to four effort
     classes spread over the grid, any state y, and a value estimate of at
-    most 300 replications from any entry precision."""
+    most 300 replications from any entry precision.  Where c_lo = 0, half the
+    draws end the policy in a trigger, c_hi at one precision and no effort
+    past it, so a class that ``run`` keeps no searcher pool for sits beside
+    one that searches."""
     _, params, cfg = draw(small_runs())
     values = draw(st.lists(st.floats(params.c_lo, params.c_hi), min_size=1, max_size=4, unique=True))
     size = params.n_max + 1
-    policy = Policy(np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))))
+    efforts = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    if params.c_lo == 0.0 and draw(st.booleans()):
+        k = draw(st.integers(1, params.n_max))
+        efforts[k - 1 :] = [params.c_hi] + [0.0] * (size - k)
+    policy = Policy(np.array(efforts))
     cfg = replace(cfg, y_realization=draw(st.floats(-2.0, 2.0)),
                   replications=draw(st.integers(1, 300)))
     return policy, params, cfg, draw(st.integers(0, params.n_max))
