@@ -77,10 +77,9 @@ class SimOutput:
 
     times: np.ndarray  # 51 evenly spaced snapshot times, from 0 to exactly the horizon
     histograms: np.ndarray  # (n_times, n_max + 2); last column counts beyond-grid agents
-    # The beyond-grid column pools every precision past n_max.  An agent whose
-    # meeting would pass the cap 4 n_max stays at the cap with the
-    # precision-weighted average of the two means, not a posterior mean, so that
-    # column's moments are posterior moments only while n_precision_caps is 0.
+    # A meeting past the cap 4 n_max leaves both agents at the cap with the precision-weighted
+    # average of their means, not a posterior mean: the beyond-grid column's mean moments are
+    # posterior moments only while n_precision_caps is 0.
     mean_sums: np.ndarray  # per-snapshot, per-bin sums of posterior means
     mean_square_sums: np.ndarray  # per-snapshot, per-bin sums of squared posterior means
     final_precisions: np.ndarray
@@ -237,6 +236,8 @@ def run(
 
     def move(a: int, new_c: int) -> None:
         """Move agent ``a`` from its class, which is not ``new_c``, to ``new_c``."""
+        nonlocal stale
+        stale = True  # a class count changes, so the running effort sums and the rates follow
         old = agent_cls[a]
         if old != idle:
             p = pos[a]
@@ -253,7 +254,6 @@ def run(
 
     reset_rate = eta * P
     exit_rate = eta_prime * P
-    squares = [v * v for v in class_values]
     last_cls = n_cls - 1
 
     # Snapshot bookkeeping.
@@ -286,16 +286,17 @@ def run(
 
     n_matches = n_resets = n_exits = n_rejects = n_caps = 0
 
+    floor = math.floor  # int(x) for x >= 0, and a cheaper call
     t = 0.0
-    moved = True  # a class count changed, so the running effort sums and the rates follow
+    stale = True
     for x in e:  # one exponential variate per event
-        if moved:
-            moved = False
+        if stale:
+            stale = False
             sums = []
             s1 = s2 = 0.0
-            for v, v2, k in zip(class_values, squares, counts):
+            for v, k in zip(class_values, counts):
                 s1 += v * k
-                s2 += v2 * k
+                s2 += v * v * k
                 sums.append(s1)
             match_rate = (s1 * s1 - s2) / (2.0 * P)
             if match_rate < 0.0:
@@ -315,10 +316,10 @@ def run(
             n_matches += 1
             # A searcher is in the first class whose running sum exceeds the target, else the last.
             c = bisect_right(sums, next(u) * s1, 0, last_cls)
-            i = pools[c][int(next(u) * counts[c])]
+            i = pools[c][floor(next(u) * counts[c])]
             while True:
                 c = bisect_right(sums, next(u) * s1, 0, last_cls)
-                j = pools[c][int(next(u) * counts[c])]
+                j = pools[c][floor(next(u) * counts[c])]
                 if j != i:
                     break
                 n_rejects += 1
@@ -343,31 +344,27 @@ def run(
             c = cls_of_prec[nn]
             if agent_cls[i] != c:
                 move(i, c)
-                moved = True
             if agent_cls[j] != c:
                 move(j, c)
-                moved = True
         elif slot < match_rate + reset_rate:
             n_resets += 1
-            a = int(next(u) * P)
+            a = floor(next(u) * P)
             n0, m, sd = entries[bisect_right(entry_cum, next(u))]
             prec[a] = n0
             mean[a] = m + sd * next(n) if sd > 0.0 else m
             c = cls_of_prec[n0]
             if agent_cls[a] != c:
                 move(a, c)
-                moved = True
         else:
             n_exits += 1
-            # u < 1, so int(u * P) < P for every P up to 2**53 and no index needs a clamp.
-            a = int(next(u) * P)
-            src = int(next(u) * P)
+            # u < 1, so floor(u * P) < P for every P up to 2**53 and no index needs a clamp.
+            a = floor(next(u) * P)
+            src = floor(next(u) * P)
             prec[a] = prec[src]
             mean[a] = mean[src]
             c = agent_cls[src]
             if agent_cls[a] != c:
                 move(a, c)
-                moved = True
 
     return SimOutput(
         times=rec_times,

@@ -354,7 +354,7 @@ def test_final_state_is_an_owned_writeable_copy(trigger3_run):
 
 
 def test_a_uniform_below_one_never_indexes_past_the_end():
-    """``run`` picks agents and pool slots as int(u * P) with no clamp at P.
+    """``run`` picks agents and pool slots as floor(u * P) = int(u * P) with no clamp at P.
 
     Every uniform u < 1 is at most nextafter(1, 0) = 1 - 2**-53, and rounding
     is monotone, so int(u * P) <= int(nextafter(1, 0) * P).  For an integer
