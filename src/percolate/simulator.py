@@ -41,8 +41,8 @@ from .model import (
 from .stationary import solve_stationary
 
 # Most events a run or a value estimate may expect, bounded before any draw.
-# At about 1.7 us an event (traced Monte Carlo workload, 2-core x86 host) that
-# is half an hour of simulation; the README run and criterion 9 expect at most
+# At about 1.2 us an event (traced Monte Carlo workload, 2-core x86 host) that
+# is twenty minutes of simulation; the README run and criterion 9 expect at most
 # 1.25e7 events and the benchmark's Monte Carlo workload 1.5e6, while a tiny
 # eta' or a huge eta would otherwise simulate for hours.  Past it the run fails.
 MAX_EVENTS = 1e9
